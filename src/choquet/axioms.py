@@ -24,6 +24,7 @@ The three families besides the integral itself:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,6 +36,7 @@ from .setfunction import (
     Capacity,
     SignedCapacity,
     SubsetLike,
+    _lattice_passes,
     as_mask,
     elements_from_mask,
     mobius_transform,
@@ -65,10 +67,8 @@ AXIOMS = (
 VERDICT_SATISFIED = "satisfied-on-samples"
 VERDICT_FALSIFIED = "falsified"
 
-# Pass tolerance for "the two sides agree"; falsification threshold for
-# "the two sides genuinely differ".  The gap between them absorbs rounding.
-PASS_REL_TOLERANCE = 1e-9
-PASS_ABS_TOLERANCE = 1e-12
+# Falsification threshold for "the two sides genuinely differ", well above
+# rounding noise.
 FALSIFY_TOLERANCE = 1e-6
 
 DEFAULT_TRIALS = 1000
@@ -109,22 +109,16 @@ class Aggregator:
 
 
 def _subset_sums(coords: list[float]) -> np.ndarray:
-    n = len(coords)
-    sums = np.zeros(1 << n)
-    for i in range(n):
-        bit = 1 << i
-        blocks = sums.reshape(-1, 2 * bit)
-        blocks[:, bit:] += coords[i]
+    sums = np.zeros(1 << len(coords))
+    for i, _, hi in _lattice_passes(sums):
+        hi += coords[i]
     return sums
 
 
 def _subset_products(coords: list[float]) -> np.ndarray:
-    n = len(coords)
-    products = np.ones(1 << n)
-    for i in range(n):
-        bit = 1 << i
-        blocks = products.reshape(-1, 2 * bit)
-        blocks[:, bit:] *= coords[i]
+    products = np.ones(1 << len(coords))
+    for i, _, hi in _lattice_passes(products):
+        hi *= coords[i]
     return products
 
 
@@ -208,6 +202,26 @@ def _require_trials(trials: int) -> None:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
 
+def _run_checker(axiom: str, trials: int, seed: int, tolerance: float, sample) -> AxiomReport:
+    """Run sample(trial, rng) -> (lhs, rhs, inputs) until the sides differ.
+
+    Each trial draws from its own _trial_rng stream.  The first trial whose
+    sides differ by more than the tolerance ends the run with a witness
+    holding its inputs (arrays converted to lists); otherwise every trial
+    runs and the report is satisfied.
+    """
+    _require_trials(trials)
+    if not (isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+    for trial in range(trials):
+        lhs, rhs, inputs = sample(trial, _trial_rng(seed, trial))
+        if abs(lhs - rhs) > tolerance:
+            plain = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in inputs.items()}
+            witness = Witness(plain, lhs, rhs)
+            return AxiomReport(axiom, VERDICT_FALSIFIED, witness, trial + 1, seed, tolerance)
+    return AxiomReport(axiom, VERDICT_SATISFIED, None, trials, seed, tolerance)
+
+
 def _monotone_piecewise_map(rng: np.random.Generator):
     """Random nondecreasing piecewise-linear map on the sampling range."""
     knots = -7.0 + np.cumsum(rng.uniform(0.1, 3.5, 5))
@@ -221,9 +235,18 @@ def _comonotonic_pair(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.
     return _monotone_piecewise_map(rng)(base), _monotone_piecewise_map(rng)(base)
 
 
-def _report(axiom, witness, samples, seed, tolerance) -> AxiomReport:
-    verdict = VERDICT_FALSIFIED if witness is not None else VERDICT_SATISFIED
-    return AxiomReport(axiom, verdict, witness, samples, seed, tolerance)
+def _basis_expansion(agg: Aggregator, v: SignedCapacity, x: Sequence[float]) -> float:
+    """sum over T of m_v(T) * f_{v_T}(x), over nonzero coefficients in ascending mask order.
+
+    The empty set is skipped: every game has Mobius coefficient 0 there.
+    """
+    m = mobius_transform(v)
+    total = 0.0
+    for t_mask in range(1, 1 << agg.n):
+        coeff = float(m.coefficients[t_mask])
+        if coeff != 0.0:
+            total += coeff * agg.basis_evaluate(t_mask, x)
+    return total
 
 
 def check_comonotonic_additivity(
@@ -237,23 +260,16 @@ def check_comonotonic_additivity(
 
     Trial 0 uses the degenerate pair (x, 0), which reduces to f(0) = 0.
     """
-    _require_trials(trials)
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
+    def sample(trial, rng):
         if trial == 0:
             x, y = rng.uniform(-5.0, 5.0, agg.n), np.zeros(agg.n)
         else:
             x, y = _comonotonic_pair(rng, agg.n)
         lhs = agg.evaluate(v, x + y)
         rhs = agg.evaluate(v, x) + agg.evaluate(v, y)
-        if abs(lhs - rhs) > tolerance:
-            witness = Witness(
-                {"family": agg.family, "capacity": v.values.tolist(),
-                 "x": x.tolist(), "y": y.tolist()},
-                lhs, rhs,
-            )
-            return _report(AXIOM_COMONOTONIC_ADDITIVITY, witness, trial + 1, seed, tolerance)
-    return _report(AXIOM_COMONOTONIC_ADDITIVITY, None, trials, seed, tolerance)
+        return lhs, rhs, {"family": agg.family, "capacity": v.values, "x": x, "y": y}
+
+    return _run_checker(AXIOM_COMONOTONIC_ADDITIVITY, trials, seed, tolerance, sample)
 
 
 def check_positive_homogeneity(
@@ -264,21 +280,14 @@ def check_positive_homogeneity(
     tolerance: float = FALSIFY_TOLERANCE,
 ) -> AxiomReport:
     """f(r * x) = r * f(x) for sampled r > 0 (log-uniform on [0.1, 10])."""
-    _require_trials(trials)
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
+    def sample(trial, rng):
         x = rng.uniform(-5.0, 5.0, agg.n)
         r = 1.0 if trial == 0 else float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
         lhs = agg.evaluate(v, r * x)
         rhs = r * agg.evaluate(v, x)
-        if abs(lhs - rhs) > tolerance:
-            witness = Witness(
-                {"family": agg.family, "capacity": v.values.tolist(),
-                 "x": x.tolist(), "r": r},
-                lhs, rhs,
-            )
-            return _report(AXIOM_POSITIVE_HOMOGENEITY, witness, trial + 1, seed, tolerance)
-    return _report(AXIOM_POSITIVE_HOMOGENEITY, None, trials, seed, tolerance)
+        return lhs, rhs, {"family": agg.family, "capacity": v.values, "x": x, "r": r}
+
+    return _run_checker(AXIOM_POSITIVE_HOMOGENEITY, trials, seed, tolerance, sample)
 
 
 def check_comonotonic_affinity(
@@ -292,24 +301,15 @@ def check_comonotonic_affinity(
 
     Trials 0 and 1 pin the endpoint cases lam = 0 and lam = 1.
     """
-    _require_trials(trials)
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
+    def sample(trial, rng):
         x, y = _comonotonic_pair(rng, agg.n)
-        if trial < 2:
-            lam = float(trial)
-        else:
-            lam = float(rng.uniform(0.0, 1.0))
+        lam = float(trial) if trial < 2 else float(rng.uniform(0.0, 1.0))
         lhs = agg.evaluate(v, lam * x + (1.0 - lam) * y)
         rhs = lam * agg.evaluate(v, x) + (1.0 - lam) * agg.evaluate(v, y)
-        if abs(lhs - rhs) > tolerance:
-            witness = Witness(
-                {"family": agg.family, "capacity": v.values.tolist(),
-                 "x": x.tolist(), "x_prime": y.tolist(), "lambda": lam},
-                lhs, rhs,
-            )
-            return _report(AXIOM_COMONOTONIC_AFFINITY, witness, trial + 1, seed, tolerance)
-    return _report(AXIOM_COMONOTONIC_AFFINITY, None, trials, seed, tolerance)
+        inputs = {"family": agg.family, "capacity": v.values, "x": x, "x_prime": y, "lambda": lam}
+        return lhs, rhs, inputs
+
+    return _run_checker(AXIOM_COMONOTONIC_AFFINITY, trials, seed, tolerance, sample)
 
 
 def check_interval_scale_covariance(
@@ -325,11 +325,11 @@ def check_interval_scale_covariance(
     two-element ground set this is the counterexample that separates the
     multilinear family).
     """
-    _require_trials(trials)
     s_mask = as_mask(subset, agg.n)
     game = unanimity_game(agg.n, s_mask)
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
+    members = list(elements_from_mask(s_mask))
+
+    def sample(trial, rng):
         if trial == 0:
             x, r, s = np.ones(agg.n), 1.0, 1.0
         else:
@@ -338,14 +338,9 @@ def check_interval_scale_covariance(
             s = float(rng.uniform(-5.0, 5.0))
         lhs = agg.evaluate(game, r * x + s)
         rhs = r * agg.evaluate(game, x) + s
-        if abs(lhs - rhs) > tolerance:
-            witness = Witness(
-                {"family": agg.family, "subset": list(elements_from_mask(s_mask)),
-                 "x": x.tolist(), "r": r, "s": s},
-                lhs, rhs,
-            )
-            return _report(AXIOM_INTERVAL_SCALE, witness, trial + 1, seed, tolerance)
-    return _report(AXIOM_INTERVAL_SCALE, None, trials, seed, tolerance)
+        return lhs, rhs, {"family": agg.family, "subset": members, "x": x, "r": r, "s": s}
+
+    return _run_checker(AXIOM_INTERVAL_SCALE, trials, seed, tolerance, sample)
 
 
 def check_zero_on_basis(
@@ -362,12 +357,11 @@ def check_zero_on_basis(
     integral violates the raw statement, since a negative coordinate outside
     the zeroed one can carry the minimum).  Trial 0 uses x = 0.
     """
-    _require_trials(trials)
     s_mask = as_mask(subset, agg.n)
     game = unanimity_game(agg.n, s_mask)
-    members = elements_from_mask(s_mask)
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
+    members = list(elements_from_mask(s_mask))
+
+    def sample(trial, rng):
         if trial == 0:
             x = np.zeros(agg.n)
             zeroed = members[0]
@@ -375,15 +369,10 @@ def check_zero_on_basis(
             x = rng.uniform(0.0, 1.0, agg.n)
             zeroed = int(members[rng.integers(len(members))])
             x[zeroed - 1] = 0.0
-        lhs = agg.evaluate(game, x)
-        if abs(lhs) > tolerance:
-            witness = Witness(
-                {"family": agg.family, "subset": list(members),
-                 "x": x.tolist(), "zeroed_element": zeroed},
-                lhs, 0.0,
-            )
-            return _report(AXIOM_ZERO_ON_BASIS, witness, trial + 1, seed, tolerance)
-    return _report(AXIOM_ZERO_ON_BASIS, None, trials, seed, tolerance)
+        inputs = {"family": agg.family, "subset": members, "x": x, "zeroed_element": zeroed}
+        return agg.evaluate(game, x), 0.0, inputs
+
+    return _run_checker(AXIOM_ZERO_ON_BASIS, trials, seed, tolerance, sample)
 
 
 def check_linearity_in_capacity(
@@ -394,13 +383,10 @@ def check_linearity_in_capacity(
 ) -> AxiomReport:
     """f_v(x) = sum over T of m_v(T) * f_{v_T}(x) for sampled games v.
 
-    The empty set is skipped: every game has Mobius coefficient 0 there.
     On a ground set of size 3, trial 0 evaluates the patched capacity of the
     vstar family at x = (0, 2, 1), the sample that separates that family.
     """
-    _require_trials(trials)
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
+    def sample(trial, rng):
         if trial == 0 and agg.n == 3:
             v: SignedCapacity = vstar_capacity()
             x = np.array([0.0, 2.0, 1.0])
@@ -408,19 +394,10 @@ def check_linearity_in_capacity(
             v = random_signed_capacity(agg.n, rng)
             x = rng.uniform(-5.0, 5.0, agg.n)
         lhs = agg.evaluate(v, x)
-        m = mobius_transform(v)
-        rhs = 0.0
-        for t_mask in range(1, 1 << agg.n):
-            coeff = float(m.coefficients[t_mask])
-            if coeff != 0.0:
-                rhs += coeff * agg.basis_evaluate(t_mask, x)
-        if abs(lhs - rhs) > tolerance:
-            witness = Witness(
-                {"family": agg.family, "capacity": v.values.tolist(), "x": x.tolist()},
-                lhs, rhs,
-            )
-            return _report(AXIOM_LINEARITY_IN_CAPACITY, witness, trial + 1, seed, tolerance)
-    return _report(AXIOM_LINEARITY_IN_CAPACITY, None, trials, seed, tolerance)
+        rhs = _basis_expansion(agg, v, x)
+        return lhs, rhs, {"family": agg.family, "capacity": v.values, "x": x}
+
+    return _run_checker(AXIOM_LINEARITY_IN_CAPACITY, trials, seed, tolerance, sample)
 
 
 # ---------------------------------------------------------------------------
@@ -460,12 +437,7 @@ def _fixed_witness(family: str, condition: str) -> Optional[Witness]:
         v = vstar_capacity()
         x = [0.0, 2.0, 1.0]
         lhs = agg.evaluate(v, x)
-        m = mobius_transform(v)
-        rhs = sum(
-            float(m.coefficients[t]) * agg.basis_evaluate(t, x)
-            for t in range(1, 8)
-            if m.coefficients[t] != 0.0
-        )
+        rhs = _basis_expansion(agg, v, x)
         return Witness({"family": family, "capacity": v.values.tolist(), "x": x}, lhs, rhs)
     return None
 
@@ -592,6 +564,5 @@ def independence_suite(
                     samples += report.samples_run
                     if report.falsified and witness is None:
                         falsified, witness = True, report.witness
-                    falsified = falsified or report.falsified
             cells.append(IndependenceCell(family, condition, falsified, samples, witness))
     return IndependenceSummary(tuple(cells), trials, seed, paper_witnesses_only)

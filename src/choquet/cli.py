@@ -20,16 +20,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import axioms, io, oracle
-from .errors import (
-    ChoquetError,
-    DimensionMismatch,
-    EmptyT,
-    FileFormatError,
-    GroundSetTooLarge,
-    NotAGame,
-    NotMonotone,
-    UnsupportedGroundSet,
-)
+from .errors import ChoquetError, DimensionMismatch, FileFormatError, NotAGame
 from .generate import random_capacity, random_normalized_capacity, random_signed_capacity
 from .integral import choquet, lovasz_extension
 from .setfunction import (
@@ -39,9 +30,6 @@ from .setfunction import (
     validate_signed_capacity,
     zeta_transform,
 )
-
-DEFAULT_TRIALS = 1000
-DEFAULT_SEED = 0
 
 KIND_SIGNED = "signed"
 KIND_MONOTONE = "monotone"
@@ -64,7 +52,7 @@ def _emit(doc: dict, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _parse_subset_flag(text: str) -> int:
+def _parse_subset_flag(text: str, n: Optional[int] = None) -> int:
     elements = []
     for part in text.split(","):
         try:
@@ -72,7 +60,7 @@ def _parse_subset_flag(text: str) -> int:
         except ValueError:
             raise FileFormatError(f"--subset {text!r}: {part!r} is not an integer") from None
     try:
-        return mask_from_elements(elements)
+        return mask_from_elements(elements, n)
     except ValueError as exc:
         raise FileFormatError(f"--subset {text!r}: {exc}") from None
 
@@ -131,6 +119,7 @@ def cmd_check(args) -> int:
     if needs_subset:
         if subset_mask is None:
             raise FileFormatError(f"axiom {args.axiom} requires --subset")
+        subset_mask = _parse_subset_flag(args.subset, n)
         if args.axiom == axioms.AXIOM_INTERVAL_SCALE:
             report = axioms.check_interval_scale_covariance(
                 agg, subset_mask, args.trials, args.seed, tolerance
@@ -236,9 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, trials=True):
         if trials:
-            p.add_argument("--trials", type=_positive_int, default=DEFAULT_TRIALS,
+            p.add_argument("--trials", type=_positive_int, default=axioms.DEFAULT_TRIALS,
                            help="number of sampled trials (default 1000)")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+        p.add_argument("--seed", type=int, default=axioms.DEFAULT_SEED,
                        help="RNG seed; all sampling is deterministic given it (default 0)")
         p.add_argument("--format", choices=("text", "json"), default="text",
                        help="output format (default text)")
@@ -280,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("random-capacity", help="generate a random set-function file")
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--kind", required=True, choices=(KIND_SIGNED, KIND_MONOTONE, KIND_NORMALIZED))
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=axioms.DEFAULT_SEED)
     p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=cmd_random_capacity)
 
@@ -297,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--capacity", required=True)
     q.add_argument("--order", required=True, help="permutation as comma-separated elements")
     q.add_argument("--trials", type=_positive_int, default=100)
-    q.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    q.add_argument("--seed", type=int, default=axioms.DEFAULT_SEED)
     p.set_defaults(func=cmd_oracle)
 
     return parser
@@ -311,22 +300,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DimensionMismatch as exc:
         print(f"error: point dimension: {exc}", file=sys.stderr)
         return 3
     except NotAGame as exc:
         print(f"error: {exc} (use --lovasz for general set functions)", file=sys.stderr)
         return 4
-    except (EmptyT, UnsupportedGroundSet, GroundSetTooLarge, NotMonotone) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ChoquetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ChoquetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NotAGame
-from .setfunction import MobiusRepresentation, SetFunction
+from .setfunction import MobiusRepresentation, SetFunction, _lattice_passes
 
 
 @dataclass(frozen=True)
@@ -75,14 +75,18 @@ def sort_permutation(x: Sequence[float]) -> SortPermutation:
     asserted separately as an invariant.
     """
     coords = [float(c) for c in x]
-    n = len(coords)
-    order = tuple(i + 1 for i in sorted(range(n), key=lambda i: (coords[i], i)))
+    return _permutation(sorted(range(len(coords)), key=lambda i: (coords[i], i)))
+
+
+def _permutation(indices: list[int]) -> SortPermutation:
+    """SortPermutation of 0-based indices in sorted order, with its upper chain."""
+    n = len(indices)
     chain = [0] * n
     mask = 0
     for i in range(n - 1, -1, -1):
-        mask |= 1 << (order[i] - 1)
+        mask |= 1 << indices[i]
         chain[i] = mask
-    return SortPermutation(order, tuple(chain))
+    return SortPermutation(tuple(i + 1 for i in indices), tuple(chain))
 
 
 def _chain_sum(values: np.ndarray, coords: list[float], perm: SortPermutation) -> float:
@@ -129,12 +133,9 @@ def lovasz_extension(f: SetFunction, x: Sequence[float]) -> EvaluationResult:
 
 def _subset_minima(coords: list[float]) -> np.ndarray:
     """Array of min over S of x_i for every mask S; entry 0 is +inf (unused)."""
-    n = len(coords)
-    mins = np.full(1 << n, np.inf)
-    for i in range(n):
-        bit = 1 << i
-        blocks = mins.reshape(-1, 2 * bit)
-        blocks[:, bit:] = np.minimum(blocks[:, bit:], coords[i])
+    mins = np.full(1 << len(coords), np.inf)
+    for i, _, hi in _lattice_passes(mins):
+        np.minimum(hi, coords[i], out=hi)
     return mins
 
 
@@ -187,10 +188,4 @@ def common_sort_permutation(
     for a, b in zip(candidate, candidate[1:]):
         if xs[a] > xs[b] or ys[a] > ys[b]:
             return None
-    order = tuple(i + 1 for i in candidate)
-    chain = [0] * n
-    mask = 0
-    for i in range(n - 1, -1, -1):
-        mask |= 1 << (order[i] - 1)
-        chain[i] = mask
-    return SortPermutation(order, tuple(chain))
+    return _permutation(candidate)

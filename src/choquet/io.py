@@ -19,8 +19,8 @@ from typing import Union
 
 import numpy as np
 
-from .errors import FileFormatError
-from .setfunction import MobiusRepresentation, SetFunction, elements_from_mask
+from .errors import FileFormatError, GroundSetTooLarge
+from .setfunction import MAX_GROUND_SET, MobiusRepresentation, SetFunction, elements_from_mask
 
 PathLike = Union[str, Path]
 
@@ -66,6 +66,8 @@ def _values_from_document(doc: dict) -> tuple[int, np.ndarray]:
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise FileFormatError(f"field 'n' must be a positive integer, got {n!r}")
+    if n > MAX_GROUND_SET:
+        raise GroundSetTooLarge(n, MAX_GROUND_SET)
     has_mask = "by_mask" in doc
     has_subset = "by_subset" in doc
     if has_mask == has_subset:

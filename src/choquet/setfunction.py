@@ -68,7 +68,10 @@ def as_mask(subset: SubsetLike, n: int) -> int:
     return mask_from_elements(subset, n)
 
 
-def _frozen_values(values, n: int) -> np.ndarray:
+def _validated_values(n: int, values) -> np.ndarray:
+    """Read-only float copy of the 2**n values on [n]; raises ValueError otherwise."""
+    if not (1 <= n <= MAX_GROUND_SET):
+        raise ValueError(f"ground set size must be in 1..{MAX_GROUND_SET}, got {n}")
     arr = np.array(values, dtype=float, copy=True)
     size = 1 << n
     if arr.shape != (size,):
@@ -80,6 +83,20 @@ def _frozen_values(values, n: int) -> np.ndarray:
         raise ValueError(f"non-finite value {arr[bad]!r} at mask {bad}")
     arr.setflags(write=False)
     return arr
+
+
+def _lattice_passes(arr: np.ndarray):
+    """The in-place subset-lattice recursion over a mask-indexed array.
+
+    For each bit i in ascending order, yields i and two views of arr: the
+    entries at masks without bit i, and the entries at the same masks with
+    bit i added, both shaped (2**n / 2**(i+1), 2**i) and in ascending mask
+    order.  The two views are disjoint, so updating the second from the
+    first within one pass reproduces the scalar recursion bit for bit.
+    """
+    for i in range(arr.size.bit_length() - 1):
+        blocks = arr.reshape(-1, 2, 1 << i)
+        yield i, blocks[:, 0], blocks[:, 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,9 +113,7 @@ class SetFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        if not (1 <= self.n <= MAX_GROUND_SET):
-            raise ValueError(f"ground set size must be in 1..{MAX_GROUND_SET}, got {self.n}")
-        object.__setattr__(self, "values", _frozen_values(self.values, self.n))
+        object.__setattr__(self, "values", _validated_values(self.n, self.values))
 
     @property
     def size(self) -> int:
@@ -150,21 +165,19 @@ class Capacity(SignedCapacity):
 
     def __post_init__(self):
         super().__post_init__()
-        witness = _first_covering_violation(self.n, self.values)
+        witness = _first_covering_violation(self.values)
         if witness is not None:
             raise NotMonotone(*witness)
 
 
-def _first_covering_violation(n, values):
+def _first_covering_violation(values):
     """First covering pair with v(S) > v(S + {i}), scanning bits then masks."""
-    for i in range(n):
-        bit = 1 << i
-        blocks = values.reshape(-1, 2 * bit)
-        bad = blocks[:, :bit] > blocks[:, bit:]
+    for i, lo, hi in _lattice_passes(values):
+        bad = lo > hi
         if bad.any():
             block, offset = np.argwhere(bad)[0]
-            s_mask = int(block) * 2 * bit + int(offset)
-            t_mask = s_mask | bit
+            s_mask = (int(block) << (i + 1)) + int(offset)
+            t_mask = s_mask | (1 << i)
             return s_mask, t_mask, float(values[s_mask]), float(values[t_mask])
     return None
 
@@ -196,9 +209,7 @@ class MobiusRepresentation:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        if not (1 <= self.n <= MAX_GROUND_SET):
-            raise ValueError(f"ground set size must be in 1..{MAX_GROUND_SET}, got {self.n}")
-        object.__setattr__(self, "coefficients", _frozen_values(self.coefficients, self.n))
+        object.__setattr__(self, "coefficients", _validated_values(self.n, self.coefficients))
 
     @property
     def size(self) -> int:
@@ -214,32 +225,22 @@ class MobiusRepresentation:
         return f"MobiusRepresentation(n={self.n}, coefficients={self.coefficients.tolist()})"
 
 
-# The two fast transforms below run the standard in-place subset-lattice
-# recursion: bits in ascending order, and for each bit every mask containing
-# it is updated from the mask with that bit cleared.  Within one bit pass the
-# reads and writes touch disjoint halves of each block, so the vectorized
-# form reproduces the scalar recursion bit-for-bit.
-
 def mobius_transform(f: SetFunction) -> MobiusRepresentation:
     """Mobius transform m(S) = sum over T subset of S of (-1)^(|S|-|T|) f(T).
 
     O(n * 2**n) arithmetic; agrees with the direct double-loop summation.
     """
     coeffs = np.array(f.values, dtype=float)
-    for i in range(f.n):
-        bit = 1 << i
-        blocks = coeffs.reshape(-1, 2 * bit)
-        blocks[:, bit:] -= blocks[:, :bit]
+    for _, lo, hi in _lattice_passes(coeffs):
+        hi -= lo
     return MobiusRepresentation(f.n, coeffs)
 
 
 def zeta_transform(m: MobiusRepresentation) -> SetFunction:
     """Zeta transform v(S) = sum over T subset of S of m(T); inverse of mobius_transform."""
     values = np.array(m.coefficients, dtype=float)
-    for i in range(m.n):
-        bit = 1 << i
-        blocks = values.reshape(-1, 2 * bit)
-        blocks[:, bit:] += blocks[:, :bit]
+    for _, lo, hi in _lattice_passes(values):
+        hi += lo
     return SetFunction(m.n, values)
 
 

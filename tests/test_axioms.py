@@ -292,3 +292,26 @@ class TestIndependenceSuite:
 def test_trials_must_be_positive():
     with pytest.raises(ValueError):
         check_positive_homogeneity(Aggregator(FAMILY_CHOQUET, 2), random_signed_capacity(2, 0), 0)
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])
+def test_tolerance_must_be_finite_and_nonnegative(tolerance):
+    agg = Aggregator(FAMILY_CHOQUET, 2)
+    v = random_signed_capacity(2, 0)
+    runs = [
+        lambda: check_comonotonic_additivity(agg, v, 5, 0, tolerance),
+        lambda: check_positive_homogeneity(agg, v, 5, 0, tolerance),
+        lambda: check_comonotonic_affinity(agg, v, 5, 0, tolerance),
+        lambda: check_interval_scale_covariance(agg, [1, 2], 5, 0, tolerance),
+        lambda: check_zero_on_basis(agg, [1, 2], 5, 0, tolerance),
+        lambda: check_linearity_in_capacity(agg, 5, 0, tolerance),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match="tolerance"):
+            run()
+
+
+def test_zero_tolerance_is_valid():
+    report = check_zero_on_basis(Aggregator(FAMILY_CHOQUET, 3), [1, 2], 50, 0, 0.0)
+    assert not report.falsified
+    assert report.tolerance == 0.0

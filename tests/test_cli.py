@@ -73,6 +73,14 @@ class TestEval:
         assert out == ""
         assert err.strip().splitlines()[-1].startswith("error:")
 
+    def test_ground_set_above_bound_exit_2(self, tmp_path, capsys):
+        huge = tmp_path / "huge.json"
+        huge.write_text('{"n": 40, "by_subset": {"1": 1.0}}')
+        code, out, err = run(["eval", "--capacity", str(huge), "--point", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "exceeds" in err
+
     def test_dimension_mismatch_exit_3(self, game2_file, capsys):
         code, _, err = run(["eval", "--capacity", game2_file, "--point", "1,2,3"], capsys)
         assert code == 3
@@ -182,6 +190,22 @@ class TestCheck:
         )
         assert code == 0
         assert "satisfied-on-samples" in out
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_tolerance_must_be_finite_and_nonnegative(self, value, capsys):
+        code, out, err = run(
+            ["check", "--axiom", "positive-homogeneity", "--n", "2", "--trials", "5",
+             f"--tolerance={value}"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "tolerance" in err
+
+    def test_subset_error_names_the_element(self, capsys):
+        code, _, err = run(["check", "--axiom", "zero-on-basis", "--n", "2", "--subset", "1,3"], capsys)
+        assert code == 2
+        assert "element 3" in err
 
     def test_single_trial_deterministic_report(self, capsys):
         args = ["check", "--axiom", "comonotonic-affinity", "--n", "4",

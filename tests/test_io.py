@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from choquet.errors import FileFormatError
+from choquet.errors import FileFormatError, GroundSetTooLarge
 from choquet.io import (
     dump_document,
     load_set_function,
+    mobius_from_document,
     parse_point,
     parse_subset_key,
     set_function_from_document,
@@ -96,6 +97,14 @@ class TestDocuments:
     def test_non_finite_value(self):
         with pytest.raises(FileFormatError):
             set_function_from_document({"n": 1, "by_subset": {"1": float("inf")}})
+
+    def test_n_above_bound_rejected_before_sizing(self):
+        # 2**40 doubles would be 8 TiB: the bound must be checked first
+        doc = {"n": 40, "by_subset": {"1": 1.0}}
+        with pytest.raises(GroundSetTooLarge):
+            set_function_from_document(doc)
+        with pytest.raises(GroundSetTooLarge):
+            mobius_from_document(doc)
 
 
 class TestWriter:
