@@ -7,7 +7,7 @@ every invocation is deterministic given its full flag set (seed included).
 Exit codes:
     0  success / axiom satisfied / matrix as expected
     1  axiom falsified / independence matrix deviates
-    2  unparseable input, unknown name, or invalid parameter
+    2  unparseable input, unknown name, invalid parameter, or overflow
     3  point length does not match the ground set
     4  the capacity file is not a game (empty set value nonzero)
 """
@@ -24,7 +24,6 @@ from .errors import ChoquetError, DimensionMismatch, FileFormatError, NotAGame
 from .generate import random_capacity, random_normalized_capacity, random_signed_capacity
 from .integral import choquet, lovasz_extension
 from .setfunction import (
-    MAX_GROUND_SET,
     mask_from_elements,
     mobius_transform,
     validate_signed_capacity,
@@ -34,6 +33,7 @@ from .setfunction import (
 KIND_SIGNED = "signed"
 KIND_MONOTONE = "monotone"
 KIND_NORMALIZED = "normalized-monotone"
+SUBSET_AXIOMS = (axioms.AXIOM_INTERVAL_SCALE, axioms.AXIOM_ZERO_ON_BASIS)
 
 
 def _positive_int(text: str) -> int:
@@ -52,17 +52,14 @@ def _emit(doc: dict, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _parse_subset_flag(text: str, n: Optional[int] = None) -> int:
+def _parse_subset_flag(text: str) -> list[int]:
     elements = []
     for part in text.split(","):
         try:
             elements.append(int(part))
         except ValueError:
             raise FileFormatError(f"--subset {text!r}: {part!r} is not an integer") from None
-    try:
-        return mask_from_elements(elements, n)
-    except ValueError as exc:
-        raise FileFormatError(f"--subset {text!r}: {exc}") from None
+    return elements
 
 
 def cmd_eval(args) -> int:
@@ -71,7 +68,7 @@ def cmd_eval(args) -> int:
     if args.lovasz:
         result = lovasz_extension(f, point)
     else:
-        result = choquet(validate_signed_capacity(f), point)
+        result = choquet(f, point)
     permutation = list(result.permutation_used.order)
     if args.format == "json":
         _emit({"value": result.value, "permutation": permutation}, None)
@@ -92,17 +89,22 @@ def cmd_mobius(args) -> int:
     return 0
 
 
-def _resolve_check_n(args, capacity, subset_mask) -> int:
+def _resolve_check_n(args, capacity, elements) -> int:
     if capacity is not None:
         return capacity.n
     if args.n is not None:
         return args.n
-    if subset_mask is not None and subset_mask > 0:
-        return subset_mask.bit_length()
+    if elements:
+        return max(max(elements), 1)  # an element below 1 is reported with the mask
     raise FileFormatError("one of --capacity, --n or --subset is required to fix the ground set")
 
 
 def cmd_check(args) -> int:
+    if args.subset and args.axiom not in SUBSET_AXIOMS:
+        raise FileFormatError(
+            f"--subset applies only to the {' and '.join(SUBSET_AXIOMS)} axioms, "
+            f"not to {args.axiom}"
+        )
     capacity = None
     if args.capacity:
         capacity = validate_signed_capacity(io.load_set_function(args.capacity))
@@ -110,16 +112,18 @@ def cmd_check(args) -> int:
             raise FileFormatError(
                 f"--n {args.n} conflicts with the capacity file (n = {capacity.n})"
             )
-    subset_mask = _parse_subset_flag(args.subset) if args.subset else None
-    n = _resolve_check_n(args, capacity, subset_mask)
+    elements = _parse_subset_flag(args.subset) if args.subset else None
+    n = _resolve_check_n(args, capacity, elements)
     agg = axioms.Aggregator(args.family, n)
     tolerance = args.tolerance if args.tolerance is not None else axioms.FALSIFY_TOLERANCE
 
-    needs_subset = args.axiom in (axioms.AXIOM_INTERVAL_SCALE, axioms.AXIOM_ZERO_ON_BASIS)
-    if needs_subset:
-        if subset_mask is None:
+    if args.axiom in SUBSET_AXIOMS:
+        if elements is None:
             raise FileFormatError(f"axiom {args.axiom} requires --subset")
-        subset_mask = _parse_subset_flag(args.subset, n)
+        try:
+            subset_mask = mask_from_elements(elements, n)
+        except ValueError as exc:
+            raise FileFormatError(f"--subset {args.subset!r}: {exc}") from None
         if args.axiom == axioms.AXIOM_INTERVAL_SCALE:
             report = axioms.check_interval_scale_covariance(
                 agg, subset_mask, args.trials, args.seed, tolerance
@@ -174,16 +178,12 @@ def cmd_independence_suite(args) -> int:
 
 
 def cmd_random_capacity(args) -> int:
-    if args.n > MAX_GROUND_SET:
-        print(f"error: --n {args.n} exceeds the bound {MAX_GROUND_SET}", file=sys.stderr)
-        return 2
-    if args.kind == KIND_SIGNED:
-        f = random_signed_capacity(args.n, args.seed)
-    elif args.kind == KIND_MONOTONE:
-        f = random_capacity(args.n, args.seed)
-    else:
-        f = random_normalized_capacity(args.n, args.seed)
-    _emit(io.set_function_to_document(f), args.out)
+    generator = {
+        KIND_SIGNED: random_signed_capacity,
+        KIND_MONOTONE: random_capacity,
+        KIND_NORMALIZED: random_normalized_capacity,
+    }[args.kind]
+    _emit(io.set_function_to_document(generator(args.n, args.seed)), args.out)
     return 0
 
 
@@ -223,10 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="{eval,mobius,check,independence-suite,random-capacity}",
     )
 
-    def add_common(p, trials=True):
-        if trials:
-            p.add_argument("--trials", type=_positive_int, default=axioms.DEFAULT_TRIALS,
-                           help="number of sampled trials (default 1000)")
+    def add_common(p):
+        p.add_argument("--trials", type=_positive_int, default=axioms.DEFAULT_TRIALS,
+                       help="number of sampled trials (default 1000)")
         p.add_argument("--seed", type=int, default=axioms.DEFAULT_SEED,
                        help="RNG seed; all sampling is deterministic given it (default 0)")
         p.add_argument("--format", choices=("text", "json"), default="text",

@@ -56,6 +56,14 @@ class GroundSetTooLarge(ChoquetError):
         super().__init__(f"ground set size {n} exceeds the supported bound {bound}")
 
 
+class NonFiniteResult(ChoquetError):
+    """An operation on finite inputs overflowed the float range."""
+
+    def __init__(self, operation: str):
+        self.operation = operation
+        super().__init__(f"{operation} overflowed: the result is not a finite float")
+
+
 class UnsupportedGroundSet(ChoquetError):
     """The aggregation family is not defined for this ground-set size."""
 

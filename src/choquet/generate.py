@@ -6,12 +6,16 @@ from typing import Union
 
 import numpy as np
 
-from .setfunction import Capacity, SetFunction, SignedCapacity
+from .errors import GroundSetTooLarge
+from .setfunction import MAX_GROUND_SET, Capacity, SetFunction, SignedCapacity, _lattice_passes
 
 SeedLike = Union[int, np.random.Generator]
 
 
-def _as_rng(seed: SeedLike) -> np.random.Generator:
+def _as_rng(n: int, seed: SeedLike) -> np.random.Generator:
+    """The generator for seed, after rejecting a ground set too large to allocate."""
+    if n > MAX_GROUND_SET:
+        raise GroundSetTooLarge(n, MAX_GROUND_SET)
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
@@ -19,13 +23,13 @@ def _as_rng(seed: SeedLike) -> np.random.Generator:
 
 def random_set_function(n: int, seed: SeedLike = 0) -> SetFunction:
     """Arbitrary set function with i.i.d. uniform values on [-1, 1]."""
-    rng = _as_rng(seed)
+    rng = _as_rng(n, seed)
     return SetFunction(n, rng.uniform(-1.0, 1.0, 1 << n))
 
 
 def random_signed_capacity(n: int, seed: SeedLike = 0) -> SignedCapacity:
     """Game with i.i.d. uniform values on [-1, 1] and v(empty) = 0."""
-    rng = _as_rng(seed)
+    rng = _as_rng(n, seed)
     values = rng.uniform(-1.0, 1.0, 1 << n)
     values[0] = 0.0
     return SignedCapacity(n, values)
@@ -34,29 +38,30 @@ def random_signed_capacity(n: int, seed: SeedLike = 0) -> SignedCapacity:
 def random_capacity(n: int, seed: SeedLike = 0) -> Capacity:
     """Monotone capacity built by cumulative maxima along the lattice.
 
-    Each subset receives the maximum over its covered subsets plus a
-    nonnegative increment, which guarantees every covering pair is
-    nondecreasing.  Masks are visited in ascending order; clearing a bit
-    always gives a smaller mask, so covered subsets are already assigned.
+    Each nonempty subset receives the maximum of the values on its lower
+    covers (the subsets one element smaller) plus a nonnegative increment,
+    which guarantees every covering pair is nondecreasing.  The values are
+    computed in n rounds, each one updating every mask at once from the
+    values of the round before; after round k every subset of at most k
+    elements holds its final value.
     """
-    rng = _as_rng(seed)
+    rng = _as_rng(n, seed)
     size = 1 << n
     increments = rng.uniform(0.0, 1.0, size)
     values = np.zeros(size)
-    for mask in range(1, size):
-        best = 0.0
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            best = max(best, values[mask ^ bit])
-            rest ^= bit
-        values[mask] = best + increments[mask]
+    best = np.empty(size)
+    for _ in range(n):
+        best.fill(0.0)
+        for (_, lo, _), (_, _, hi) in zip(_lattice_passes(values), _lattice_passes(best)):
+            np.maximum(hi, lo, out=hi)
+        np.add(best[1:], increments[1:], out=values[1:])
+    del best, increments  # the copy Capacity makes would otherwise be a fourth 2**n array
     return Capacity(n, values)
 
 
 def random_normalized_capacity(n: int, seed: SeedLike = 0) -> Capacity:
     """Monotone capacity rescaled so the full set is worth exactly 1."""
-    rng = _as_rng(seed)
+    rng = _as_rng(n, seed)
     while True:
         capacity = random_capacity(n, rng)
         top = capacity.values[-1]

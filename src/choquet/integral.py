@@ -9,8 +9,9 @@ Two independent evaluation routes are provided:
   over subsets, using the Mobius coefficients.
 
 Both compute the same function; tests and the acceptance suite cross-check
-them against each other.  Points are plain sequences of reals; everything
-here is a pure function over immutable inputs.
+them against each other.  A value that overflows the float range raises
+NonFiniteResult.  Points are plain sequences of reals; everything here is a
+pure function over immutable inputs.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotAGame
-from .setfunction import MobiusRepresentation, SetFunction, _lattice_passes
+from .errors import DimensionMismatch, NonFiniteResult, NotAGame
+from .setfunction import MobiusRepresentation, SetFunction, _subset_statistic
 
 
 @dataclass(frozen=True)
@@ -37,10 +38,6 @@ class SortPermutation:
 
     order: tuple[int, ...]
     upper_chain: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.order)
 
 
 @dataclass(frozen=True)
@@ -89,6 +86,12 @@ def _permutation(indices: list[int]) -> SortPermutation:
     return SortPermutation(tuple(i + 1 for i in indices), tuple(chain))
 
 
+def _finite(value: float, operation: str) -> float:
+    if not isfinite(value):
+        raise NonFiniteResult(operation)
+    return value
+
+
 def _chain_sum(values: np.ndarray, coords: list[float], perm: SortPermutation) -> float:
     """sum over i of (f_i - f_{i+1}) * x_{pi(i)}, with f_{n+1} = f(empty).
 
@@ -116,7 +119,7 @@ def choquet(v: SetFunction, x: Sequence[float]) -> EvaluationResult:
         raise NotAGame(v.values[0])
     coords = _coerce_point(x, v.n)
     perm = sort_permutation(coords)
-    return EvaluationResult(_chain_sum(v.values, coords, perm), perm)
+    return EvaluationResult(_finite(_chain_sum(v.values, coords, perm), "choquet"), perm)
 
 
 def lovasz_extension(f: SetFunction, x: Sequence[float]) -> EvaluationResult:
@@ -128,15 +131,8 @@ def lovasz_extension(f: SetFunction, x: Sequence[float]) -> EvaluationResult:
     """
     coords = _coerce_point(x, f.n)
     perm = sort_permutation(coords)
-    return EvaluationResult(float(f.values[0]) + _chain_sum(f.values, coords, perm), perm)
-
-
-def _subset_minima(coords: list[float]) -> np.ndarray:
-    """Array of min over S of x_i for every mask S; entry 0 is +inf (unused)."""
-    mins = np.full(1 << len(coords), np.inf)
-    for i, _, hi in _lattice_passes(mins):
-        np.minimum(hi, coords[i], out=hi)
-    return mins
+    value = float(f.values[0]) + _chain_sum(f.values, coords, perm)
+    return EvaluationResult(_finite(value, "lovasz_extension"), perm)
 
 
 def choquet_mobius(m: MobiusRepresentation, x: Sequence[float]) -> EvaluationResult:
@@ -147,9 +143,10 @@ def choquet_mobius(m: MobiusRepresentation, x: Sequence[float]) -> EvaluationRes
     Choquet integral exactly when m(empty) = 0.
     """
     coords = _coerce_point(x, m.n)
-    mins = _subset_minima(coords)
-    value = float(m.coefficients[0]) + float(m.coefficients[1:] @ mins[1:])
-    return EvaluationResult(value, None)
+    mins = _subset_statistic(np.minimum, np.inf, coords)  # entry 0 (+inf) is unused
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(m.coefficients[0]) + float(m.coefficients[1:] @ mins[1:])
+    return EvaluationResult(_finite(value, "choquet_mobius"), None)
 
 
 def comonotonic(x: Sequence[float], y: Sequence[float]) -> bool:

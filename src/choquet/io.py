@@ -78,7 +78,7 @@ def _values_from_document(doc: dict) -> tuple[int, np.ndarray]:
         raw = doc["by_mask"]
         if not isinstance(raw, list) or len(raw) != size:
             raise FileFormatError(f"field 'by_mask' must be an array of {size} numbers")
-        values = _as_floats(raw, "by_mask")
+        values = np.array([_as_float(e, f"by_mask[{i}]") for i, e in enumerate(raw)])
     else:
         raw = doc["by_subset"]
         if not isinstance(raw, dict):
@@ -92,14 +92,13 @@ def _values_from_document(doc: dict) -> tuple[int, np.ndarray]:
 def _as_float(entry, field: str) -> float:
     if isinstance(entry, bool) or not isinstance(entry, (int, float)):
         raise FileFormatError(f"field {field} must be a number, got {entry!r}")
-    value = float(entry)
+    try:
+        value = float(entry)
+    except OverflowError:  # an integer beyond the float range
+        value = float("inf")
     if not np.isfinite(value):
         raise FileFormatError(f"field {field} must be finite, got {value!r}")
     return value
-
-
-def _as_floats(raw: list, field: str) -> np.ndarray:
-    return np.array([_as_float(e, f"{field}[{i}]") for i, e in enumerate(raw)])
 
 
 def set_function_from_document(doc: dict) -> SetFunction:

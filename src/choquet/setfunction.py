@@ -18,12 +18,13 @@ function of its inputs, so everything here is safe to use concurrently.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Union
 
 import numpy as np
 
-from .errors import EmptyT, NotAGame, NotMonotone
+from .errors import EmptyT, NonFiniteResult, NotAGame, NotMonotone
 
 # Storage bound: 2**20 doubles per set function is the largest array this
 # package is willing to materialize.
@@ -80,7 +81,7 @@ def _validated_values(n: int, values) -> np.ndarray:
         )
     if not np.all(np.isfinite(arr)):
         bad = int(np.flatnonzero(~np.isfinite(arr))[0])
-        raise ValueError(f"non-finite value {arr[bad]!r} at mask {bad}")
+        raise ValueError(f"non-finite value {float(arr[bad])!r} at mask {bad}")
     arr.setflags(write=False)
     return arr
 
@@ -99,6 +100,29 @@ def _lattice_passes(arr: np.ndarray):
         yield i, blocks[:, 0], blocks[:, 1]
 
 
+def _subset_statistic(op, identity: float, coords) -> np.ndarray:
+    """Per mask, the binary ufunc op folded over identity and the mask's
+    coordinates in ascending element order (entry 0 is identity)."""
+    out = np.empty(1 << len(coords))
+    out.fill(identity)  # faster than np.full on the small arrays the checkers use
+    for i, _, hi in _lattice_passes(out):
+        op(hi, coords[i], out=hi)
+    return out
+
+
+def _lattice_cumulation(values, op, operation: str) -> np.ndarray:
+    """Copy of the finite values with the in-place operator op(hi, lo) on every
+    pass; an overflow raises NonFiniteResult naming the operation."""
+    out = np.array(values, dtype=float)
+    try:
+        with np.errstate(over="raise"):
+            for _, lo, hi in _lattice_passes(out):
+                op(hi, lo)
+    except FloatingPointError:
+        raise NonFiniteResult(operation) from None
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class SetFunction:
     """A real-valued function on all 2**n subsets of [n].
@@ -114,11 +138,6 @@ class SetFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _validated_values(self.n, self.values))
-
-    @property
-    def size(self) -> int:
-        """Number of subsets, 2**n."""
-        return 1 << self.n
 
     def value(self, subset: SubsetLike) -> float:
         """Value on a subset given as a mask or an element iterable."""
@@ -211,13 +230,6 @@ class MobiusRepresentation:
     def __post_init__(self):
         object.__setattr__(self, "coefficients", _validated_values(self.n, self.coefficients))
 
-    @property
-    def size(self) -> int:
-        return 1 << self.n
-
-    def coefficient(self, subset: SubsetLike) -> float:
-        return float(self.coefficients[as_mask(subset, self.n)])
-
     def __getitem__(self, mask: int) -> float:
         return float(self.coefficients[mask])
 
@@ -229,19 +241,18 @@ def mobius_transform(f: SetFunction) -> MobiusRepresentation:
     """Mobius transform m(S) = sum over T subset of S of (-1)^(|S|-|T|) f(T).
 
     O(n * 2**n) arithmetic; agrees with the direct double-loop summation.
+    Raises NonFiniteResult if a coefficient overflows.
     """
-    coeffs = np.array(f.values, dtype=float)
-    for _, lo, hi in _lattice_passes(coeffs):
-        hi -= lo
-    return MobiusRepresentation(f.n, coeffs)
+    coefficients = _lattice_cumulation(f.values, operator.isub, "mobius_transform")
+    return MobiusRepresentation(f.n, coefficients)
 
 
 def zeta_transform(m: MobiusRepresentation) -> SetFunction:
-    """Zeta transform v(S) = sum over T subset of S of m(T); inverse of mobius_transform."""
-    values = np.array(m.coefficients, dtype=float)
-    for _, lo, hi in _lattice_passes(values):
-        hi += lo
-    return SetFunction(m.n, values)
+    """Zeta transform v(S) = sum over T subset of S of m(T); inverse of mobius_transform.
+
+    Raises NonFiniteResult if a value overflows.
+    """
+    return SetFunction(m.n, _lattice_cumulation(m.coefficients, operator.iadd, "zeta_transform"))
 
 
 def unanimity_game(n: int, subset: SubsetLike) -> SignedCapacity:

@@ -21,6 +21,7 @@ from choquet.setfunction import (
     validate_capacity,
     validate_signed_capacity,
     zeta_transform,
+    _subset_statistic,
 )
 
 from conftest import assert_close
@@ -284,3 +285,22 @@ def test_mobius_of_game_vanishes_on_empty():
     for _ in range(20):
         v = random_signed_capacity(5, rng)
         assert mobius_transform(v).coefficients[0] == 0.0
+
+
+@pytest.mark.parametrize(
+    "op, identity, reduce",
+    [
+        (np.minimum, np.inf, min),
+        (np.add, 0.0, lambda a, b: a + b),
+        (np.multiply, 1.0, lambda a, b: a * b),
+    ],
+)
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_subset_statistic_matches_per_mask_fold(op, identity, reduce, n):
+    coords = list(np.random.default_rng(n).uniform(-5.0, 5.0, n))
+    out = _subset_statistic(op, identity, coords)
+    for mask in range(1 << n):
+        expected = identity
+        for e in elements_from_mask(mask):
+            expected = reduce(expected, coords[e - 1])
+        assert out[mask] == expected, (mask, out[mask], expected)
