@@ -25,17 +25,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, UnsupportedGroundSet
+from .errors import DimensionMismatch, GroundSetTooLarge, UnsupportedGroundSet
 from .generate import random_signed_capacity
 from .integral import choquet, _coerce_point
 from .setfunction import (
     Capacity,
     SignedCapacity,
     SubsetLike,
+    _overflow_raises,
     _subset_statistic,
     as_mask,
     elements_from_mask,
@@ -74,6 +75,9 @@ FALSIFY_TOLERANCE = 1e-6
 DEFAULT_TRIALS = 1000
 DEFAULT_SEED = 0
 
+# The linearity checker binds all 2**n - 1 unanimity games of 2**n values each.
+_MAX_N_LINEARITY = 10
+
 # The one capacity the vstar-patch family treats specially (ground set of
 # size 3; masks 5 and 6 are {1,3} and {2,3}).
 _VSTAR_VALUES = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.5, 1.0])
@@ -101,35 +105,46 @@ class Aggregator:
             )
 
     def evaluate(self, v: SignedCapacity, x: Sequence[float]) -> float:
-        return evaluate_family(self, v, x)
+        return self._bind(v)(x)
 
     def basis_evaluate(self, subset: SubsetLike, x: Sequence[float]) -> float:
         """Evaluate the family at the unanimity game of the given subset."""
-        return evaluate_family(self, unanimity_game(self.n, subset), x)
+        return self._bind(unanimity_game(self.n, subset))(x)
+
+    def _bind(self, v: SignedCapacity) -> Callable[[Sequence[float]], float]:
+        """The family at game v as a function of the point, with the work that
+        depends on v alone (dimension check, Mobius transform, vstar-patch
+        comparison) done once.  A value that overflows raises NonFiniteResult."""
+        if v.n != self.n:
+            raise DimensionMismatch(self.n, v.n)
+        if self.family in (FAMILY_CHOQUET, FAMILY_VSTAR_PATCH):
+            if self.family == FAMILY_VSTAR_PATCH and np.array_equal(v.values, _VSTAR_VALUES):
+                return _vstar_patch
+            return lambda x: choquet(v, x).value
+        m = mobius_transform(v).coefficients
+        if self.family == FAMILY_WEIGHTED_MEAN:
+            m, sizes = m[1:], _subset_statistic(np.add, 0.0, np.ones(self.n))[1:]  # |S| per mask
+            fold = lambda coords: m @ (_subset_statistic(np.add, 0.0, coords)[1:] / sizes)
+        else:
+            fold = lambda coords: m @ _subset_statistic(np.multiply, 1.0, coords)
+
+        def evaluate(x: Sequence[float]) -> float:
+            coords = _coerce_point(x, self.n)
+            with _overflow_raises(f"{self.family} family"):
+                return float(fold(coords))
+
+        return evaluate
 
 
-def _subset_sizes(n: int) -> np.ndarray:
-    return np.fromiter((mask.bit_count() for mask in range(1 << n)), dtype=float)
+def _vstar_patch(x: Sequence[float]) -> float:
+    """The vstar-patch family on the one capacity it overrides."""
+    coords = _coerce_point(x, 3)
+    return min((coords[0] + coords[1]) / 2.0, coords[2])
 
 
 def evaluate_family(agg: Aggregator, v: SignedCapacity, x: Sequence[float]) -> float:
     """Evaluate one of the four families at a game and a point."""
-    if v.n != agg.n:
-        raise DimensionMismatch(agg.n, v.n)
-    coords = _coerce_point(x, agg.n)
-    if agg.family == FAMILY_CHOQUET:
-        return choquet(v, coords).value
-    if agg.family == FAMILY_WEIGHTED_MEAN:
-        m = mobius_transform(v)
-        means = _subset_statistic(np.add, 0.0, coords)[1:] / _subset_sizes(agg.n)[1:]
-        return float(m.coefficients[1:] @ means)
-    if agg.family == FAMILY_MULTILINEAR:
-        m = mobius_transform(v)
-        return float(m.coefficients @ _subset_statistic(np.multiply, 1.0, coords))
-    # vstar-patch: the integral, except on the one hard-coded capacity.
-    if np.array_equal(v.values, _VSTAR_VALUES):
-        return min((coords[0] + coords[1]) / 2.0, coords[2])
-    return choquet(v, coords).value
+    return agg._bind(v)(x)
 
 
 @dataclass(frozen=True)
@@ -188,9 +203,12 @@ def _require_trials(trials: int) -> None:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
 
-def _run_checker(axiom: str, trials: int, seed: int, tolerance: float, sample) -> AxiomReport:
-    """Run sample(trial, rng) -> (lhs, rhs, inputs) until the sides differ.
+def _run_checker(
+    axiom: str, trials: int, seed: int, tolerance: float, sample, bind, *args
+) -> AxiomReport:
+    """Run sample(bound, trial, rng) -> (lhs, rhs, inputs) until the sides differ.
 
+    bound = bind(*args) is computed once, after trials and tolerance are checked.
     Each trial draws from its own _trial_rng stream.  The first trial whose
     sides differ by more than the tolerance ends the run with a witness
     holding its inputs (arrays converted to lists); otherwise every trial
@@ -199,8 +217,9 @@ def _run_checker(axiom: str, trials: int, seed: int, tolerance: float, sample) -
     _require_trials(trials)
     if not (isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+    bound = bind(*args)
     for trial in range(trials):
-        lhs, rhs, inputs = sample(trial, _trial_rng(seed, trial))
+        lhs, rhs, inputs = sample(bound, trial, _trial_rng(seed, trial))
         if abs(lhs - rhs) > tolerance:
             plain = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in inputs.items()}
             witness = Witness(plain, lhs, rhs)
@@ -221,20 +240,6 @@ def _comonotonic_pair(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.
     return _monotone_piecewise_map(rng)(base), _monotone_piecewise_map(rng)(base)
 
 
-def _basis_expansion(agg: Aggregator, v: SignedCapacity, x: Sequence[float]) -> float:
-    """sum over T of m_v(T) * f_{v_T}(x), over nonzero coefficients in ascending mask order.
-
-    The empty set is skipped: every game has Mobius coefficient 0 there.
-    """
-    m = mobius_transform(v)
-    total = 0.0
-    for t_mask in range(1, 1 << agg.n):
-        coeff = float(m.coefficients[t_mask])
-        if coeff != 0.0:
-            total += coeff * agg.basis_evaluate(t_mask, x)
-    return total
-
-
 def check_comonotonic_additivity(
     agg: Aggregator,
     v: SignedCapacity,
@@ -246,16 +251,16 @@ def check_comonotonic_additivity(
 
     Trial 0 uses the degenerate pair (x, 0), which reduces to f(0) = 0.
     """
-    def sample(trial, rng):
+    def sample(f, trial, rng):
         if trial == 0:
             x, y = rng.uniform(-5.0, 5.0, agg.n), np.zeros(agg.n)
         else:
             x, y = _comonotonic_pair(rng, agg.n)
-        lhs = agg.evaluate(v, x + y)
-        rhs = agg.evaluate(v, x) + agg.evaluate(v, y)
+        lhs = f(x + y)
+        rhs = f(x) + f(y)
         return lhs, rhs, {"family": agg.family, "capacity": v.values, "x": x, "y": y}
 
-    return _run_checker(AXIOM_COMONOTONIC_ADDITIVITY, trials, seed, tolerance, sample)
+    return _run_checker(AXIOM_COMONOTONIC_ADDITIVITY, trials, seed, tolerance, sample, agg._bind, v)
 
 
 def check_positive_homogeneity(
@@ -266,14 +271,14 @@ def check_positive_homogeneity(
     tolerance: float = FALSIFY_TOLERANCE,
 ) -> AxiomReport:
     """f(r * x) = r * f(x) for sampled r > 0 (log-uniform on [0.1, 10])."""
-    def sample(trial, rng):
+    def sample(f, trial, rng):
         x = rng.uniform(-5.0, 5.0, agg.n)
         r = 1.0 if trial == 0 else float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
-        lhs = agg.evaluate(v, r * x)
-        rhs = r * agg.evaluate(v, x)
+        lhs = f(r * x)
+        rhs = r * f(x)
         return lhs, rhs, {"family": agg.family, "capacity": v.values, "x": x, "r": r}
 
-    return _run_checker(AXIOM_POSITIVE_HOMOGENEITY, trials, seed, tolerance, sample)
+    return _run_checker(AXIOM_POSITIVE_HOMOGENEITY, trials, seed, tolerance, sample, agg._bind, v)
 
 
 def check_comonotonic_affinity(
@@ -287,15 +292,15 @@ def check_comonotonic_affinity(
 
     Trials 0 and 1 pin the endpoint cases lam = 0 and lam = 1.
     """
-    def sample(trial, rng):
+    def sample(f, trial, rng):
         x, y = _comonotonic_pair(rng, agg.n)
         lam = float(trial) if trial < 2 else float(rng.uniform(0.0, 1.0))
-        lhs = agg.evaluate(v, lam * x + (1.0 - lam) * y)
-        rhs = lam * agg.evaluate(v, x) + (1.0 - lam) * agg.evaluate(v, y)
+        lhs = f(lam * x + (1.0 - lam) * y)
+        rhs = lam * f(x) + (1.0 - lam) * f(y)
         inputs = {"family": agg.family, "capacity": v.values, "x": x, "x_prime": y, "lambda": lam}
         return lhs, rhs, inputs
 
-    return _run_checker(AXIOM_COMONOTONIC_AFFINITY, trials, seed, tolerance, sample)
+    return _run_checker(AXIOM_COMONOTONIC_AFFINITY, trials, seed, tolerance, sample, agg._bind, v)
 
 
 def check_interval_scale_covariance(
@@ -315,18 +320,18 @@ def check_interval_scale_covariance(
     game = unanimity_game(agg.n, s_mask)
     members = list(elements_from_mask(s_mask))
 
-    def sample(trial, rng):
+    def sample(f, trial, rng):
         if trial == 0:
             x, r, s = np.ones(agg.n), 1.0, 1.0
         else:
             x = rng.uniform(-5.0, 5.0, agg.n)
             r = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
             s = float(rng.uniform(-5.0, 5.0))
-        lhs = agg.evaluate(game, r * x + s)
-        rhs = r * agg.evaluate(game, x) + s
+        lhs = f(r * x + s)
+        rhs = r * f(x) + s
         return lhs, rhs, {"family": agg.family, "subset": members, "x": x, "r": r, "s": s}
 
-    return _run_checker(AXIOM_INTERVAL_SCALE, trials, seed, tolerance, sample)
+    return _run_checker(AXIOM_INTERVAL_SCALE, trials, seed, tolerance, sample, agg._bind, game)
 
 
 def check_zero_on_basis(
@@ -347,7 +352,7 @@ def check_zero_on_basis(
     game = unanimity_game(agg.n, s_mask)
     members = list(elements_from_mask(s_mask))
 
-    def sample(trial, rng):
+    def sample(f, trial, rng):
         if trial == 0:
             x = np.zeros(agg.n)
             zeroed = members[0]
@@ -356,9 +361,9 @@ def check_zero_on_basis(
             zeroed = int(members[rng.integers(len(members))])
             x[zeroed - 1] = 0.0
         inputs = {"family": agg.family, "subset": members, "x": x, "zeroed_element": zeroed}
-        return agg.evaluate(game, x), 0.0, inputs
+        return f(x), 0.0, inputs
 
-    return _run_checker(AXIOM_ZERO_ON_BASIS, trials, seed, tolerance, sample)
+    return _run_checker(AXIOM_ZERO_ON_BASIS, trials, seed, tolerance, sample, agg._bind, game)
 
 
 def check_linearity_in_capacity(
@@ -369,21 +374,31 @@ def check_linearity_in_capacity(
 ) -> AxiomReport:
     """f_v(x) = sum over T of m_v(T) * f_{v_T}(x) for sampled games v.
 
-    On a ground set of size 3, trial 0 evaluates the patched capacity of the
+    The sum runs over the nonzero coefficients in ascending mask order (the
+    empty set is skipped: every game has Mobius coefficient 0 there).  On a
+    ground set of size 3, trial 0 evaluates the patched capacity of the
     vstar family at x = (0, 2, 1), the sample that separates that family.
+    Bounded at n <= 10: a trial costs O(4**n) time, the bound basis O(4**n) memory.
     """
-    def sample(trial, rng):
+    if agg.n > _MAX_N_LINEARITY:
+        raise GroundSetTooLarge(agg.n, _MAX_N_LINEARITY)
+    bind_basis = lambda: [agg._bind(unanimity_game(agg.n, t)) for t in range(1, 1 << agg.n)]
+
+    def sample(basis, trial, rng):
         if trial == 0 and agg.n == 3:
             v: SignedCapacity = vstar_capacity()
             x = np.array([0.0, 2.0, 1.0])
         else:
             v = random_signed_capacity(agg.n, rng)
             x = rng.uniform(-5.0, 5.0, agg.n)
-        lhs = agg.evaluate(v, x)
-        rhs = _basis_expansion(agg, v, x)
+        lhs = agg._bind(v)(x)
+        rhs = 0.0
+        for coeff, f_t in zip(mobius_transform(v).coefficients[1:].tolist(), basis):
+            if coeff != 0.0:
+                rhs += coeff * f_t(x)
         return lhs, rhs, {"family": agg.family, "capacity": v.values, "x": x}
 
-    return _run_checker(AXIOM_LINEARITY_IN_CAPACITY, trials, seed, tolerance, sample)
+    return _run_checker(AXIOM_LINEARITY_IN_CAPACITY, trials, seed, tolerance, sample, bind_basis)
 
 
 # ---------------------------------------------------------------------------
@@ -403,29 +418,6 @@ EXPECTED_FALSIFIED = {
     FAMILY_VSTAR_PATCH: AXIOM_LINEARITY_IN_CAPACITY,
 }
 _FAMILY_SUITE_N = {FAMILY_WEIGHTED_MEAN: 2, FAMILY_MULTILINEAR: 2, FAMILY_VSTAR_PATCH: 3}
-
-
-def _fixed_witness(family: str, condition: str) -> Optional[Witness]:
-    """The hand-checked falsifying sample for an expected-fail cell, or None."""
-    if (family, condition) == (FAMILY_WEIGHTED_MEAN, AXIOM_ZERO_ON_BASIS):
-        agg = Aggregator(family, 2)
-        x = [0.0, 2.0]
-        lhs = agg.basis_evaluate([1, 2], x)
-        return Witness({"family": family, "subset": [1, 2], "x": x, "zeroed_element": 1}, lhs, 0.0)
-    if (family, condition) == (FAMILY_MULTILINEAR, AXIOM_INTERVAL_SCALE):
-        agg = Aggregator(family, 2)
-        x, r, s = np.array([1.0, 1.0]), 1.0, 1.0
-        lhs = agg.basis_evaluate([1, 2], r * x + s)
-        rhs = r * agg.basis_evaluate([1, 2], x) + s
-        return Witness({"family": family, "subset": [1, 2], "x": x.tolist(), "r": r, "s": s}, lhs, rhs)
-    if (family, condition) == (FAMILY_VSTAR_PATCH, AXIOM_LINEARITY_IN_CAPACITY):
-        agg = Aggregator(family, 3)
-        v = vstar_capacity()
-        x = [0.0, 2.0, 1.0]
-        lhs = agg.evaluate(v, x)
-        rhs = _basis_expansion(agg, v, x)
-        return Witness({"family": family, "capacity": v.values.tolist(), "x": x}, lhs, rhs)
-    return None
 
 
 @dataclass(frozen=True)
@@ -500,6 +492,19 @@ class IndependenceSummary:
         return "\n".join(lines)
 
 
+def _paper_replay(agg: Aggregator, seed: int) -> AxiomReport:
+    """The hand-checked falsifying sample of the family's expected-fail cell
+    as a one-trial report."""
+    if agg.family == FAMILY_MULTILINEAR:
+        return check_interval_scale_covariance(agg, [1, 2], 1, seed)  # its trial 0
+    if agg.family == FAMILY_VSTAR_PATCH:
+        return check_linearity_in_capacity(agg, 1, seed)  # its trial 0
+    inputs = {"family": agg.family, "subset": [1, 2], "x": [0.0, 2.0], "zeroed_element": 1}
+    sample = lambda f, trial, rng: (f(inputs["x"]), 0.0, inputs)
+    game = unanimity_game(agg.n, [1, 2])
+    return _run_checker(AXIOM_ZERO_ON_BASIS, 1, seed, FALSIFY_TOLERANCE, sample, agg._bind, game)
+
+
 def _run_condition(agg: Aggregator, condition: str, trials: int, seed: int):
     """All checker reports backing one cell (one per nonempty subset where relevant)."""
     if condition == AXIOM_LINEARITY_IN_CAPACITY:
@@ -528,18 +533,10 @@ def independence_suite(
     for family in INDEPENDENCE_FAMILIES:
         agg = Aggregator(family, _FAMILY_SUITE_N[family])
         for condition in INDEPENDENCE_CONDITIONS:
-            fixed = _fixed_witness(family, condition)
-            samples = 0
-            witness = None
-            falsified = False
-            if fixed is not None:
-                samples += 1
-                if fixed.discrepancy > FALSIFY_TOLERANCE:
-                    falsified, witness = True, fixed
+            reports = [_paper_replay(agg, seed)] if EXPECTED_FALSIFIED[family] == condition else []
             if not paper_witnesses_only:
-                for report in _run_condition(agg, condition, trials, seed):
-                    samples += report.samples_run
-                    if report.falsified and witness is None:
-                        falsified, witness = True, report.witness
-            cells.append(IndependenceCell(family, condition, falsified, samples, witness))
+                reports += _run_condition(agg, condition, trials, seed)
+            witness = next((r.witness for r in reports if r.falsified), None)
+            samples = sum(r.samples_run for r in reports)
+            cells.append(IndependenceCell(family, condition, witness is not None, samples, witness))
     return IndependenceSummary(tuple(cells), trials, seed, paper_witnesses_only)

@@ -52,13 +52,13 @@ def _emit(doc: dict, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _parse_subset_flag(text: str) -> list[int]:
+def _parse_int_list(flag: str, text: str) -> list[int]:
     elements = []
     for part in text.split(","):
         try:
             elements.append(int(part))
         except ValueError:
-            raise FileFormatError(f"--subset {text!r}: {part!r} is not an integer") from None
+            raise FileFormatError(f"{flag} {text!r}: {part!r} is not an integer") from None
     return elements
 
 
@@ -112,7 +112,7 @@ def cmd_check(args) -> int:
             raise FileFormatError(
                 f"--n {args.n} conflicts with the capacity file (n = {capacity.n})"
             )
-    elements = _parse_subset_flag(args.subset) if args.subset else None
+    elements = _parse_int_list("--subset", args.subset) if args.subset else None
     n = _resolve_check_n(args, capacity, elements)
     agg = axioms.Aggregator(args.family, n)
     tolerance = args.tolerance if args.tolerance is not None else axioms.FALSIFY_TOLERANCE
@@ -121,25 +121,21 @@ def cmd_check(args) -> int:
         if elements is None:
             raise FileFormatError(f"axiom {args.axiom} requires --subset")
         try:
-            subset_mask = mask_from_elements(elements, n)
+            game_args = [mask_from_elements(elements, n)]
         except ValueError as exc:
             raise FileFormatError(f"--subset {args.subset!r}: {exc}") from None
-        if args.axiom == axioms.AXIOM_INTERVAL_SCALE:
-            report = axioms.check_interval_scale_covariance(
-                agg, subset_mask, args.trials, args.seed, tolerance
-            )
-        else:
-            report = axioms.check_zero_on_basis(agg, subset_mask, args.trials, args.seed, tolerance)
     elif args.axiom == axioms.AXIOM_LINEARITY_IN_CAPACITY:
-        report = axioms.check_linearity_in_capacity(agg, args.trials, args.seed, tolerance)
+        game_args = []
     else:
-        v = capacity if capacity is not None else random_signed_capacity(n, args.seed)
-        checker = {
-            axioms.AXIOM_COMONOTONIC_ADDITIVITY: axioms.check_comonotonic_additivity,
-            axioms.AXIOM_POSITIVE_HOMOGENEITY: axioms.check_positive_homogeneity,
-            axioms.AXIOM_COMONOTONIC_AFFINITY: axioms.check_comonotonic_affinity,
-        }[args.axiom]
-        report = checker(agg, v, args.trials, args.seed, tolerance)
+        game_args = [capacity if capacity is not None else random_signed_capacity(n, args.seed)]
+    report = {
+        axioms.AXIOM_COMONOTONIC_ADDITIVITY: axioms.check_comonotonic_additivity,
+        axioms.AXIOM_POSITIVE_HOMOGENEITY: axioms.check_positive_homogeneity,
+        axioms.AXIOM_COMONOTONIC_AFFINITY: axioms.check_comonotonic_affinity,
+        axioms.AXIOM_INTERVAL_SCALE: axioms.check_interval_scale_covariance,
+        axioms.AXIOM_ZERO_ON_BASIS: axioms.check_zero_on_basis,
+        axioms.AXIOM_LINEARITY_IN_CAPACITY: axioms.check_linearity_in_capacity,
+    }[args.axiom](agg, *game_args, args.trials, args.seed, tolerance)
 
     if args.format == "json":
         _emit(report.to_dict(), None)
@@ -204,7 +200,7 @@ def cmd_oracle(args) -> int:
         return 0
     # affine-check
     f = io.load_set_function(args.capacity)
-    order = [int(p) for p in args.order.split(",")]
+    order = _parse_int_list("--order", args.order)
     ok = oracle.lovasz_affine_check(f, order, args.trials, args.seed)
     print("affine: " + ("true" if ok else "false"))
     return 0 if ok else 1

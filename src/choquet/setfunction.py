@@ -110,16 +110,20 @@ def _subset_statistic(op, identity: float, coords) -> np.ndarray:
     return out
 
 
+def _overflow_raises(operation: str) -> np.errstate:
+    """A context in which a float overflow raises NonFiniteResult naming the operation."""
+    def fail(kind, flag):
+        raise NonFiniteResult(operation)
+    return np.errstate(over="call", call=fail)
+
+
 def _lattice_cumulation(values, op, operation: str) -> np.ndarray:
     """Copy of the finite values with the in-place operator op(hi, lo) on every
     pass; an overflow raises NonFiniteResult naming the operation."""
     out = np.array(values, dtype=float)
-    try:
-        with np.errstate(over="raise"):
-            for _, lo, hi in _lattice_passes(out):
-                op(hi, lo)
-    except FloatingPointError:
-        raise NonFiniteResult(operation) from None
+    with _overflow_raises(operation):
+        for _, lo, hi in _lattice_passes(out):
+            op(hi, lo)
     return out
 
 
@@ -151,14 +155,17 @@ class SetFunction:
     # so arithmetic always returns a plain SetFunction.
     def __add__(self, other: "SetFunction") -> "SetFunction":
         self._require_same_lattice(other)
-        return SetFunction(self.n, self.values + other.values)
+        with _overflow_raises("set-function addition"):
+            return SetFunction(self.n, self.values + other.values)
 
     def __sub__(self, other: "SetFunction") -> "SetFunction":
         self._require_same_lattice(other)
-        return SetFunction(self.n, self.values - other.values)
+        with _overflow_raises("set-function subtraction"):
+            return SetFunction(self.n, self.values - other.values)
 
     def __mul__(self, scalar: float) -> "SetFunction":
-        return SetFunction(self.n, self.values * float(scalar))
+        with _overflow_raises("set-function scaling"):
+            return SetFunction(self.n, self.values * float(scalar))
 
     __rmul__ = __mul__
 

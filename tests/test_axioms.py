@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import choquet.axioms as axioms_module
 from choquet.axioms import (
     AXIOM_COMONOTONIC_ADDITIVITY,
     AXIOM_COMONOTONIC_AFFINITY,
@@ -315,3 +316,13 @@ def test_zero_tolerance_is_valid():
     report = check_zero_on_basis(Aggregator(FAMILY_CHOQUET, 3), [1, 2], 50, 0, 0.0)
     assert not report.falsified
     assert report.tolerance == 0.0
+
+
+def test_checker_transforms_its_game_once(monkeypatch):
+    calls = []
+    transform = axioms_module.mobius_transform
+    monkeypatch.setattr(axioms_module, "mobius_transform", lambda f: calls.append(f) or transform(f))
+    agg = Aggregator(FAMILY_WEIGHTED_MEAN, 4)
+    report = check_comonotonic_additivity(agg, random_signed_capacity(4, 0), 200, seed=0)
+    assert report.samples_run == 200
+    assert len(calls) == 1

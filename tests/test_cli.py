@@ -304,6 +304,13 @@ class TestOracleCommand:
         assert code == 0
         assert out.strip() == "affine: true"
 
+    def test_affine_check_order_must_be_integers(self, game2_file, capsys):
+        code, out, err = run(
+            ["oracle", "affine-check", "--capacity", game2_file, "--order", "x"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --order 'x': 'x' is not an integer\n"
+
 
 def test_module_entry_point(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(REPO_SRC))

@@ -7,14 +7,16 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from choquet.axioms import Aggregator, check_linearity_in_capacity, evaluate_family
 from choquet.cli import main
-from choquet.errors import ChoquetError, NonFiniteResult
+from choquet.errors import ChoquetError, GroundSetTooLarge, NonFiniteResult
 from choquet.integral import choquet, choquet_mobius, lovasz_extension
 from choquet.io import dump_document, mobius_from_document, set_function_from_document
 from choquet.setfunction import (
@@ -160,6 +162,50 @@ def test_random_capacity_bound_reported_by_the_error_handler(n):
     code, out, err = run(["random-capacity", "--n", n, "--kind", "monotone"])
     assert_error_exit(code, out, err)
     assert err == f"error: ground set size {n} exceeds the supported bound 20\n"
+
+
+class TestOverflowInFamiliesAndArithmetic:
+    @pytest.mark.parametrize(
+        "family, point", [("multilinear", [1e200, 1e200]), ("weighted-mean", [1e308, 1e308])]
+    )
+    def test_family_evaluation(self, family, point):
+        agg = Aggregator(family, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResult, match=f"{family} family"):
+                evaluate_family(agg, SignedCapacity(2, [0.0, 0.0, 0.0, 1.0]), point)
+
+    @pytest.mark.parametrize(
+        "operation, combine",
+        [
+            ("set-function addition", lambda f: f + f),
+            ("set-function subtraction", lambda f: f - (-1.0 * f)),
+            ("set-function scaling", lambda f: f * 1e10),
+        ],
+    )
+    def test_set_function_arithmetic(self, operation, combine):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResult) as info:
+                combine(SetFunction(1, [0.0, 1e308]))
+        assert info.value.operation == operation
+
+
+class TestLinearityBound:
+    @pytest.mark.parametrize("n", [11, 20])
+    def test_rejected_before_any_game_is_built(self, n):
+        with pytest.raises(GroundSetTooLarge) as info:
+            check_linearity_in_capacity(Aggregator("choquet", n), trials=1)
+        assert (info.value.n, info.value.bound) == (n, 10)
+
+    def test_bound_itself_runs(self):
+        assert not check_linearity_in_capacity(Aggregator("choquet", 10), trials=1).falsified
+
+    def test_cli_exit_2(self):
+        code, out, err = run(["check", "--axiom", "linearity-in-capacity", "--n", "20",
+                              "--trials", "1"])
+        assert_error_exit(code, out, err)
+        assert err == "error: ground set size 20 exceeds the supported bound 10\n"
 
 
 # ---------------------------------------------------------------------------
