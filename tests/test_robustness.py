@@ -14,7 +14,14 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from choquet.axioms import Aggregator, check_linearity_in_capacity, evaluate_family
+from choquet.axioms import (
+    Aggregator,
+    check_comonotonic_additivity,
+    check_comonotonic_affinity,
+    check_linearity_in_capacity,
+    check_positive_homogeneity,
+    evaluate_family,
+)
 from choquet.cli import main
 from choquet.errors import ChoquetError, GroundSetTooLarge, NonFiniteResult
 from choquet.integral import choquet, choquet_mobius, lovasz_extension
@@ -188,6 +195,27 @@ class TestOverflowInFamiliesAndArithmetic:
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteResult) as info:
                 combine(SetFunction(1, [0.0, 1e308]))
+        assert info.value.operation == operation
+
+
+class TestOverflowInCheckers:
+    """A checker whose sample overflows raises NonFiniteResult naming the
+    family's operation; it neither reports a verdict nor lets a warning out."""
+
+    @pytest.mark.parametrize(
+        "family, operation",
+        [("choquet", "choquet"), ("weighted-mean", "weighted-mean family"),
+         ("multilinear", "multilinear family")],
+    )
+    @pytest.mark.parametrize(
+        "check", [check_positive_homogeneity, check_comonotonic_additivity,
+                  check_comonotonic_affinity],
+    )
+    def test_game_checkers(self, family, operation, check):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResult, match=operation) as info:
+                check(Aggregator(family, 2), SignedCapacity(2, OVERFLOW_GAME), 50, 0)
         assert info.value.operation == operation
 
 
