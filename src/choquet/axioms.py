@@ -23,20 +23,22 @@ The three families besides the integral itself:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import partial
 from math import isfinite
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, GroundSetTooLarge, UnsupportedGroundSet
+from .errors import DimensionMismatch, GroundSetTooLarge, NonFiniteResult, UnsupportedGroundSet
 from .generate import random_signed_capacity
-from .integral import choquet, _coerce_point
+from .integral import _chain_sums, _coerce_point, choquet  # noqa: F401 (callers patch and trace axioms.choquet)
 from .setfunction import (
     Capacity,
     SignedCapacity,
     SubsetLike,
-    _overflow_raises,
+    _lattice_cumulation,
     _subset_statistic,
     as_mask,
     elements_from_mask,
@@ -78,6 +80,11 @@ DEFAULT_SEED = 0
 # The linearity checker binds all 2**n - 1 unanimity games of 2**n values each.
 _MAX_N_LINEARITY = 10
 
+# Checker trials are evaluated in blocks whose rows double from 1 up to the
+# number whose (rows, 2**n) arrays hold at most this many values (512 KiB of
+# doubles): 4096 rows at n = 4, 256 at n = 8, one row from n = 16.
+_BLOCK_VALUES = 1 << 16
+
 # The one capacity the vstar-patch family treats specially (ground set of
 # size 3; masks 5 and 6 are {1,3} and {2,3}).
 _VSTAR_VALUES = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.5, 1.0])
@@ -105,46 +112,74 @@ class Aggregator:
             )
 
     def evaluate(self, v: SignedCapacity, x: Sequence[float]) -> float:
-        return self._bind(v)(x)
+        return self._one_row(self._bind(v), x)
 
     def basis_evaluate(self, subset: SubsetLike, x: Sequence[float]) -> float:
         """Evaluate the family at the unanimity game of the given subset."""
-        return self._bind(unanimity_game(self.n, subset))(x)
+        return self._one_row(self._bind(unanimity_game(self.n, subset)), x)
 
-    def _bind(self, v: SignedCapacity) -> Callable[[Sequence[float]], float]:
-        """The family at game v as a function of the point, with the work that
-        depends on v alone (dimension check, Mobius transform, vstar-patch
-        comparison) done once.  A value that overflows raises NonFiniteResult."""
+    @property
+    def _operation(self) -> str:
+        """The operation a NonFiniteResult of this family names."""
+        if self.family in (FAMILY_CHOQUET, FAMILY_VSTAR_PATCH):
+            return "choquet"
+        return f"{self.family} family"
+
+    def _bind(self, v: SignedCapacity) -> Callable[[np.ndarray], np.ndarray]:
+        """The family at game v as a function of a (k, n) array of points,
+        with the work that depends on v alone (dimension check, Mobius
+        transform) done once.  Rows that overflow come out non-finite."""
         if v.n != self.n:
             raise DimensionMismatch(self.n, v.n)
         if self.family in (FAMILY_CHOQUET, FAMILY_VSTAR_PATCH):
-            if self.family == FAMILY_VSTAR_PATCH and np.array_equal(v.values, _VSTAR_VALUES):
-                return _vstar_patch
-            return lambda x: choquet(v, x).value
-        m = mobius_transform(v).coefficients
+            return partial(self._evaluate, v.values, None)
+        return partial(self._evaluate, v.values, mobius_transform(v).coefficients)
+
+    def _evaluate(self, values: np.ndarray, m: Optional[np.ndarray], X: np.ndarray) -> np.ndarray:
+        """The family on the rows of X at one game (values and Mobius
+        coefficients m of shape (2**n,)) or at one game per row ((k, 2**n)
+        each); m is needed by the weighted-mean and multilinear families only.
+        Call it with over/invalid ignored: rows that overflow come out non-finite."""
         if self.family == FAMILY_WEIGHTED_MEAN:
-            m, sizes = m[1:], _subset_statistic(np.add, 0.0, np.ones(self.n))[1:]  # |S| per mask
-            fold = lambda coords: m @ (_subset_statistic(np.add, 0.0, coords)[1:] / sizes)
-        else:
-            fold = lambda coords: m @ _subset_statistic(np.multiply, 1.0, coords)
+            sizes = _subset_statistic(np.add, 0.0, np.ones(self.n))[1:]  # |S| per mask
+            return _row_dots(m[..., 1:], _subset_statistic(np.add, 0.0, X)[:, 1:] / sizes)
+        if self.family == FAMILY_MULTILINEAR:
+            return _row_dots(m, _subset_statistic(np.multiply, 1.0, X))
+        out = _chain_sums(values, X)
+        if self.family == FAMILY_VSTAR_PATCH:
+            out = np.where(np.all(values == _VSTAR_VALUES, axis=-1), _vstar_patch(X), out)
+        return out
 
-        def evaluate(x: Sequence[float]) -> float:
-            coords = _coerce_point(x, self.n)
-            with _overflow_raises(f"{self.family} family"):
-                return float(fold(coords))
+    def _one_row(self, f: Callable[[np.ndarray], np.ndarray], x: Sequence[float]) -> float:
+        """A bound family at one point; an overflow raises NonFiniteResult."""
+        X = np.array([_coerce_point(x, self.n)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = float(f(X)[0])
+        if not isfinite(value):
+            raise NonFiniteResult(self._operation)
+        return value
 
-        return evaluate
+
+def _row_dots(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """m @ row for every row, with m one vector or one per row.  One dot
+    product per row: a matrix product sums in another order, and differs
+    from it in the last bits."""
+    if m.ndim == 1:
+        return np.array([m @ row for row in rows])
+    return np.array([a @ b for a, b in zip(m, rows)])
 
 
-def _vstar_patch(x: Sequence[float]) -> float:
-    """The vstar-patch family on the one capacity it overrides."""
-    coords = _coerce_point(x, 3)
-    return min((coords[0] + coords[1]) / 2.0, coords[2])
+def _vstar_patch(X: np.ndarray) -> np.ndarray:
+    """The vstar-patch family on the one capacity it overrides: the mean of
+    the first two coordinates (halved first, so it cannot overflow), capped
+    at the third."""
+    mean = X[:, 0] / 2.0 + X[:, 1] / 2.0
+    return np.where(X[:, 2] < mean, X[:, 2], mean)
 
 
 def evaluate_family(agg: Aggregator, v: SignedCapacity, x: Sequence[float]) -> float:
     """Evaluate one of the four families at a game and a point."""
-    return agg._bind(v)(x)
+    return agg.evaluate(v, x)
 
 
 @dataclass(frozen=True)
@@ -203,27 +238,55 @@ def _require_trials(trials: int) -> None:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
 
-def _run_checker(
-    axiom: str, trials: int, seed: int, tolerance: float, sample, bind, *args
-) -> AxiomReport:
-    """Run sample(bound, trial, rng) -> (lhs, rhs, inputs) until the sides differ.
+def _block_bounds(trials: int, n: int):
+    """(start, stop) of each block of trials: rows double from 1 up to the
+    _BLOCK_VALUES cap."""
+    cap = max(1, _BLOCK_VALUES >> n)
+    start = 0
+    while start < trials:
+        stop = min(trials, start + min(start + 1, cap))
+        yield start, stop
+        start = stop
 
-    bound = bind(*args) is computed once, after trials and tolerance are checked.
-    Each trial draws from its own _trial_rng stream.  The first trial whose
-    sides differ by more than the tolerance ends the run with a witness
-    holding its inputs (arrays converted to lists); otherwise every trial
-    runs and the report is satisfied.
+
+def _stack(block: list, key: str) -> np.ndarray:
+    """One input of every trial in a block, stacked along a leading axis."""
+    return np.array([inputs[key] for inputs in block])
+
+
+def _run_checker(
+    axiom: str, agg: Aggregator, trials: int, seed: int, tolerance: float,
+    draw, sides, bind, *args,
+) -> AxiomReport:
+    """Draw the trials with draw(trial, rng) -> inputs and evaluate them in
+    blocks with sides(bound, block) -> (lhs, rhs), until the sides differ.
+
+    bound = bind(*args) is computed once, after trials and tolerance are
+    checked.  Each trial draws from its own _trial_rng stream, in trial
+    order; a block's two sides are arrays with one row per trial, computed
+    with over/invalid ignored.  The first row that is over the tolerance or
+    non-finite decides: over the tolerance ends the run with a witness
+    holding its inputs (arrays converted to lists), non-finite raises
+    NonFiniteResult naming agg's operation.  Otherwise every trial runs and
+    the report is satisfied.
     """
     _require_trials(trials)
     if not (isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     bound = bind(*args)
-    for trial in range(trials):
-        lhs, rhs, inputs = sample(bound, trial, _trial_rng(seed, trial))
-        if abs(lhs - rhs) > tolerance:
-            plain = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in inputs.items()}
-            witness = Witness(plain, lhs, rhs)
-            return AxiomReport(axiom, VERDICT_FALSIFIED, witness, trial + 1, seed, tolerance)
+    for start, stop in _block_bounds(trials, agg.n):
+        block = [draw(trial, _trial_rng(seed, trial)) for trial in range(start, stop)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs, rhs = sides(bound, block)
+            within = np.abs(lhs - rhs) <= tolerance  # False where a side is non-finite
+        if not within.all():
+            row = int(np.argmin(within))
+            left, right = float(lhs[row]), float(rhs[row])
+            if not (isfinite(left) and isfinite(right)):
+                raise NonFiniteResult(agg._operation)
+            inputs = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in block[row].items()}
+            witness = Witness(inputs, left, right)
+            return AxiomReport(axiom, VERDICT_FALSIFIED, witness, start + row + 1, seed, tolerance)
     return AxiomReport(axiom, VERDICT_SATISFIED, None, trials, seed, tolerance)
 
 
@@ -251,16 +314,19 @@ def check_comonotonic_additivity(
 
     Trial 0 uses the degenerate pair (x, 0), which reduces to f(0) = 0.
     """
-    def sample(f, trial, rng):
+    def draw(trial, rng):
         if trial == 0:
             x, y = rng.uniform(-5.0, 5.0, agg.n), np.zeros(agg.n)
         else:
             x, y = _comonotonic_pair(rng, agg.n)
-        lhs = f(x + y)
-        rhs = f(x) + f(y)
-        return lhs, rhs, {"family": agg.family, "capacity": v.values, "x": x, "y": y}
+        return {"family": agg.family, "capacity": v.values, "x": x, "y": y}
 
-    return _run_checker(AXIOM_COMONOTONIC_ADDITIVITY, trials, seed, tolerance, sample, agg._bind, v)
+    def sides(f, block):
+        X, Y = _stack(block, "x"), _stack(block, "y")
+        return f(X + Y), f(X) + f(Y)
+
+    return _run_checker(AXIOM_COMONOTONIC_ADDITIVITY, agg, trials, seed, tolerance,
+                        draw, sides, agg._bind, v)
 
 
 def check_positive_homogeneity(
@@ -271,14 +337,17 @@ def check_positive_homogeneity(
     tolerance: float = FALSIFY_TOLERANCE,
 ) -> AxiomReport:
     """f(r * x) = r * f(x) for sampled r > 0 (log-uniform on [0.1, 10])."""
-    def sample(f, trial, rng):
+    def draw(trial, rng):
         x = rng.uniform(-5.0, 5.0, agg.n)
         r = 1.0 if trial == 0 else float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
-        lhs = f(r * x)
-        rhs = r * f(x)
-        return lhs, rhs, {"family": agg.family, "capacity": v.values, "x": x, "r": r}
+        return {"family": agg.family, "capacity": v.values, "x": x, "r": r}
 
-    return _run_checker(AXIOM_POSITIVE_HOMOGENEITY, trials, seed, tolerance, sample, agg._bind, v)
+    def sides(f, block):
+        X, r = _stack(block, "x"), _stack(block, "r")
+        return f(r[:, None] * X), r * f(X)
+
+    return _run_checker(AXIOM_POSITIVE_HOMOGENEITY, agg, trials, seed, tolerance,
+                        draw, sides, agg._bind, v)
 
 
 def check_comonotonic_affinity(
@@ -292,15 +361,17 @@ def check_comonotonic_affinity(
 
     Trials 0 and 1 pin the endpoint cases lam = 0 and lam = 1.
     """
-    def sample(f, trial, rng):
+    def draw(trial, rng):
         x, y = _comonotonic_pair(rng, agg.n)
         lam = float(trial) if trial < 2 else float(rng.uniform(0.0, 1.0))
-        lhs = f(lam * x + (1.0 - lam) * y)
-        rhs = lam * f(x) + (1.0 - lam) * f(y)
-        inputs = {"family": agg.family, "capacity": v.values, "x": x, "x_prime": y, "lambda": lam}
-        return lhs, rhs, inputs
+        return {"family": agg.family, "capacity": v.values, "x": x, "x_prime": y, "lambda": lam}
 
-    return _run_checker(AXIOM_COMONOTONIC_AFFINITY, trials, seed, tolerance, sample, agg._bind, v)
+    def sides(f, block):
+        X, Y, lam = _stack(block, "x"), _stack(block, "x_prime"), _stack(block, "lambda")
+        return f(lam[:, None] * X + (1.0 - lam[:, None]) * Y), lam * f(X) + (1.0 - lam) * f(Y)
+
+    return _run_checker(AXIOM_COMONOTONIC_AFFINITY, agg, trials, seed, tolerance,
+                        draw, sides, agg._bind, v)
 
 
 def check_interval_scale_covariance(
@@ -320,18 +391,26 @@ def check_interval_scale_covariance(
     game = unanimity_game(agg.n, s_mask)
     members = list(elements_from_mask(s_mask))
 
-    def sample(f, trial, rng):
+    def draw(trial, rng):
         if trial == 0:
             x, r, s = np.ones(agg.n), 1.0, 1.0
         else:
             x = rng.uniform(-5.0, 5.0, agg.n)
             r = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
             s = float(rng.uniform(-5.0, 5.0))
-        lhs = f(r * x + s)
-        rhs = r * f(x) + s
-        return lhs, rhs, {"family": agg.family, "subset": members, "x": x, "r": r, "s": s}
+        return {"family": agg.family, "subset": members, "x": x, "r": r, "s": s}
 
-    return _run_checker(AXIOM_INTERVAL_SCALE, trials, seed, tolerance, sample, agg._bind, game)
+    def sides(f, block):
+        X, r, s = _stack(block, "x"), _stack(block, "r"), _stack(block, "s")
+        return f(r[:, None] * X + s[:, None]), r * f(X) + s
+
+    return _run_checker(AXIOM_INTERVAL_SCALE, agg, trials, seed, tolerance,
+                        draw, sides, agg._bind, game)
+
+
+def _zero_sides(f, block):
+    """Both sides of the zero-on-basis condition: f(x) and 0."""
+    return f(_stack(block, "x")), np.zeros(len(block))
 
 
 def check_zero_on_basis(
@@ -352,7 +431,7 @@ def check_zero_on_basis(
     game = unanimity_game(agg.n, s_mask)
     members = list(elements_from_mask(s_mask))
 
-    def sample(f, trial, rng):
+    def draw(trial, rng):
         if trial == 0:
             x = np.zeros(agg.n)
             zeroed = members[0]
@@ -360,10 +439,10 @@ def check_zero_on_basis(
             x = rng.uniform(0.0, 1.0, agg.n)
             zeroed = int(members[rng.integers(len(members))])
             x[zeroed - 1] = 0.0
-        inputs = {"family": agg.family, "subset": members, "x": x, "zeroed_element": zeroed}
-        return f(x), 0.0, inputs
+        return {"family": agg.family, "subset": members, "x": x, "zeroed_element": zeroed}
 
-    return _run_checker(AXIOM_ZERO_ON_BASIS, trials, seed, tolerance, sample, agg._bind, game)
+    return _run_checker(AXIOM_ZERO_ON_BASIS, agg, trials, seed, tolerance,
+                        draw, _zero_sides, agg._bind, game)
 
 
 def check_linearity_in_capacity(
@@ -378,27 +457,33 @@ def check_linearity_in_capacity(
     empty set is skipped: every game has Mobius coefficient 0 there).  On a
     ground set of size 3, trial 0 evaluates the patched capacity of the
     vstar family at x = (0, 2, 1), the sample that separates that family.
+    Each block of games is Mobius-transformed once, for the family's own
+    evaluation and for the expansion coefficients.
     Bounded at n <= 10: a trial costs O(4**n) time, the bound basis O(4**n) memory.
     """
     if agg.n > _MAX_N_LINEARITY:
         raise GroundSetTooLarge(agg.n, _MAX_N_LINEARITY)
     bind_basis = lambda: [agg._bind(unanimity_game(agg.n, t)) for t in range(1, 1 << agg.n)]
 
-    def sample(basis, trial, rng):
+    def draw(trial, rng):
         if trial == 0 and agg.n == 3:
             v: SignedCapacity = vstar_capacity()
             x = np.array([0.0, 2.0, 1.0])
         else:
             v = random_signed_capacity(agg.n, rng)
             x = rng.uniform(-5.0, 5.0, agg.n)
-        lhs = agg._bind(v)(x)
-        rhs = 0.0
-        for coeff, f_t in zip(mobius_transform(v).coefficients[1:].tolist(), basis):
-            if coeff != 0.0:
-                rhs += coeff * f_t(x)
-        return lhs, rhs, {"family": agg.family, "capacity": v.values, "x": x}
+        return {"family": agg.family, "capacity": v.values, "x": x}
 
-    return _run_checker(AXIOM_LINEARITY_IN_CAPACITY, trials, seed, tolerance, sample, bind_basis)
+    def sides(basis, block):
+        V, X = _stack(block, "capacity"), _stack(block, "x")
+        m = _lattice_cumulation(V, operator.isub, "mobius_transform")
+        rhs = np.zeros(len(block))
+        for coeff, f_t in zip(m[:, 1:].T, basis):
+            rhs += np.where(coeff != 0.0, coeff * f_t(X), 0.0)  # adding +0.0 leaves rhs as it is
+        return agg._evaluate(V, m, X), rhs
+
+    return _run_checker(AXIOM_LINEARITY_IN_CAPACITY, agg, trials, seed, tolerance,
+                        draw, sides, bind_basis)
 
 
 # ---------------------------------------------------------------------------
@@ -500,9 +585,9 @@ def _paper_replay(agg: Aggregator, seed: int) -> AxiomReport:
     if agg.family == FAMILY_VSTAR_PATCH:
         return check_linearity_in_capacity(agg, 1, seed)  # its trial 0
     inputs = {"family": agg.family, "subset": [1, 2], "x": [0.0, 2.0], "zeroed_element": 1}
-    sample = lambda f, trial, rng: (f(inputs["x"]), 0.0, inputs)
     game = unanimity_game(agg.n, [1, 2])
-    return _run_checker(AXIOM_ZERO_ON_BASIS, 1, seed, FALSIFY_TOLERANCE, sample, agg._bind, game)
+    return _run_checker(AXIOM_ZERO_ON_BASIS, agg, 1, seed, FALSIFY_TOLERANCE,
+                        lambda trial, rng: inputs, _zero_sides, agg._bind, game)
 
 
 def _run_condition(agg: Aggregator, condition: str, trials: int, seed: int):

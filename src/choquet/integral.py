@@ -109,6 +109,28 @@ def _chain_sum(values: np.ndarray, coords: list[float], perm: SortPermutation) -
     return total
 
 
+def _chain_sums(values: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """_chain_sum of every row of X, shape (k, n), at one set function
+    (values of shape (2**n,)) or at one set function per row ((k, 2**n)).
+
+    A stable row argsort orders ties as sort_permutation does, and the
+    differences, products and the column-by-column sum are the same float
+    operations in the same order as _chain_sum, so every entry equals the
+    scalar route bit for bit.  Overflow is not checked: its rows come out
+    non-finite.
+    """
+    k, n = X.shape
+    order = np.argsort(X, axis=1, kind="stable")
+    chain = np.zeros((k, n + 1), dtype=np.int64)  # upper sets of each row, then the empty set
+    chain[:, :n] = np.cumsum((1 << order)[:, ::-1], axis=1)[:, ::-1]
+    f = values[chain] if values.ndim == 1 else np.take_along_axis(values, chain, axis=1)
+    terms = (f[:, :-1] - f[:, 1:]) * np.take_along_axis(X, order, axis=1)
+    total = np.zeros(k)
+    for column in terms.T:
+        total += column
+    return total
+
+
 def choquet(v: SetFunction, x: Sequence[float]) -> EvaluationResult:
     """Signed Choquet integral of x with respect to a game v.
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from math import isfinite
 from typing import Iterable, Union
 
 import numpy as np
@@ -89,24 +90,33 @@ def _validated_values(n: int, values) -> np.ndarray:
 def _lattice_passes(arr: np.ndarray):
     """The in-place subset-lattice recursion over a mask-indexed array.
 
+    arr is one array of 2**n values or, along a leading axis, one per row.
     For each bit i in ascending order, yields i and two views of arr: the
     entries at masks without bit i, and the entries at the same masks with
-    bit i added, both shaped (2**n / 2**(i+1), 2**i) and in ascending mask
-    order.  The two views are disjoint, so updating the second from the
-    first within one pass reproduces the scalar recursion bit for bit.
+    bit i added, both shaped (2**n / 2**(i+1), 2**i) per row and in
+    ascending mask order.  The two views are disjoint, so updating the
+    second from the first within one pass reproduces the scalar recursion
+    bit for bit.
     """
-    for i in range(arr.size.bit_length() - 1):
-        blocks = arr.reshape(-1, 2, 1 << i)
-        yield i, blocks[:, 0], blocks[:, 1]
+    rows = arr.shape[:-1]
+    lo, hi = (slice(None),) * arr.ndim + (0,), (slice(None),) * arr.ndim + (1,)
+    for i in range(arr.shape[-1].bit_length() - 1):
+        blocks = arr.reshape(rows + (-1, 2, 1 << i))
+        yield i, blocks[lo], blocks[hi]
 
 
 def _subset_statistic(op, identity: float, coords) -> np.ndarray:
     """Per mask, the binary ufunc op folded over identity and the mask's
-    coordinates in ascending element order (entry 0 is identity)."""
-    out = np.empty(1 << len(coords))
+    coordinates in ascending element order (entry 0 is identity).
+
+    coords is one point of length n, giving 2**n values, or a (k, n) array
+    of points, giving one row of 2**n values per point.
+    """
+    columns = np.asarray(coords, dtype=float).T[..., None, None]  # coordinate i of every row
+    out = np.empty(columns.shape[1:-2] + (1 << len(columns),))
     out.fill(identity)  # faster than np.full on the small arrays the checkers use
     for i, _, hi in _lattice_passes(out):
-        op(hi, coords[i], out=hi)
+        op(hi, columns[i], out=hi)
     return out
 
 
@@ -118,8 +128,9 @@ def _overflow_raises(operation: str) -> np.errstate:
 
 
 def _lattice_cumulation(values, op, operation: str) -> np.ndarray:
-    """Copy of the finite values with the in-place operator op(hi, lo) on every
-    pass; an overflow raises NonFiniteResult naming the operation."""
+    """Copy of the finite values (one set function, or one per row) with the
+    in-place operator op(hi, lo) on every pass; an overflow raises
+    NonFiniteResult naming the operation."""
     out = np.array(values, dtype=float)
     with _overflow_raises(operation):
         for _, lo, hi in _lattice_passes(out):
@@ -164,8 +175,11 @@ class SetFunction:
             return SetFunction(self.n, self.values - other.values)
 
     def __mul__(self, scalar: float) -> "SetFunction":
+        scalar = float(scalar)
+        if not isfinite(scalar):
+            raise ValueError(f"cannot scale a set function by the non-finite scalar {scalar!r}")
         with _overflow_raises("set-function scaling"):
-            return SetFunction(self.n, self.values * float(scalar))
+            return SetFunction(self.n, self.values * scalar)
 
     __rmul__ = __mul__
 

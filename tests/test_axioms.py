@@ -1,5 +1,7 @@
 """Axiom checkers, counterexample families and the independence matrix."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from choquet.axioms import (
     independence_suite,
     vstar_capacity,
 )
-from choquet.errors import DimensionMismatch, UnsupportedGroundSet
+from choquet.errors import DimensionMismatch, NonFiniteResult, UnsupportedGroundSet
 from choquet.generate import random_signed_capacity
 from choquet.integral import choquet
 from choquet.setfunction import SignedCapacity, mobius_transform, unanimity_game
@@ -92,6 +94,15 @@ class TestEvaluateFamily:
     def test_vstar_patch_on_vstar(self):
         agg = Aggregator(FAMILY_VSTAR_PATCH, 3)
         assert evaluate_family(agg, vstar_capacity(), [0, 2, 1]) == 1.0
+
+    def test_vstar_patch_mean_does_not_overflow(self):
+        agg = Aggregator(FAMILY_VSTAR_PATCH, 3)
+        assert evaluate_family(agg, vstar_capacity(), [1e308, 1e308, 1.5e308]) == 1e308
+
+    def test_vstar_patch_halved_mean_equals_the_plain_mean(self):
+        agg = Aggregator(FAMILY_VSTAR_PATCH, 3)
+        for x in np.random.default_rng(2).uniform(-5, 5, (2000, 3)).tolist():
+            assert evaluate_family(agg, vstar_capacity(), x) == min((x[0] + x[1]) / 2.0, x[2])
 
     def test_vstar_patch_elsewhere_is_the_integral(self):
         agg = Aggregator(FAMILY_VSTAR_PATCH, 3)
@@ -326,3 +337,41 @@ def test_checker_transforms_its_game_once(monkeypatch):
     report = check_comonotonic_additivity(agg, random_signed_capacity(4, 0), 200, seed=0)
     assert report.samples_run == 200
     assert len(calls) == 1
+
+
+class TestBlockRunner:
+    """The checker runner evaluates trials in blocks; within a block the
+    first row that is over the tolerance or non-finite decides."""
+
+    AGG = Aggregator(FAMILY_CHOQUET, 2)
+
+    def run(self, rows: dict):
+        """Seven stub trials whose sides are 0 except where rows gives them."""
+        draw = lambda trial, rng: {"trial": trial}
+
+        def sides(bound, block):
+            pairs = [rows.get(inputs["trial"], (0.0, 0.0)) for inputs in block]
+            return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return axioms_module._run_checker("stub", self.AGG, 7, 0, 1e-6, draw, sides, lambda: None)
+
+    def test_trials_four_and_five_share_a_block(self):
+        assert list(axioms_module._block_bounds(7, 2)) == [(0, 1), (1, 3), (3, 7)]
+
+    def test_falsifying_row_before_an_overflowing_row(self):
+        report = self.run({4: (1.0, 0.0), 5: (np.inf, np.inf)})
+        assert report.falsified and report.samples_run == 5
+        assert report.witness.inputs == {"trial": 4}
+        assert (report.witness.lhs, report.witness.rhs) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("overflow", [(np.inf, np.inf), (1.0, np.nan), (-np.inf, 0.0)])
+    def test_overflowing_row_before_a_falsifying_row(self, overflow):
+        with pytest.raises(NonFiniteResult) as info:
+            self.run({4: overflow, 5: (1.0, 0.0)})
+        assert info.value.operation == "choquet"
+
+    def test_rows_within_tolerance_satisfy(self):
+        report = self.run({4: (1.0, 1.0 + 1e-7)})
+        assert not report.falsified and report.samples_run == 7

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from choquet.errors import DimensionMismatch, NotAGame
 from choquet.generate import random_capacity, random_set_function, random_signed_capacity
 from choquet.integral import (
+    _chain_sums,
     choquet,
     choquet_mobius,
     common_sort_permutation,
@@ -253,3 +254,20 @@ def test_unanimity_evaluation_is_min():
                 x = rng.uniform(-5, 5, n)
                 expected = min(x[i - 1] for i in members)
                 assert choquet(v, x).value == expected
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_chain_sums_equal_the_scalar_route_exactly(n):
+    """Two-decimal points (ties at every n), signed zeros, one game for all
+    rows and one game per row: every entry equals choquet bit for bit."""
+    rng = np.random.default_rng(n)
+    points = rng.integers(-300, 301, (60, n)) / 100
+    points[rng.random(points.shape) < 0.2] = -0.0
+    points[rng.random(points.shape) < 0.2] = 0.0
+    v = random_signed_capacity(n, rng)
+    games = [random_signed_capacity(n, rng) for _ in points]
+    shared = _chain_sums(v.values, points)
+    per_row = _chain_sums(np.array([g.values for g in games]), points)
+    for x, got, game, got_own in zip(points, shared, games, per_row):
+        for value, expected in ((got, choquet(v, x).value), (got_own, choquet(game, x).value)):
+            assert value == expected and np.signbit(value) == np.signbit(expected), (x, value, expected)

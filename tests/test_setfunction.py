@@ -1,5 +1,8 @@
 """Set-function representation, validation and transforms."""
 
+import operator
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +24,7 @@ from choquet.setfunction import (
     validate_capacity,
     validate_signed_capacity,
     zeta_transform,
+    _lattice_cumulation,
     _subset_statistic,
 )
 
@@ -304,3 +308,35 @@ def test_subset_statistic_matches_per_mask_fold(op, identity, reduce, n):
         for e in elements_from_mask(mask):
             expected = reduce(expected, coords[e - 1])
         assert out[mask] == expected, (mask, out[mask], expected)
+
+
+@pytest.mark.parametrize(
+    "op, identity", [(np.minimum, np.inf), (np.add, 0.0), (np.multiply, 1.0)]
+)
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_batched_subset_statistic_equals_the_point_fold_row_by_row(op, identity, n):
+    rng = np.random.default_rng(n)
+    points = rng.integers(-300, 301, (40, n)) / 100
+    points[rng.random(points.shape) < 0.1] = -0.0
+    rows = _subset_statistic(op, identity, points)
+    assert rows.shape == (40, 1 << n)
+    for row, x in zip(rows, points):
+        expected = _subset_statistic(op, identity, list(x))
+        assert np.array_equal(row, expected)
+        assert np.array_equal(np.signbit(row), np.signbit(expected))
+
+
+def test_batched_lattice_cumulation_equals_the_transform_row_by_row():
+    games = [random_signed_capacity(6, seed) for seed in range(20)]
+    rows = _lattice_cumulation(np.array([v.values for v in games]), operator.isub, "mobius_transform")
+    for row, v in zip(rows, games):
+        assert np.array_equal(row, mobius_transform(v).coefficients)
+
+
+@pytest.mark.parametrize("scalar", [float("inf"), float("-inf"), float("nan")])
+def test_scaling_by_a_non_finite_scalar_names_the_scalar(scalar):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite scalar") as info:
+            SetFunction(1, [0.0, 1.0]) * scalar
+    assert "mask" not in str(info.value)
