@@ -33,7 +33,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, GroundSetTooLarge, NonFiniteResult, UnsupportedGroundSet
 from .generate import random_signed_capacity
-from .integral import _chain_sums, _coerce_point, choquet  # noqa: F401 (callers patch and trace axioms.choquet)
+# choquet is not called here; it stays bound as axioms.choquet for callers that patch it.
+from .integral import _chain_sums, _coerce_point, choquet  # noqa: F401
 from .setfunction import (
     Capacity,
     SignedCapacity,
@@ -77,7 +78,7 @@ FALSIFY_TOLERANCE = 1e-6
 DEFAULT_TRIALS = 1000
 DEFAULT_SEED = 0
 
-# The linearity checker binds all 2**n - 1 unanimity games of 2**n values each.
+# Largest ground set of the linearity checker.
 _MAX_N_LINEARITY = 10
 
 # Checker trials are evaluated in blocks whose rows double from 1 up to the
@@ -141,14 +142,30 @@ class Aggregator:
         each); m is needed by the weighted-mean and multilinear families only.
         Call it with over/invalid ignored: rows that overflow come out non-finite."""
         if self.family == FAMILY_WEIGHTED_MEAN:
-            sizes = _subset_statistic(np.add, 0.0, np.ones(self.n))[1:]  # |S| per mask
-            return _row_dots(m[..., 1:], _subset_statistic(np.add, 0.0, X)[:, 1:] / sizes)
+            return _row_dots(m[..., 1:], self._basis_values(X))
         if self.family == FAMILY_MULTILINEAR:
             return _row_dots(m, _subset_statistic(np.multiply, 1.0, X))
         out = _chain_sums(values, X)
         if self.family == FAMILY_VSTAR_PATCH:
             out = np.where(np.all(values == _VSTAR_VALUES, axis=-1), _vstar_patch(X), out)
         return out
+
+    def _basis_values(self, X: np.ndarray) -> np.ndarray:
+        """The family at the unanimity game of every nonempty mask (column
+        mask - 1) on the rows of X: the mean of x over the mask for the
+        weighted-mean family, the product for multilinear and the minimum for
+        the others (no unanimity game is the capacity vstar-patch overrides).
+
+        Evaluating the bound unanimity games gives the same values up to the
+        sign of a zero: their Mobius coefficients are 0 or 1, and the chain
+        sum of a unanimity game adds signed zeros to the one nonzero term.
+        """
+        if self.family == FAMILY_WEIGHTED_MEAN:
+            sizes = _subset_statistic(np.add, 0.0, np.ones(self.n))[1:]  # |S| per mask
+            return _subset_statistic(np.add, 0.0, X)[:, 1:] / sizes
+        if self.family == FAMILY_MULTILINEAR:
+            return _subset_statistic(np.multiply, 1.0, X)[:, 1:]
+        return _subset_statistic(np.minimum, np.inf, X)[:, 1:]
 
     def _one_row(self, f: Callable[[np.ndarray], np.ndarray], x: Sequence[float]) -> float:
         """A bound family at one point; an overflow raises NonFiniteResult."""
@@ -164,9 +181,7 @@ def _row_dots(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """m @ row for every row, with m one vector or one per row.  One dot
     product per row: a matrix product sums in another order, and differs
     from it in the last bits."""
-    if m.ndim == 1:
-        return np.array([m @ row for row in rows])
-    return np.array([a @ b for a, b in zip(m, rows)])
+    return np.array([a @ b for a, b in zip(np.broadcast_to(m, rows.shape), rows)])
 
 
 def _vstar_patch(X: np.ndarray) -> np.ndarray:
@@ -453,17 +468,15 @@ def check_linearity_in_capacity(
 ) -> AxiomReport:
     """f_v(x) = sum over T of m_v(T) * f_{v_T}(x) for sampled games v.
 
-    The sum runs over the nonzero coefficients in ascending mask order (the
-    empty set is skipped: every game has Mobius coefficient 0 there).  On a
-    ground set of size 3, trial 0 evaluates the patched capacity of the
-    vstar family at x = (0, 2, 1), the sample that separates that family.
-    Each block of games is Mobius-transformed once, for the family's own
-    evaluation and for the expansion coefficients.
-    Bounded at n <= 10: a trial costs O(4**n) time, the bound basis O(4**n) memory.
+    The sum runs over the nonempty masks in ascending order (every game has
+    Mobius coefficient 0 on the empty set), with f_{v_T} from
+    Aggregator._basis_values; each block of games is Mobius-transformed once
+    for both sides.  On a ground set of size 3, trial 0 evaluates the
+    patched capacity of the vstar family at x = (0, 2, 1), the sample that
+    separates that family.  Bounded at n <= 10.
     """
     if agg.n > _MAX_N_LINEARITY:
         raise GroundSetTooLarge(agg.n, _MAX_N_LINEARITY)
-    bind_basis = lambda: [agg._bind(unanimity_game(agg.n, t)) for t in range(1, 1 << agg.n)]
 
     def draw(trial, rng):
         if trial == 0 and agg.n == 3:
@@ -474,16 +487,18 @@ def check_linearity_in_capacity(
             x = rng.uniform(-5.0, 5.0, agg.n)
         return {"family": agg.family, "capacity": v.values, "x": x}
 
-    def sides(basis, block):
+    def sides(_, block):
         V, X = _stack(block, "capacity"), _stack(block, "x")
         m = _lattice_cumulation(V, operator.isub, "mobius_transform")
+        # A zero term adds a signed zero, which leaves a sum that starts at
+        # +0.0 as it is: the same sum as skipping it.
         rhs = np.zeros(len(block))
-        for coeff, f_t in zip(m[:, 1:].T, basis):
-            rhs += np.where(coeff != 0.0, coeff * f_t(X), 0.0)  # adding +0.0 leaves rhs as it is
+        for coeff, basis_value in zip(m[:, 1:].T, agg._basis_values(X).T):
+            rhs += coeff * basis_value
         return agg._evaluate(V, m, X), rhs
 
     return _run_checker(AXIOM_LINEARITY_IN_CAPACITY, agg, trials, seed, tolerance,
-                        draw, sides, bind_basis)
+                        draw, sides, lambda: None)
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,10 @@ def _lattice_passes(arr: np.ndarray):
     bit for bit.
     """
     rows = arr.shape[:-1]
-    lo, hi = (slice(None),) * arr.ndim + (0,), (slice(None),) * arr.ndim + (1,)
+    # blocks[..., 0, :] and blocks[..., 1, :] as index tuples built once:
+    # an Ellipsis index costs more on every pass.
+    lo = (slice(None),) * arr.ndim + (0,)
+    hi = lo[:-1] + (1,)
     for i in range(arr.shape[-1].bit_length() - 1):
         blocks = arr.reshape(rows + (-1, 2, 1 << i))
         yield i, blocks[lo], blocks[hi]

@@ -104,6 +104,21 @@ class TestEvaluateFamily:
         for x in np.random.default_rng(2).uniform(-5, 5, (2000, 3)).tolist():
             assert evaluate_family(agg, vstar_capacity(), x) == min((x[0] + x[1]) / 2.0, x[2])
 
+    @pytest.mark.parametrize(
+        "family, n",
+        [(FAMILY_CHOQUET, 1), (FAMILY_CHOQUET, 5), (FAMILY_WEIGHTED_MEAN, 4),
+         (FAMILY_MULTILINEAR, 4), (FAMILY_VSTAR_PATCH, 3)],
+    )
+    def test_basis_values_are_the_bound_unanimity_games(self, family, n):
+        agg = Aggregator(family, n)
+        rng = np.random.default_rng(n)
+        X = rng.integers(-300, 301, (50, n)) / 100
+        X[rng.random(X.shape) < 0.2] = -0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            basis = agg._basis_values(X)
+            for t in range(1, 1 << n):
+                assert np.array_equal(basis[:, t - 1], agg._bind(unanimity_game(n, t))(X))
+
     def test_vstar_patch_elsewhere_is_the_integral(self):
         agg = Aggregator(FAMILY_VSTAR_PATCH, 3)
         rng = np.random.default_rng(0)
