@@ -270,37 +270,38 @@ def _stack(block: list, key: str) -> np.ndarray:
 
 
 def _run_checker(
-    axiom: str, agg: Aggregator, trials: int, seed: int, tolerance: float,
-    draw, sides, bind, *args,
+    axiom: str, agg: Aggregator, game: Optional[SignedCapacity],
+    trials: int, seed: int, tolerance: float, draw, sides,
 ) -> AxiomReport:
     """Draw the trials with draw(trial, rng) -> inputs and evaluate them in
-    blocks with sides(bound, block) -> (lhs, rhs), until the sides differ.
+    blocks with sides(f, block) -> (lhs, rhs), until the sides differ.
 
-    bound = bind(*args) is computed once, after trials and tolerance are
-    checked.  Each trial draws from its own _trial_rng stream, in trial
-    order; a block's two sides are arrays with one row per trial, computed
-    with over/invalid ignored.  The first row that is over the tolerance or
-    non-finite decides: over the tolerance ends the run with a witness
-    holding its inputs (arrays converted to lists), non-finite raises
-    NonFiniteResult naming agg's operation.  Otherwise every trial runs and
-    the report is satisfied.
+    f = agg._bind(game) (None without a game) is computed once, after trials
+    and tolerance are checked.  Each trial draws from its own _trial_rng
+    stream, in trial order; a block's two sides are arrays with one row per
+    trial, computed with over/invalid ignored.  The first row that is over
+    the tolerance or non-finite decides: over the tolerance ends the run
+    with a witness holding its inputs (arrays converted to lists),
+    non-finite raises NonFiniteResult naming agg's operation.  Otherwise
+    every trial runs and the report is satisfied.
     """
     _require_trials(trials)
     if not (isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
-    bound = bind(*args)
+    f = None if game is None else agg._bind(game)
     for start, stop in _block_bounds(trials, agg.n):
         block = [draw(trial, _trial_rng(seed, trial)) for trial in range(start, stop)]
         with np.errstate(over="ignore", invalid="ignore"):
-            lhs, rhs = sides(bound, block)
+            lhs, rhs = sides(f, block)
             within = np.abs(lhs - rhs) <= tolerance  # False where a side is non-finite
         if not within.all():
             row = int(np.argmin(within))
             left, right = float(lhs[row]), float(rhs[row])
             if not (isfinite(left) and isfinite(right)):
                 raise NonFiniteResult(agg._operation)
-            inputs = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in block[row].items()}
-            witness = Witness(inputs, left, right)
+            inputs = block[row]
+            plain = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in inputs.items()}
+            witness = Witness(plain, left, right)
             return AxiomReport(axiom, VERDICT_FALSIFIED, witness, start + row + 1, seed, tolerance)
     return AxiomReport(axiom, VERDICT_SATISFIED, None, trials, seed, tolerance)
 
@@ -340,8 +341,7 @@ def check_comonotonic_additivity(
         X, Y = _stack(block, "x"), _stack(block, "y")
         return f(X + Y), f(X) + f(Y)
 
-    return _run_checker(AXIOM_COMONOTONIC_ADDITIVITY, agg, trials, seed, tolerance,
-                        draw, sides, agg._bind, v)
+    return _run_checker(AXIOM_COMONOTONIC_ADDITIVITY, agg, v, trials, seed, tolerance, draw, sides)
 
 
 def check_positive_homogeneity(
@@ -361,8 +361,7 @@ def check_positive_homogeneity(
         X, r = _stack(block, "x"), _stack(block, "r")
         return f(r[:, None] * X), r * f(X)
 
-    return _run_checker(AXIOM_POSITIVE_HOMOGENEITY, agg, trials, seed, tolerance,
-                        draw, sides, agg._bind, v)
+    return _run_checker(AXIOM_POSITIVE_HOMOGENEITY, agg, v, trials, seed, tolerance, draw, sides)
 
 
 def check_comonotonic_affinity(
@@ -385,8 +384,7 @@ def check_comonotonic_affinity(
         X, Y, lam = _stack(block, "x"), _stack(block, "x_prime"), _stack(block, "lambda")
         return f(lam[:, None] * X + (1.0 - lam[:, None]) * Y), lam * f(X) + (1.0 - lam) * f(Y)
 
-    return _run_checker(AXIOM_COMONOTONIC_AFFINITY, agg, trials, seed, tolerance,
-                        draw, sides, agg._bind, v)
+    return _run_checker(AXIOM_COMONOTONIC_AFFINITY, agg, v, trials, seed, tolerance, draw, sides)
 
 
 def check_interval_scale_covariance(
@@ -419,8 +417,7 @@ def check_interval_scale_covariance(
         X, r, s = _stack(block, "x"), _stack(block, "r"), _stack(block, "s")
         return f(r[:, None] * X + s[:, None]), r * f(X) + s
 
-    return _run_checker(AXIOM_INTERVAL_SCALE, agg, trials, seed, tolerance,
-                        draw, sides, agg._bind, game)
+    return _run_checker(AXIOM_INTERVAL_SCALE, agg, game, trials, seed, tolerance, draw, sides)
 
 
 def _zero_sides(f, block):
@@ -456,8 +453,7 @@ def check_zero_on_basis(
             x[zeroed - 1] = 0.0
         return {"family": agg.family, "subset": members, "x": x, "zeroed_element": zeroed}
 
-    return _run_checker(AXIOM_ZERO_ON_BASIS, agg, trials, seed, tolerance,
-                        draw, _zero_sides, agg._bind, game)
+    return _run_checker(AXIOM_ZERO_ON_BASIS, agg, game, trials, seed, tolerance, draw, _zero_sides)
 
 
 def check_linearity_in_capacity(
@@ -497,8 +493,7 @@ def check_linearity_in_capacity(
             rhs += coeff * basis_value
         return agg._evaluate(V, m, X), rhs
 
-    return _run_checker(AXIOM_LINEARITY_IN_CAPACITY, agg, trials, seed, tolerance,
-                        draw, sides, lambda: None)
+    return _run_checker(AXIOM_LINEARITY_IN_CAPACITY, agg, None, trials, seed, tolerance, draw, sides)
 
 
 # ---------------------------------------------------------------------------
@@ -601,8 +596,8 @@ def _paper_replay(agg: Aggregator, seed: int) -> AxiomReport:
         return check_linearity_in_capacity(agg, 1, seed)  # its trial 0
     inputs = {"family": agg.family, "subset": [1, 2], "x": [0.0, 2.0], "zeroed_element": 1}
     game = unanimity_game(agg.n, [1, 2])
-    return _run_checker(AXIOM_ZERO_ON_BASIS, agg, 1, seed, FALSIFY_TOLERANCE,
-                        lambda trial, rng: inputs, _zero_sides, agg._bind, game)
+    return _run_checker(AXIOM_ZERO_ON_BASIS, agg, game, 1, seed, FALSIFY_TOLERANCE,
+                        lambda trial, rng: inputs, _zero_sides)
 
 
 def _run_condition(agg: Aggregator, condition: str, trials: int, seed: int):

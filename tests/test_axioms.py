@@ -370,7 +370,7 @@ class TestBlockRunner:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return axioms_module._run_checker("stub", self.AGG, 7, 0, 1e-6, draw, sides, lambda: None)
+            return axioms_module._run_checker("stub", self.AGG, None, 7, 0, 1e-6, draw, sides)
 
     def test_trials_four_and_five_share_a_block(self):
         assert list(axioms_module._block_bounds(7, 2)) == [(0, 1), (1, 3), (3, 7)]
