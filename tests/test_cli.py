@@ -207,6 +207,19 @@ class TestCheck:
         assert code == 2
         assert "element 3" in err
 
+    @pytest.mark.parametrize("axiom_args", [
+        ["--axiom", "comonotonic-additivity", "--n", "3"],
+        ["--axiom", "positive-homogeneity", "--capacity", "GAME2"],
+        ["--axiom", "interval-scale", "--family", "multilinear", "--subset", "1,2"],
+        ["--axiom", "linearity-in-capacity", "--n", "2"],
+    ])
+    def test_negative_seed_exit_2(self, axiom_args, game2_file, capsys):
+        args = [game2_file if a == "GAME2" else a for a in axiom_args]
+        code, out, err = run(["check", *args, "--trials", "3", "--seed", "-1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: expected non-negative integer\n"
+
     def test_single_trial_deterministic_report(self, capsys):
         args = ["check", "--axiom", "comonotonic-affinity", "--n", "4",
                 "--trials", "1", "--seed", "9", "--format", "json"]
@@ -232,6 +245,12 @@ class TestIndependenceSuite:
             return [(c["family"], c["condition"], c["falsified"]) for c in json.loads(out)["cells"]]
 
         assert verdicts("1") == verdicts("2")
+
+    def test_negative_seed_exit_2(self, capsys):
+        code, out, err = run(["independence-suite", "--trials", "3", "--seed", "-1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: expected non-negative integer\n"
 
     def test_paper_witnesses_only(self, capsys):
         code, out, _ = run(

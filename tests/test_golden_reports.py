@@ -13,7 +13,10 @@ blocks, by running `PYTHONPATH=src python tests/test_golden_reports.py`
 with the per-trial scalar code; refactors must reproduce it byte for byte.
 The trial counts cross block boundaries, and a tolerance of 0 falsifies on
 any last-bit difference between the two sides, so a reordering of the
-arithmetic shows as a changed witness.  An intended change of output means
+arithmetic shows as a changed witness.  The EDGE calls were added before
+per-trial streams were seeded a block at a time: seed 2**32 - 1 is the
+largest whose trial streams come from the block-seeded path, and 2**32 the
+smallest that falls back to `default_rng([seed, trial])`.  An intended change of output means
 recording the fixture again by the same command and saying why in the
 change log.
 """
@@ -39,6 +42,10 @@ AGGREGATORS = (
 SEEDS = (0, 1, 2)
 TRIALS = (1, 2, 3, 7, 64, 200)
 TOLERANCES = (1e-6, 0.0)
+
+EDGE_AGGREGATORS = (("choquet", 3), ("multilinear", 2))
+EDGE_SEEDS = (2**32 - 1, 2**32)
+EDGE_TRIALS = (1, 7, 200)
 
 GAME_CHECKERS = {
     axioms.AXIOM_COMONOTONIC_ADDITIVITY: axioms.check_comonotonic_additivity,
@@ -70,12 +77,12 @@ def report(family: str, n: int, axiom: str, subset, seed: int, trials: int, tole
     return axioms.check_linearity_in_capacity(agg, trials, seed, tolerance)
 
 
-def digests(family: str, n: int, axiom: str) -> dict[str, str]:
+def digests(family: str, n: int, axiom: str, seeds=SEEDS, trial_counts=TRIALS) -> dict[str, str]:
     """Key -> report digest for every call of one checker on one aggregator."""
     out = {}
     for subset in subsets(n) if axiom in SUBSET_CHECKERS else ["-"]:
-        for seed in SEEDS:
-            for trials in TRIALS:
+        for seed in seeds:
+            for trials in trial_counts:
                 for tolerance in TOLERANCES:
                     r = report(family, n, axiom, subset, seed, trials, tolerance)
                     text = json.dumps(r.to_dict(), sort_keys=True)
@@ -85,6 +92,7 @@ def digests(family: str, n: int, axiom: str) -> dict[str, str]:
 
 
 GROUPS = [(family, n, axiom) for family, n in AGGREGATORS for axiom in axioms.AXIOMS]
+EDGE_GROUPS = [(family, n, axiom) for family, n in EDGE_AGGREGATORS for axiom in axioms.AXIOMS]
 
 
 @pytest.mark.parametrize("family, n, axiom", GROUPS)
@@ -95,12 +103,25 @@ def test_golden_reports(family, n, axiom):
     assert got == expected
 
 
+@pytest.mark.parametrize("family, n, axiom", EDGE_GROUPS)
+def test_golden_reports_at_the_seed_edge(family, n, axiom):
+    golden = json.loads(GOLDEN_PATH.read_text())
+    got = digests(family, n, axiom, EDGE_SEEDS, EDGE_TRIALS)
+    expected = {k: golden[k] for k in got}
+    assert got == expected
+
+
+def _n_calls(groups, seeds, trial_counts) -> int:
+    return sum(
+        len(seeds) * len(trial_counts) * len(TOLERANCES)
+        * (len(subsets(n)) if axiom in SUBSET_CHECKERS else 1)
+        for _, n, axiom in groups
+    )
+
+
 def test_fixture_holds_exactly_these_calls():
     golden = json.loads(GOLDEN_PATH.read_text())
-    n_calls = sum(
-        len(SEEDS) * len(TRIALS) * len(TOLERANCES) * (len(subsets(n)) if axiom in SUBSET_CHECKERS else 1)
-        for _, n, axiom in GROUPS
-    )
+    n_calls = _n_calls(GROUPS, SEEDS, TRIALS) + _n_calls(EDGE_GROUPS, EDGE_SEEDS, EDGE_TRIALS)
     assert len(golden) == n_calls
 
 
@@ -108,5 +129,7 @@ if __name__ == "__main__":
     recorded = {}
     for group in GROUPS:
         recorded.update(digests(*group))
+    for group in EDGE_GROUPS:
+        recorded.update(digests(*group, EDGE_SEEDS, EDGE_TRIALS))
     GOLDEN_PATH.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(recorded)} reports in {GOLDEN_PATH}", file=sys.stderr)
