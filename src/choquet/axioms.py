@@ -32,9 +32,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, GroundSetTooLarge, NonFiniteResult, UnsupportedGroundSet
-from .generate import random_signed_capacity
-# choquet is not called here; it stays bound as axioms.choquet for callers that patch it.
-from .integral import _chain_sums, _coerce_point, choquet  # noqa: F401
+from .integral import _chain_sums, _coerce_point, choquet
 from .setfunction import (
     Capacity,
     SignedCapacity,
@@ -113,11 +111,23 @@ class Aggregator:
             )
 
     def evaluate(self, v: SignedCapacity, x: Sequence[float]) -> float:
-        return self._one_row(self._bind(v), x)
+        """The family at game v and point x; an overflow raises NonFiniteResult."""
+        f = self._bind(v)  # checks the dimension before the point
+        if self.family == FAMILY_CHOQUET or (
+            self.family == FAMILY_VSTAR_PATCH and not np.array_equal(v.values, _VSTAR_VALUES)
+        ):
+            # One point takes the scalar chain sum, which _chain_sums equals bit for bit.
+            return choquet(v, x).value
+        X = np.array([_coerce_point(x, self.n)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = float(f(X)[0])
+        if not isfinite(value):
+            raise NonFiniteResult(self._operation)
+        return value
 
     def basis_evaluate(self, subset: SubsetLike, x: Sequence[float]) -> float:
         """Evaluate the family at the unanimity game of the given subset."""
-        return self._one_row(self._bind(unanimity_game(self.n, subset)), x)
+        return self.evaluate(unanimity_game(self.n, subset), x)
 
     @property
     def _operation(self) -> str:
@@ -166,15 +176,6 @@ class Aggregator:
         if self.family == FAMILY_MULTILINEAR:
             return _subset_statistic(np.multiply, 1.0, X)[:, 1:]
         return _subset_statistic(np.minimum, np.inf, X)[:, 1:]
-
-    def _one_row(self, f: Callable[[np.ndarray], np.ndarray], x: Sequence[float]) -> float:
-        """A bound family at one point; an overflow raises NonFiniteResult."""
-        X = np.array([_coerce_point(x, self.n)])
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = float(f(X)[0])
-        if not isfinite(value):
-            raise NonFiniteResult(self._operation)
-        return value
 
 
 def _row_dots(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -248,6 +249,137 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(trial)])
 
 
+# Trial t of a checker called with seed s draws from the stream of
+# default_rng([s, t]).  For 0 <= s < 2**32 and 0 <= t < 2**32 the
+# SeedSequence entropy is exactly the two 32-bit words [s, t], and
+# _pcg64_states reproduces numpy's SeedSequence pool mixing,
+# generate_state(4, np.uint64) and PCG64 seeding for a whole block of trials
+# at once.  numpy keeps these streams fixed across releases (NEP 19); a test
+# compares them with default_rng.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+_MIX_LEFT, _MIX_RIGHT = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_steps(constant: int, multiplier: int, steps: int) -> list[tuple[int, int]]:
+    """(xor, multiply) constants of successive SeedSequence hash steps: each
+    step xors the running constant into a word, advances the constant by the
+    multiplier and multiplies the word by it."""
+    pairs = []
+    for _ in range(steps):
+        advanced = constant * multiplier & _MASK32
+        pairs.append((constant, advanced))
+        constant = advanced
+    return pairs
+
+
+def _columns(pairs: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiply constants of hash steps, one row each."""
+    xors, multipliers = zip(*pairs)
+    return np.array(xors, dtype=np.uint32)[:, None], np.array(multipliers, dtype=np.uint32)[:, None]
+
+
+_POOL_STEPS = _hash_steps(0x43B0D7E5, 0x931E8875, 16)  # 4 entropy words, then 12 mixes
+_ENTROPY_HASH = _columns(_POOL_STEPS[:4])
+# SeedSequence mixes pool word s into the other three in ascending order,
+# with pool hash steps 4 + 3s, 4 + 3s + 1 and 4 + 3s + 2.  _pcg64_states
+# holds the pool rotated so that round s mixes row s into rows s+1..s+3,
+# which are the words (s+1) % 4, (s+2) % 4 and (s+3) % 4; these are their
+# hash steps.
+_CROSS_HASH = [
+    _columns([_POOL_STEPS[4 + 3 * s + (d if d < s else d - 1)] for d in ((s + 1) % 4, (s + 2) % 4, (s + 3) % 4)])
+    for s in range(4)
+]
+_STATE_HASH = _columns(_hash_steps(0x8B51F9DD, 0x58F38DED, 8))  # generate_state's 8 words
+
+
+def _hash(words: np.ndarray, constants: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """One SeedSequence hash step on every word, with the constants of each row."""
+    xor, multiplier = constants
+    words = words ^ xor
+    words *= multiplier
+    words ^= words >> 16
+    return words
+
+
+def _pcg64_states(seed: int, trials: np.ndarray) -> list[tuple[int, int]]:
+    """The (state, inc) pair of default_rng([seed, trial])'s PCG64 for each
+    of the increasing trials.  Seeds and trials outside [0, 2**32) are
+    seeded by default_rng itself (a negative seed raises its ValueError)."""
+    seed = int(seed)
+    if not (0 <= seed <= _MASK32 and trials[-1] <= _MASK32):
+        states = [_trial_rng(seed, trial).bit_generator.state["state"] for trial in trials]
+        return [(s["state"], s["inc"]) for s in states]
+    pool = np.zeros((7, len(trials)), dtype=np.uint32)  # rows 4..6 repeat words 0..2
+    pool[0] = seed
+    pool[1] = trials
+    pool[:4] = _hash(pool[:4], _ENTROPY_HASH)
+    for s, constants in enumerate(_CROSS_HASH):
+        if s:
+            pool[s + 3] = pool[s - 1]  # word s - 1 as round s - 1 left it
+        mixed = _hash(pool[s], constants)
+        mixed *= _MIX_RIGHT
+        targets = pool[s + 1:s + 4]
+        targets *= _MIX_LEFT
+        targets -= mixed
+        targets ^= targets >> 16
+    # Rows 3..6 now hold words 3, 0, 1, 2; generate_state cycles over them.
+    words = _hash(pool[[4, 5, 6, 3, 4, 5, 6, 3]], _STATE_HASH).astype(np.uint64)
+    # Little-endian word pairs are PCG64's initstate (high, low) and initseq (high, low).
+    state_hi, state_lo, seq_hi, seq_lo = (words[0::2] | words[1::2] << 32).tolist()
+    states = []
+    for a, b, c, d in zip(state_hi, state_lo, seq_hi, seq_lo):
+        inc = (c << 65 | d << 1 | 1) & _MASK128
+        states.append(((((a << 64 | b) + inc) * _PCG64_MULTIPLIER + inc) & _MASK128, inc))
+    return states
+
+
+def _trial_states(seed: int, trials: int):
+    """The (state, inc) pair of every trial's PCG64 in trial order, computed
+    lazily in chunks that double from 1 trial up to _BLOCK_VALUES trials
+    (the blocks of a ground set of size 0), so that the trials of many small
+    blocks share one _pcg64_states call."""
+    for start, stop in _block_bounds(trials, 0):
+        yield from _pcg64_states(seed, np.arange(start, stop))
+
+
+def _trial_words(bits: np.random.PCG64, states, rows: int, width: int) -> np.ndarray:
+    """The first `width` raw 64-bit words of the streams of the next `rows`
+    (state, inc) pairs of states, one row each, drawn by setting bits to
+    each state in turn."""
+    words = np.empty((rows, width), dtype=np.uint64)
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for row, (pcg_state, inc) in zip(range(rows), states):
+        pcg["state"], pcg["inc"] = pcg_state, inc
+        bits.state = state
+        words[row] = bits.random_raw(width)
+    return words
+
+
+def _doubles(words: np.ndarray) -> np.ndarray:
+    """Generator.random() from each raw word, bit for bit: its top 53 bits
+    over 2**53."""
+    return (words >> 11) * (1.0 / 9007199254740992.0)
+
+
+def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
+    """Generator.uniform(low, high) from random() draws u, bit for bit:
+    numpy computes low + (high - low) * u."""
+    return low + (high - low) * u
+
+
+def _bounded_integers(words: np.ndarray, m: int) -> np.ndarray:
+    """Generator.integers(m) for 1 <= m < 2**32 from each raw word: Lemire's
+    method on the word's low 32 bits.  Where that method would reject the
+    word and draw again (about once in 2**32 / m words) the entry is -1."""
+    product = (words & _MASK32) * m
+    out = (product >> 32).astype(np.int64)
+    out[(product & _MASK32) < (_MASK32 + 1 - m) % m] = -1
+    return out
+
+
 def _require_trials(trials: int) -> None:
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -264,59 +396,71 @@ def _block_bounds(trials: int, n: int):
         start = stop
 
 
-def _stack(block: list, key: str) -> np.ndarray:
-    """One input of every trial in a block, stacked along a leading axis."""
-    return np.array([inputs[key] for inputs in block])
-
-
 def _run_checker(
     axiom: str, agg: Aggregator, game: Optional[SignedCapacity],
-    trials: int, seed: int, tolerance: float, draw, sides,
+    trials: int, seed: int, tolerance: float, fixed: dict, width: int, draw, sides,
 ) -> AxiomReport:
-    """Draw the trials with draw(trial, rng) -> inputs and evaluate them in
-    blocks with sides(f, block) -> (lhs, rhs), until the sides differ.
+    """Draw the trials in blocks with draw(numbers, words) -> inputs and
+    evaluate them with sides(f, inputs) -> (lhs, rhs), until the sides differ.
 
     f = agg._bind(game) (None without a game) is computed once, after trials
-    and tolerance are checked.  Each trial draws from its own _trial_rng
-    stream, in trial order; a block's two sides are arrays with one row per
-    trial, computed with over/invalid ignored.  The first row that is over
-    the tolerance or non-finite decides: over the tolerance ends the run
-    with a witness holding its inputs (arrays converted to lists),
-    non-finite raises NonFiniteResult naming agg's operation.  Otherwise
-    every trial runs and the report is satisfied.
+    and tolerance are checked.  For a block of trial numbers, words holds
+    the first `width` raw words of each trial's stream (see _trial_states),
+    and inputs maps each witness key that varies by trial to an array with
+    one row per trial.  The two sides are arrays with one row per trial,
+    computed with over/invalid ignored.  The first row that is over the
+    tolerance or non-finite decides: over the tolerance ends the run with a
+    witness whose inputs are the family, the fixed entries and that row of
+    every input (arrays converted to lists and numbers), non-finite raises
+    NonFiniteResult naming agg's operation.  Otherwise every trial runs and
+    the report is satisfied.
     """
     _require_trials(trials)
     if not (isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     f = None if game is None else agg._bind(game)
+    bits = np.random.PCG64(0)  # every trial sets its own state; this call's alone
+    states = _trial_states(seed, trials)
     for start, stop in _block_bounds(trials, agg.n):
-        block = [draw(trial, _trial_rng(seed, trial)) for trial in range(start, stop)]
+        inputs = draw(np.arange(start, stop), _trial_words(bits, states, stop - start, width))
         with np.errstate(over="ignore", invalid="ignore"):
-            lhs, rhs = sides(f, block)
+            lhs, rhs = sides(f, inputs)
             within = np.abs(lhs - rhs) <= tolerance  # False where a side is non-finite
         if not within.all():
             row = int(np.argmin(within))
             left, right = float(lhs[row]), float(rhs[row])
             if not (isfinite(left) and isfinite(right)):
                 raise NonFiniteResult(agg._operation)
-            inputs = block[row]
-            plain = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in inputs.items()}
+            plain = {"family": agg.family}
+            plain.update((k, v.tolist() if isinstance(v, np.ndarray) else v) for k, v in fixed.items())
+            plain.update((k, v[row].tolist()) for k, v in inputs.items())
             witness = Witness(plain, left, right)
             return AxiomReport(axiom, VERDICT_FALSIFIED, witness, start + row + 1, seed, tolerance)
     return AxiomReport(axiom, VERDICT_SATISFIED, None, trials, seed, tolerance)
 
 
-def _monotone_piecewise_map(rng: np.random.Generator):
-    """Random nondecreasing piecewise-linear map on the sampling range."""
-    knots = -7.0 + np.cumsum(rng.uniform(0.1, 3.5, 5))
-    levels = rng.uniform(-5.0, 5.0) + np.cumsum(rng.uniform(0.0, 2.0, 5))
-    return lambda base: np.interp(base, knots, levels)
+# Raw words a comonotonic pair takes after its n base coordinates: two
+# monotone maps of 5 knot gaps, a first level and 5 level rises each.
+_PAIR_WORDS = 22
+
+# log(0.1) and log(10) as np.log gives them: the range of log r.
+_LOG_R = (np.log(0.1), np.log(10.0))
 
 
-def _comonotonic_pair(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two comonotonic points: monotone maps applied to a shared base vector."""
-    base = rng.uniform(-5.0, 5.0, n)
-    return _monotone_piecewise_map(rng)(base), _monotone_piecewise_map(rng)(base)
+def _monotone_maps(base: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Each row of base through its own random nondecreasing piecewise-linear
+    map, drawn from 11 random() draws per row: 5 knot gaps on [0.1, 3.5]
+    from -7, a first level on [-5, 5] and 5 level rises on [0, 2]."""
+    knots = -7.0 + np.cumsum(_uniform(u[:, :5], 0.1, 3.5), axis=1)
+    levels = _uniform(u[:, 5:6], -5.0, 5.0) + np.cumsum(_uniform(u[:, 6:11], 0.0, 2.0), axis=1)
+    return np.array([np.interp(b, k, v) for b, k, v in zip(base, knots, levels)])
+
+
+def _comonotonic_pairs(u: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Base vectors on [-5, 5]^n and two comonotonic points from each: two
+    monotone maps applied to the shared base vector (n + _PAIR_WORDS draws)."""
+    base = _uniform(u[:, :n], -5.0, 5.0)
+    return base, _monotone_maps(base, u[:, n:n + 11]), _monotone_maps(base, u[:, n + 11:n + 22])
 
 
 def check_comonotonic_additivity(
@@ -328,20 +472,20 @@ def check_comonotonic_additivity(
 ) -> AxiomReport:
     """f(x + y) = f(x) + f(y) on sampled comonotonic pairs (x, y).
 
-    Trial 0 uses the degenerate pair (x, 0), which reduces to f(0) = 0.
+    Trial 0 uses the degenerate pair (base, 0), which reduces to f(0) = 0.
     """
-    def draw(trial, rng):
-        if trial == 0:
-            x, y = rng.uniform(-5.0, 5.0, agg.n), np.zeros(agg.n)
-        else:
-            x, y = _comonotonic_pair(rng, agg.n)
-        return {"family": agg.family, "capacity": v.values, "x": x, "y": y}
+    def draw(numbers, words):
+        base, x, y = _comonotonic_pairs(_doubles(words), agg.n)
+        first = numbers == 0
+        x[first], y[first] = base[first], 0.0
+        return {"x": x, "y": y}
 
-    def sides(f, block):
-        X, Y = _stack(block, "x"), _stack(block, "y")
+    def sides(f, inputs):
+        X, Y = inputs["x"], inputs["y"]
         return f(X + Y), f(X) + f(Y)
 
-    return _run_checker(AXIOM_COMONOTONIC_ADDITIVITY, agg, v, trials, seed, tolerance, draw, sides)
+    return _run_checker(AXIOM_COMONOTONIC_ADDITIVITY, agg, v, trials, seed, tolerance,
+                        {"capacity": v.values}, agg.n + _PAIR_WORDS, draw, sides)
 
 
 def check_positive_homogeneity(
@@ -351,17 +495,22 @@ def check_positive_homogeneity(
     seed: int = DEFAULT_SEED,
     tolerance: float = FALSIFY_TOLERANCE,
 ) -> AxiomReport:
-    """f(r * x) = r * f(x) for sampled r > 0 (log-uniform on [0.1, 10])."""
-    def draw(trial, rng):
-        x = rng.uniform(-5.0, 5.0, agg.n)
-        r = 1.0 if trial == 0 else float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
-        return {"family": agg.family, "capacity": v.values, "x": x, "r": r}
+    """f(r * x) = r * f(x) for sampled r > 0 (log-uniform on [0.1, 10]).
 
-    def sides(f, block):
-        X, r = _stack(block, "x"), _stack(block, "r")
+    Trial 0 uses r = 1.
+    """
+    def draw(numbers, words):
+        u = _doubles(words)
+        r = np.exp(_uniform(u[:, agg.n], *_LOG_R))
+        r[numbers == 0] = 1.0
+        return {"x": _uniform(u[:, :agg.n], -5.0, 5.0), "r": r}
+
+    def sides(f, inputs):
+        X, r = inputs["x"], inputs["r"]
         return f(r[:, None] * X), r * f(X)
 
-    return _run_checker(AXIOM_POSITIVE_HOMOGENEITY, agg, v, trials, seed, tolerance, draw, sides)
+    return _run_checker(AXIOM_POSITIVE_HOMOGENEITY, agg, v, trials, seed, tolerance,
+                        {"capacity": v.values}, agg.n + 1, draw, sides)
 
 
 def check_comonotonic_affinity(
@@ -375,16 +524,18 @@ def check_comonotonic_affinity(
 
     Trials 0 and 1 pin the endpoint cases lam = 0 and lam = 1.
     """
-    def draw(trial, rng):
-        x, y = _comonotonic_pair(rng, agg.n)
-        lam = float(trial) if trial < 2 else float(rng.uniform(0.0, 1.0))
-        return {"family": agg.family, "capacity": v.values, "x": x, "x_prime": y, "lambda": lam}
+    def draw(numbers, words):
+        u = _doubles(words)
+        _, x, y = _comonotonic_pairs(u, agg.n)
+        lam = np.where(numbers < 2, numbers, _uniform(u[:, agg.n + _PAIR_WORDS], 0.0, 1.0))
+        return {"x": x, "x_prime": y, "lambda": lam}
 
-    def sides(f, block):
-        X, Y, lam = _stack(block, "x"), _stack(block, "x_prime"), _stack(block, "lambda")
+    def sides(f, inputs):
+        X, Y, lam = inputs["x"], inputs["x_prime"], inputs["lambda"]
         return f(lam[:, None] * X + (1.0 - lam[:, None]) * Y), lam * f(X) + (1.0 - lam) * f(Y)
 
-    return _run_checker(AXIOM_COMONOTONIC_AFFINITY, agg, v, trials, seed, tolerance, draw, sides)
+    return _run_checker(AXIOM_COMONOTONIC_AFFINITY, agg, v, trials, seed, tolerance,
+                        {"capacity": v.values}, agg.n + _PAIR_WORDS + 1, draw, sides)
 
 
 def check_interval_scale_covariance(
@@ -404,25 +555,27 @@ def check_interval_scale_covariance(
     game = unanimity_game(agg.n, s_mask)
     members = list(elements_from_mask(s_mask))
 
-    def draw(trial, rng):
-        if trial == 0:
-            x, r, s = np.ones(agg.n), 1.0, 1.0
-        else:
-            x = rng.uniform(-5.0, 5.0, agg.n)
-            r = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
-            s = float(rng.uniform(-5.0, 5.0))
-        return {"family": agg.family, "subset": members, "x": x, "r": r, "s": s}
+    def draw(numbers, words):
+        u = _doubles(words)
+        x = _uniform(u[:, :agg.n], -5.0, 5.0)
+        r = np.exp(_uniform(u[:, agg.n], *_LOG_R))
+        s = _uniform(u[:, agg.n + 1], -5.0, 5.0)
+        first = numbers == 0
+        x[first], r[first], s[first] = 1.0, 1.0, 1.0
+        return {"x": x, "r": r, "s": s}
 
-    def sides(f, block):
-        X, r, s = _stack(block, "x"), _stack(block, "r"), _stack(block, "s")
+    def sides(f, inputs):
+        X, r, s = inputs["x"], inputs["r"], inputs["s"]
         return f(r[:, None] * X + s[:, None]), r * f(X) + s
 
-    return _run_checker(AXIOM_INTERVAL_SCALE, agg, game, trials, seed, tolerance, draw, sides)
+    return _run_checker(AXIOM_INTERVAL_SCALE, agg, game, trials, seed, tolerance,
+                        {"subset": members}, agg.n + 2, draw, sides)
 
 
-def _zero_sides(f, block):
+def _zero_sides(f, inputs):
     """Both sides of the zero-on-basis condition: f(x) and 0."""
-    return f(_stack(block, "x")), np.zeros(len(block))
+    X = inputs["x"]
+    return f(X), np.zeros(len(X))
 
 
 def check_zero_on_basis(
@@ -443,17 +596,21 @@ def check_zero_on_basis(
     game = unanimity_game(agg.n, s_mask)
     members = list(elements_from_mask(s_mask))
 
-    def draw(trial, rng):
-        if trial == 0:
-            x = np.zeros(agg.n)
-            zeroed = members[0]
-        else:
-            x = rng.uniform(0.0, 1.0, agg.n)
-            zeroed = int(members[rng.integers(len(members))])
-            x[zeroed - 1] = 0.0
-        return {"family": agg.family, "subset": members, "x": x, "zeroed_element": zeroed}
+    def draw(numbers, words):
+        x = _uniform(_doubles(words[:, :agg.n]), 0.0, 1.0)
+        index = _bounded_integers(words[:, agg.n], len(members))
+        for row in np.flatnonzero(index < 0):  # replay a rejected draw on the trial's own stream
+            rng = _trial_rng(seed, numbers[row])
+            rng.random(agg.n)
+            index[row] = rng.integers(len(members))
+        zeroed = np.array(members)[index]
+        zeroed[numbers == 0] = members[0]
+        x[np.arange(len(x)), zeroed - 1] = 0.0
+        x[numbers == 0] = 0.0
+        return {"x": x, "zeroed_element": zeroed}
 
-    return _run_checker(AXIOM_ZERO_ON_BASIS, agg, game, trials, seed, tolerance, draw, _zero_sides)
+    return _run_checker(AXIOM_ZERO_ON_BASIS, agg, game, trials, seed, tolerance,
+                        {"subset": members}, agg.n + 1, draw, _zero_sides)
 
 
 def check_linearity_in_capacity(
@@ -464,36 +621,41 @@ def check_linearity_in_capacity(
 ) -> AxiomReport:
     """f_v(x) = sum over T of m_v(T) * f_{v_T}(x) for sampled games v.
 
-    The sum runs over the nonempty masks in ascending order (every game has
-    Mobius coefficient 0 on the empty set), with f_{v_T} from
-    Aggregator._basis_values; each block of games is Mobius-transformed once
-    for both sides.  On a ground set of size 3, trial 0 evaluates the
-    patched capacity of the vstar family at x = (0, 2, 1), the sample that
-    separates that family.  Bounded at n <= 10.
+    Games are drawn as random_signed_capacity draws them (values uniform on
+    [-1, 1], v(empty) = 0), then x on [-5, 5]^n.  The sum runs over the
+    nonempty masks in ascending order (every game has Mobius coefficient 0
+    on the empty set), with f_{v_T} from Aggregator._basis_values; each
+    block of games is Mobius-transformed once for both sides.  On a ground
+    set of size 3, trial 0 evaluates the patched capacity of the vstar
+    family at x = (0, 2, 1), the sample that separates that family.
+    Bounded at n <= 10.
     """
     if agg.n > _MAX_N_LINEARITY:
         raise GroundSetTooLarge(agg.n, _MAX_N_LINEARITY)
+    size = 1 << agg.n
 
-    def draw(trial, rng):
-        if trial == 0 and agg.n == 3:
-            v: SignedCapacity = vstar_capacity()
-            x = np.array([0.0, 2.0, 1.0])
-        else:
-            v = random_signed_capacity(agg.n, rng)
-            x = rng.uniform(-5.0, 5.0, agg.n)
-        return {"family": agg.family, "capacity": v.values, "x": x}
+    def draw(numbers, words):
+        u = _doubles(words)
+        V = _uniform(u[:, :size], -1.0, 1.0)
+        V[:, 0] = 0.0
+        X = _uniform(u[:, size:], -5.0, 5.0)
+        if agg.n == 3:
+            first = numbers == 0
+            V[first], X[first] = _VSTAR_VALUES, (0.0, 2.0, 1.0)
+        return {"capacity": V, "x": X}
 
-    def sides(_, block):
-        V, X = _stack(block, "capacity"), _stack(block, "x")
+    def sides(_, inputs):
+        V, X = inputs["capacity"], inputs["x"]
         m = _lattice_cumulation(V, operator.isub, "mobius_transform")
         # A zero term adds a signed zero, which leaves a sum that starts at
         # +0.0 as it is: the same sum as skipping it.
-        rhs = np.zeros(len(block))
+        rhs = np.zeros(len(X))
         for coeff, basis_value in zip(m[:, 1:].T, agg._basis_values(X).T):
             rhs += coeff * basis_value
         return agg._evaluate(V, m, X), rhs
 
-    return _run_checker(AXIOM_LINEARITY_IN_CAPACITY, agg, None, trials, seed, tolerance, draw, sides)
+    return _run_checker(AXIOM_LINEARITY_IN_CAPACITY, agg, None, trials, seed, tolerance,
+                        {}, size + agg.n, draw, sides)
 
 
 # ---------------------------------------------------------------------------
@@ -594,10 +756,10 @@ def _paper_replay(agg: Aggregator, seed: int) -> AxiomReport:
         return check_interval_scale_covariance(agg, [1, 2], 1, seed)  # its trial 0
     if agg.family == FAMILY_VSTAR_PATCH:
         return check_linearity_in_capacity(agg, 1, seed)  # its trial 0
-    inputs = {"family": agg.family, "subset": [1, 2], "x": [0.0, 2.0], "zeroed_element": 1}
+    inputs = {"x": np.array([[0.0, 2.0]]), "zeroed_element": np.array([1])}
     game = unanimity_game(agg.n, [1, 2])
     return _run_checker(AXIOM_ZERO_ON_BASIS, agg, game, 1, seed, FALSIFY_TOLERANCE,
-                        lambda trial, rng: inputs, _zero_sides)
+                        {"subset": [1, 2]}, 0, lambda numbers, words: inputs, _zero_sides)
 
 
 def _run_condition(agg: Aggregator, condition: str, trials: int, seed: int):

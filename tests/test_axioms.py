@@ -119,6 +119,23 @@ class TestEvaluateFamily:
             for t in range(1, 1 << n):
                 assert np.array_equal(basis[:, t - 1], agg._bind(unanimity_game(n, t))(X))
 
+    @pytest.mark.parametrize(
+        "family, n", [(FAMILY_CHOQUET, n) for n in range(1, 13)] + [(FAMILY_VSTAR_PATCH, 3)]
+    )
+    def test_one_point_equals_the_batched_route_exactly(self, family, n):
+        """One point takes the scalar chain sum: on two-decimal points with
+        ties and signed zeros it equals the batched route bit for bit."""
+        rng = np.random.default_rng(n)
+        points = rng.integers(-300, 301, (60, n)) / 100
+        points[rng.random(points.shape) < 0.2] = -0.0
+        points[rng.random(points.shape) < 0.2] = 0.0
+        agg = Aggregator(family, n)
+        v = random_signed_capacity(n, rng)
+        batched = agg._bind(v)(points)
+        for x, expected in zip(points, batched):
+            value = evaluate_family(agg, v, x)
+            assert value == expected and np.signbit(value) == np.signbit(expected), (x, value, expected)
+
     def test_vstar_patch_elsewhere_is_the_integral(self):
         agg = Aggregator(FAMILY_VSTAR_PATCH, 3)
         rng = np.random.default_rng(0)
@@ -362,15 +379,15 @@ class TestBlockRunner:
 
     def run(self, rows: dict):
         """Seven stub trials whose sides are 0 except where rows gives them."""
-        draw = lambda trial, rng: {"trial": trial}
+        draw = lambda numbers, words: {"trial": numbers}
 
-        def sides(bound, block):
-            pairs = [rows.get(inputs["trial"], (0.0, 0.0)) for inputs in block]
+        def sides(bound, inputs):
+            pairs = [rows.get(trial, (0.0, 0.0)) for trial in inputs["trial"].tolist()]
             return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return axioms_module._run_checker("stub", self.AGG, None, 7, 0, 1e-6, draw, sides)
+            return axioms_module._run_checker("stub", self.AGG, None, 7, 0, 1e-6, {}, 0, draw, sides)
 
     def test_trials_four_and_five_share_a_block(self):
         assert list(axioms_module._block_bounds(7, 2)) == [(0, 1), (1, 3), (3, 7)]
@@ -378,7 +395,7 @@ class TestBlockRunner:
     def test_falsifying_row_before_an_overflowing_row(self):
         report = self.run({4: (1.0, 0.0), 5: (np.inf, np.inf)})
         assert report.falsified and report.samples_run == 5
-        assert report.witness.inputs == {"trial": 4}
+        assert report.witness.inputs == {"family": FAMILY_CHOQUET, "trial": 4}
         assert (report.witness.lhs, report.witness.rhs) == (1.0, 0.0)
 
     @pytest.mark.parametrize("overflow", [(np.inf, np.inf), (1.0, np.nan), (-np.inf, 0.0)])
