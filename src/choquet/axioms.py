@@ -262,36 +262,30 @@ _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 _MIX_LEFT, _MIX_RIGHT = 0xCA01F9DD, 0x4973F715
 
 
-def _hash_steps(constant: int, multiplier: int, steps: int) -> list[tuple[int, int]]:
-    """(xor, multiply) constants of successive SeedSequence hash steps: each
-    step xors the running constant into a word, advances the constant by the
-    multiplier and multiplies the word by it."""
+def _hash_constants(constant: int, multiplier: int, steps: int) -> np.ndarray:
+    """The (xor, multiply) constants of successive SeedSequence hash steps,
+    shape (2, steps, 1): each step xors the running constant into a word,
+    advances the constant by the multiplier and multiplies the word by it."""
     pairs = []
     for _ in range(steps):
         advanced = constant * multiplier & _MASK32
         pairs.append((constant, advanced))
         constant = advanced
-    return pairs
+    return np.array(pairs, dtype=np.uint32).T[:, :, None]
 
 
-def _columns(pairs: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
-    """The xor and multiply constants of hash steps, one row each."""
-    xors, multipliers = zip(*pairs)
-    return np.array(xors, dtype=np.uint32)[:, None], np.array(multipliers, dtype=np.uint32)[:, None]
-
-
-_POOL_STEPS = _hash_steps(0x43B0D7E5, 0x931E8875, 16)  # 4 entropy words, then 12 mixes
-_ENTROPY_HASH = _columns(_POOL_STEPS[:4])
+_POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)  # 4 entropy words, then 12 mixes
+_ENTROPY_HASH = tuple(_POOL_HASH[:, :4])
 # SeedSequence mixes pool word s into the other three in ascending order,
 # with pool hash steps 4 + 3s, 4 + 3s + 1 and 4 + 3s + 2.  _pcg64_states
 # holds the pool rotated so that round s mixes row s into rows s+1..s+3,
 # which are the words (s+1) % 4, (s+2) % 4 and (s+3) % 4; these are their
 # hash steps.
 _CROSS_HASH = [
-    _columns([_POOL_STEPS[4 + 3 * s + (d if d < s else d - 1)] for d in ((s + 1) % 4, (s + 2) % 4, (s + 3) % 4)])
+    tuple(_POOL_HASH[:, [4 + 3 * s + d - (d > s) for d in ((s + j) % 4 for j in (1, 2, 3))]])
     for s in range(4)
 ]
-_STATE_HASH = _columns(_hash_steps(0x8B51F9DD, 0x58F38DED, 8))  # generate_state's 8 words
+_STATE_HASH = tuple(_hash_constants(0x8B51F9DD, 0x58F38DED, 8))  # generate_state's 8 words
 
 
 def _hash(words: np.ndarray, constants: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -337,11 +331,15 @@ def _pcg64_states(seed: int, trials: np.ndarray) -> list[tuple[int, int]]:
 
 def _trial_states(seed: int, trials: int):
     """The (state, inc) pair of every trial's PCG64 in trial order, computed
-    lazily in chunks that double from 1 trial up to _BLOCK_VALUES trials
-    (the blocks of a ground set of size 0), so that the trials of many small
-    blocks share one _pcg64_states call."""
-    for start, stop in _block_bounds(trials, 0):
+    lazily in chunks of 16, 32, 64, ... trials up to _BLOCK_VALUES.  One
+    _pcg64_states call costs about as much as 40 more trials in it, so the
+    first four blocks (1 + 2 + 4 + 8 trials) and the one-trial blocks of
+    large ground sets share calls."""
+    start, size = 0, 16
+    while start < trials:
+        stop = min(trials, start + size)
         yield from _pcg64_states(seed, np.arange(start, stop))
+        start, size = stop, min(2 * size, _BLOCK_VALUES)
 
 
 def _trial_words(bits: np.random.PCG64, states, rows: int, width: int) -> np.ndarray:

@@ -92,13 +92,13 @@ def test_negative_seed_is_rejected_as_by_default_rng():
 
 def test_one_row_blocks_share_their_state_computations(monkeypatch):
     # From n = 16 every block is one trial; the states still come in chunks
-    # of 1, 2, 4, ... trials.
+    # of 16, 32, 64, ... trials.
     calls = []
     states = axioms_module._pcg64_states
     monkeypatch.setattr(axioms_module, "_pcg64_states", lambda seed, trials: calls.append(len(trials)) or states(seed, trials))
     report = check_positive_homogeneity(Aggregator("choquet", 16), random_signed_capacity(16, 0), 100, 0)
     assert report.samples_run == 100
-    assert calls == [1, 2, 4, 8, 16, 32, 37]
+    assert calls == [16, 32, 52]
 
 
 def test_bounded_integers_flags_the_words_lemire_rejects():
