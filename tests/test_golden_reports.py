@@ -13,12 +13,12 @@ blocks, by running `PYTHONPATH=src python tests/test_golden_reports.py`
 with the per-trial scalar code; refactors must reproduce it byte for byte.
 The trial counts cross block boundaries, and a tolerance of 0 falsifies on
 any last-bit difference between the two sides, so a reordering of the
-arithmetic shows as a changed witness.  The EDGE calls were added before
-per-trial streams were seeded a block at a time: seed 2**32 - 1 is the
-largest whose trial streams come from the block-seeded path, and 2**32 the
-smallest that falls back to `default_rng([seed, trial])`.  An intended change of output means
-recording the fixture again by the same command and saying why in the
-change log.
+arithmetic shows as a changed witness.  The EDGE calls were recorded, with
+the per-trial `default_rng([seed, trial])` code, before trial streams were
+seeded a block at a time: seed 2**32 - 1 is the largest whose streams take
+the block-seeded path, and 2**32 the smallest that falls back to
+`default_rng`.  An intended change of output means recording the fixture
+again by the same command and saying why in the change log.
 """
 
 import hashlib
