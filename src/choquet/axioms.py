@@ -246,6 +246,7 @@ class AxiomReport:
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
+    """The generator of one trial's stream, which _pcg64_states reproduces."""
     return np.random.default_rng([int(seed), int(trial)])
 
 
