@@ -84,6 +84,10 @@ _MAX_N_LINEARITY = 10
 # doubles): 4096 rows at n = 4, 256 at n = 8, one row from n = 16.
 _BLOCK_VALUES = 1 << 16
 
+# Trial states are computed in chunks of at most this many trials, which
+# take about 0.8 MiB while they are made: the memory of a block at the cap.
+_STATE_CHUNK = 1 << 11
+
 # The one capacity the vstar-patch family treats specially (ground set of
 # size 3; masks 5 and 6 are {1,3} and {2,3}).
 _VSTAR_VALUES = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.5, 1.0])
@@ -332,7 +336,7 @@ def _pcg64_states(seed: int, trials: np.ndarray) -> list[tuple[int, int]]:
 
 def _trial_states(seed: int, trials: int):
     """The (state, inc) pair of every trial's PCG64 in trial order, computed
-    lazily in chunks of 16, 32, 64, ... trials up to _BLOCK_VALUES.  One
+    lazily in chunks of 16, 32, 64, ... trials up to _STATE_CHUNK.  One
     _pcg64_states call costs about as much as 40 more trials in it, so the
     first four blocks (1 + 2 + 4 + 8 trials) and the one-trial blocks of
     large ground sets share calls."""
@@ -340,7 +344,7 @@ def _trial_states(seed: int, trials: int):
     while start < trials:
         stop = min(trials, start + size)
         yield from _pcg64_states(seed, np.arange(start, stop))
-        start, size = stop, min(2 * size, _BLOCK_VALUES)
+        start, size = stop, min(2 * size, _STATE_CHUNK)
 
 
 def _trial_words(bits: np.random.PCG64, states, rows: int, width: int) -> np.ndarray:

@@ -99,6 +99,9 @@ def test_one_row_blocks_share_their_state_computations(monkeypatch):
     report = check_positive_homogeneity(Aggregator("choquet", 16), random_signed_capacity(16, 0), 100, 0)
     assert report.samples_run == 100
     assert calls == [16, 32, 52]
+    calls.clear()
+    assert len(list(axioms_module._trial_states(0, 5000))) == 5000
+    assert calls == [16, 32, 64, 128, 256, 512, 1024, 2048, 920]  # at most _STATE_CHUNK each
 
 
 def test_bounded_integers_flags_the_words_lemire_rejects():
