@@ -71,7 +71,8 @@ def test_raw_words_map_to_the_generator_draws(seed):
         for trial in trials.tolist():
             rng = np.random.default_rng([seed, trial])
             assert np.array_equal(u[trial, :2], rng.random(2))
-            assert np.array_equal(axioms_module._uniform(u[trial, 2:5], 0.1, 3.5), rng.uniform(0.1, 3.5, 3))
+            uniform = axioms_module._uniform(u[trial, 2:5], 0.1, 3.5)
+            assert np.array_equal(uniform, rng.uniform(0.1, 3.5, 3))
             assert index[trial] == rng.integers(m)
 
 
@@ -95,7 +96,12 @@ def test_one_row_blocks_share_their_state_computations(monkeypatch):
     # of 16, 32, 64, ... trials.
     calls = []
     states = axioms_module._pcg64_states
-    monkeypatch.setattr(axioms_module, "_pcg64_states", lambda seed, trials: calls.append(len(trials)) or states(seed, trials))
+
+    def counted(seed, trials):
+        calls.append(len(trials))
+        return states(seed, trials)
+
+    monkeypatch.setattr(axioms_module, "_pcg64_states", counted)
     report = check_positive_homogeneity(Aggregator("choquet", 16), random_signed_capacity(16, 0), 100, 0)
     assert report.samples_run == 100
     assert calls == [16, 32, 52]
