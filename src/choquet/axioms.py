@@ -84,9 +84,16 @@ _MAX_N_LINEARITY = 10
 # doubles): 4096 rows at n = 4, 256 at n = 8, one row from n = 16.
 _BLOCK_VALUES = 1 << 16
 
-# Trial states are computed in chunks of at most this many trials, which
-# take about 0.8 MiB while they are made: the memory of a block at the cap.
+# Trial streams are computed in chunks of 16, 32, 64, ... trials up to this
+# many, which take about 0.8 MiB while their seeds are hashed.
 _STATE_CHUNK = 1 << 11
+
+# Widest rows whose raw words are computed as jump-ahead array arithmetic
+# (_jump_words, about 50 ns a word); wider rows set one PCG64 to each
+# trial's state (about 3 us a trial, then 3 ns a word).  Timed over 100 to
+# 1000 trials, the arithmetic took 1.4-3.5 times less at width 6, the same
+# at widths 43-64 and 2.7-3.8 times more at 264.
+_NARROW_WIDTH = 48
 
 # The one capacity the vstar-patch family treats specially (ground set of
 # size 3; masks 5 and 6 are {1,3} and {2,3}).
@@ -250,18 +257,19 @@ class AxiomReport:
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """The generator of one trial's stream, which _pcg64_states reproduces."""
+    """The generator of one trial's stream, which _trial_words reproduces."""
     return np.random.default_rng([int(seed), int(trial)])
 
 
 # Trial t of a checker called with seed s draws from the stream of
 # default_rng([s, t]).  For 0 <= s < 2**32 and 0 <= t < 2**32 the
 # SeedSequence entropy is exactly the two 32-bit words [s, t], and
-# _pcg64_states reproduces numpy's SeedSequence pool mixing,
-# generate_state(4, np.uint64) and PCG64 seeding for a whole block of trials
-# at once.  numpy keeps these streams fixed across releases (NEP 19); a test
-# compares them with default_rng.
+# _seed_words reproduces numpy's SeedSequence pool mixing and
+# generate_state(4, np.uint64) for a whole chunk of trials at once.  numpy
+# keeps these streams fixed across releases (NEP 19); tests compare them
+# with default_rng.
 _MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 _MIX_LEFT, _MIX_RIGHT = 0xCA01F9DD, 0x4973F715
@@ -282,7 +290,7 @@ def _hash_constants(constant: int, multiplier: int, steps: int) -> np.ndarray:
 _POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)  # 4 entropy words, then 12 mixes
 _ENTROPY_HASH = tuple(_POOL_HASH[:, :4])
 # SeedSequence mixes pool word s into the other three in ascending order,
-# with pool hash steps 4 + 3s, 4 + 3s + 1 and 4 + 3s + 2.  _pcg64_states
+# with pool hash steps 4 + 3s, 4 + 3s + 1 and 4 + 3s + 2.  _seed_words
 # holds the pool rotated so that round s mixes row s into rows s+1..s+3,
 # which are the words (s+1) % 4, (s+2) % 4 and (s+3) % 4; these are their
 # hash steps.
@@ -302,14 +310,16 @@ def _hash(words: np.ndarray, constants: tuple[np.ndarray, np.ndarray]) -> np.nda
     return words
 
 
-def _pcg64_states(seed: int, trials: np.ndarray) -> list[tuple[int, int]]:
-    """The (state, inc) pair of default_rng([seed, trial])'s PCG64 for each
-    of the increasing trials.  Seeds and trials outside [0, 2**32) are
-    seeded by default_rng itself (a negative seed raises its ValueError)."""
-    seed = int(seed)
-    if not (0 <= seed <= _MASK32 and trials[-1] <= _MASK32):
-        states = [_trial_rng(seed, trial).bit_generator.state["state"] for trial in trials]
-        return [(s["state"], s["inc"]) for s in states]
+def _in_hash_range(seed: int, last_trial: int) -> bool:
+    """Whether _seed_words reproduces default_rng([seed, t]) for every t up
+    to last_trial."""
+    return 0 <= seed <= _MASK32 and last_trial <= _MASK32
+
+
+def _seed_words(seed: int, trials: np.ndarray) -> np.ndarray:
+    """PCG64's initstate (high, low) and initseq (high, low) words of
+    default_rng([seed, trial]) for each of the trials, shape
+    (4, len(trials)), for 0 <= seed, trial < 2**32."""
     pool = np.zeros((7, len(trials)), dtype=np.uint32)  # rows 4..6 repeat words 0..2
     pool[0] = seed
     pool[1] = trials
@@ -325,8 +335,18 @@ def _pcg64_states(seed: int, trials: np.ndarray) -> list[tuple[int, int]]:
         targets ^= targets >> 16
     # Rows 3..6 now hold words 3, 0, 1, 2; generate_state cycles over them.
     words = _hash(pool[[4, 5, 6, 3, 4, 5, 6, 3]], _STATE_HASH).astype(np.uint64)
-    # Little-endian word pairs are PCG64's initstate (high, low) and initseq (high, low).
-    state_hi, state_lo, seq_hi, seq_lo = (words[0::2] | words[1::2] << 32).tolist()
+    return words[0::2] | words[1::2] << 32  # little-endian word pairs
+
+
+def _pcg64_states(seed: int, trials: np.ndarray) -> list[tuple[int, int]]:
+    """The (state, inc) pair of default_rng([seed, trial])'s PCG64 for each
+    of the increasing trials.  Seeds and trials outside [0, 2**32) are
+    seeded by default_rng itself (a negative seed raises its ValueError)."""
+    seed = int(seed)
+    if not _in_hash_range(seed, trials[-1]):
+        states = [_trial_rng(seed, trial).bit_generator.state["state"] for trial in trials]
+        return [(s["state"], s["inc"]) for s in states]
+    state_hi, state_lo, seq_hi, seq_lo = _seed_words(seed, trials).tolist()
     states = []
     for a, b, c, d in zip(state_hi, state_lo, seq_hi, seq_lo):
         inc = (c << 65 | d << 1 | 1) & _MASK128
@@ -334,31 +354,116 @@ def _pcg64_states(seed: int, trials: np.ndarray) -> list[tuple[int, int]]:
     return states
 
 
-def _trial_states(seed: int, trials: int):
-    """The (state, inc) pair of every trial's PCG64 in trial order, computed
-    lazily in chunks of 16, 32, 64, ... trials up to _STATE_CHUNK.  One
-    _pcg64_states call costs about as much as 40 more trials in it, so the
-    first four blocks (1 + 2 + 4 + 8 trials) and the one-trial blocks of
-    large ground sets share calls."""
-    start, size = 0, 16
-    while start < trials:
-        stop = min(trials, start + size)
-        yield from _pcg64_states(seed, np.arange(start, stop))
-        start, size = stop, min(2 * size, _STATE_CHUNK)
+# PCG64 steps its 128-bit state x to M x + inc and outputs each new state, so
+# word j of a stream is the output of the state j + 1 steps past the seeded
+# one.  Seeding steps twice from 0, adding initstate in between, so with
+# inc = 2 initseq + 1 and C_k = 1 + M + ... + M**(k - 1) that state is
+#     M**(j + 2) initstate + C_(j + 3) inc  (mod 2**128),
+# a jump of arbitrary stride (Brown, "Random number generation with
+# arbitrary strides", 1994).  _JUMP_HALVES holds the 32-bit halves of the
+# low words of both multipliers for each j, shape (2, 1, 2, width, 1), and
+# _JUMP_CROSS their (high, low, low) words, shape (2, 3, width, 1).  Words
+# run along the second-to-last axis, so that numpy's inner loops run along
+# the trials.
+def _jump_multipliers(width: int) -> tuple[np.ndarray, np.ndarray]:
+    power, total = _PCG64_MULTIPLIER ** 2 & _MASK128, 1 + _PCG64_MULTIPLIER  # M**2, C_2
+    columns = []
+    for _ in range(width):
+        total = (total + power) & _MASK128
+        columns.append((power, total))
+        power = power * _PCG64_MULTIPLIER & _MASK128
+    multipliers = np.array(columns, dtype=object).T
+    high, low = (multipliers >> 64).astype(np.uint64), (multipliers & _MASK64).astype(np.uint64)
+    halves = np.stack((low & _MASK32, low >> 32), axis=1)[:, None, :, :, None]
+    cross = np.stack((high, low, low), axis=1)[..., None]
+    for constants in (halves, cross):
+        constants.setflags(write=False)
+    return halves, cross
 
 
-def _trial_words(bits: np.random.PCG64, states, rows: int, width: int) -> np.ndarray:
-    """The first `width` raw 64-bit words of the streams of the next `rows`
-    (state, inc) pairs of states, one row each, drawn by setting bits to
-    each state in turn."""
-    words = np.empty((rows, width), dtype=np.uint64)
+_JUMP_HALVES, _JUMP_CROSS = _jump_multipliers(_NARROW_WIDTH)
+_HALF_SHIFTS = np.array([[0], [32]], dtype=np.uint64)  # to a word's low and high 32 bits
+_HALF_SHIFTS.setflags(write=False)
+
+
+def _jump_words(seed_words: np.ndarray, width: int) -> np.ndarray:
+    """The first `width` raw 64-bit words of each stream from its column of
+    _seed_words, one row each, as 128-bit arithmetic on (high, low) uint64
+    words (width <= _NARROW_WIDTH)."""
+    x = seed_words.reshape(2, 2, -1).copy()  # initstate and initseq, (high, low) each
+    x[1, 0] <<= 1  # inc = 2 initseq + 1
+    x[1, 0] |= x[1, 1] >> 63
+    x[1, 1] <<= 1
+    x[1, 1] |= 1
+    # Both products at once: the 32-bit halves of the low words multiplied
+    # pairwise, shape (2, 2, 2, width, rows), and the cross terms (x_low
+    # times K_high, x_high times K_low) with the low products.
+    halves = (x[:, 1, None] >> _HALF_SHIFTS) & _MASK32
+    p = halves[:, :, None, None, :] * _JUMP_HALVES[..., :width, :]
+    c = x[:, [1, 0, 1], None, :] * _JUMP_CROSS[..., :width, :]
+    # High words of the low products from their halves; no sum overflows.
+    t = p[:, 1, 0]
+    t += p[:, 0, 0] >> 32
+    w = p[:, 0, 1]
+    w += t & _MASK32
+    high = p[:, 1, 1]
+    high += t >> 32
+    high += w >> 32
+    high += c[:, 0]
+    high += c[:, 1]
+    low = c[0, 2] + c[1, 2]
+    high = high[0] + high[1]
+    high += low < c[0, 2]  # the carry of the low words
+    # The XSL-RR output: the halves xored, rotated right by the top 6 bits.
+    # A shift by 64 (rot = 0) gives 0 or the word itself; either way the
+    # rotation is the word.
+    low ^= high
+    rot = high >> 58
+    out = low >> rot
+    low <<= 64 - rot
+    out |= low
+    return out.T.copy()
+
+
+def _setter_words(bits: np.random.PCG64, states: list[tuple[int, int]], width: int) -> np.ndarray:
+    """The first `width` raw 64-bit words of the streams of the (state, inc)
+    pairs, one row each, drawn by setting bits to each state in turn."""
+    words = np.empty((len(states), width), dtype=np.uint64)
     pcg = {"state": 0, "inc": 0}
     state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for row, (pcg_state, inc) in zip(range(rows), states):
+    for row, (pcg_state, inc) in enumerate(states):
         pcg["state"], pcg["inc"] = pcg_state, inc
         bits.state = state
         words[row] = bits.random_raw(width)
     return words
+
+
+def _trial_words(seed: int, trials: int, width: int):
+    """The first `width` raw 64-bit words of every trial's stream in trial
+    order, one row each, lazily in chunks of 16, 32, 64, ... trials up to
+    _STATE_CHUNK.  A chunk has a fixed cost of about 100 numpy calls (the
+    seed hash and the jump), so the first four blocks (1 + 2 + 4 + 8
+    trials) and the one-trial blocks of large ground sets share chunks.
+
+    Rows up to _NARROW_WIDTH words of seeds and trials in [0, 2**32) are
+    computed by _jump_words, whose largest temporary holds 8 values per word;
+    other rows by _setter_words, fed by _pcg64_states.  Either way a chunk
+    holds at most _BLOCK_VALUES values while it is made, unless it is one
+    row.  Width 0 computes nothing."""
+    narrow = width <= _NARROW_WIDTH and _in_hash_range(int(seed), trials - 1)
+    rows = max(1, _BLOCK_VALUES // max(1, width * (8 if narrow else 1)))
+    bits = None if narrow else np.random.PCG64(0)  # this call's alone
+    start, size = 0, 16
+    while start < trials:
+        stop = min(trials, start + min(size, rows))
+        numbers = np.arange(start, stop)
+        if not width:
+            yield np.empty((stop - start, 0), dtype=np.uint64)
+        elif narrow:
+            yield _jump_words(_seed_words(seed, numbers), width)
+        else:
+            yield _setter_words(bits, _pcg64_states(seed, numbers), width)
+        start, size = stop, min(2 * size, _STATE_CHUNK)
 
 
 def _doubles(words: np.ndarray) -> np.ndarray:
@@ -407,25 +512,31 @@ def _run_checker(
     evaluate them with sides(f, inputs) -> (lhs, rhs), until the sides differ.
 
     f = agg._bind(game) (None without a game) is computed once, after trials
-    and tolerance are checked.  For a block of trial numbers, words holds
-    the first `width` raw words of each trial's stream (see _trial_states),
-    and inputs maps each witness key that varies by trial to an array with
-    one row per trial.  The two sides are arrays with one row per trial,
-    computed with over/invalid ignored.  The first row that is over the
-    tolerance or non-finite decides: over the tolerance ends the run with a
-    witness whose inputs are the family, the fixed entries and that row of
-    every input (arrays converted to lists and numbers), non-finite raises
-    NonFiniteResult naming agg's operation.  Otherwise every trial runs and
-    the report is satisfied.
+    and tolerance are checked, and then the seed: a negative one raises
+    default_rng's ValueError.  For a block of trial numbers, words holds the
+    first `width` raw words of each trial's stream, sliced from the chunks
+    of _trial_words, and inputs maps each witness key that varies by trial
+    to an array with one row per trial.  The two sides are arrays with one
+    row per trial, computed with over/invalid ignored.  The first row that
+    is over the tolerance or non-finite decides: over the tolerance ends the
+    run with a witness whose inputs are the family, the fixed entries and
+    that row of every input (arrays converted to lists and numbers),
+    non-finite raises NonFiniteResult naming agg's operation.  Otherwise
+    every trial runs and the report is satisfied.
     """
     _require_trials(trials)
     if not (isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     f = None if game is None else agg._bind(game)
-    bits = np.random.PCG64(0)  # every trial sets its own state; this call's alone
-    states = _trial_states(seed, trials)
+    if int(seed) < 0:
+        raise ValueError("expected non-negative integer")  # default_rng's message
+    chunks = _trial_words(seed, trials, width)
+    words = np.empty((0, width), dtype=np.uint64)
     for start, stop in _block_bounds(trials, agg.n):
-        inputs = draw(np.arange(start, stop), _trial_words(bits, states, stop - start, width))
+        while len(words) < stop - start:  # a block can span chunks
+            words = np.concatenate((words, next(chunks)))
+        inputs = draw(np.arange(start, stop), words[:stop - start])
+        words = words[stop - start:]
         with np.errstate(over="ignore", invalid="ignore"):
             lhs, rhs = sides(f, inputs)
             within = np.abs(lhs - rhs) <= tolerance  # False where a side is non-finite

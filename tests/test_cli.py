@@ -247,10 +247,11 @@ class TestIndependenceSuite:
         assert verdicts("1") == verdicts("2")
 
     def test_negative_seed_exit_2(self, capsys):
-        code, out, err = run(["independence-suite", "--trials", "3", "--seed", "-1"], capsys)
-        assert code == 2
-        assert out == ""
-        assert err == "error: expected non-negative integer\n"
+        for extra in ([], ["--paper-witnesses-only"]):
+            code, out, err = run(["independence-suite", "--trials", "3", "--seed", "-1", *extra], capsys)
+            assert code == 2
+            assert out == ""
+            assert err == "error: expected non-negative integer\n"
 
     def test_paper_witnesses_only(self, capsys):
         code, out, _ = run(

@@ -1,11 +1,12 @@
 """Per-trial random streams of the checkers.
 
 Trial t of a checker called with seed s draws from the stream of
-`np.random.default_rng([s, t])`.  The runner seeds a whole block of trials
-at once by reproducing numpy's SeedSequence and PCG64 seeding, and maps raw
-64-bit words to `random`, `uniform` and `integers` draws itself.  numpy
-keeps these streams fixed across releases (NEP 19); if a numpy upgrade
-changed them, these tests fail instead of the reports drifting.
+`np.random.default_rng([s, t])`.  The runner seeds a whole chunk of trials
+at once by reproducing numpy's SeedSequence and PCG64 seeding, computes the
+raw 64-bit words of narrow rows by jumping ahead from those seeds, and maps
+the words to `random`, `uniform` and `integers` draws itself.  numpy keeps
+these streams fixed across releases (NEP 19); if a numpy upgrade changed
+them, these tests fail instead of the reports drifting.
 """
 
 import sys
@@ -59,12 +60,36 @@ def test_block_states_give_the_default_rng_draws(seed):
         assert ours.integers(7) == theirs.integers(7)
 
 
+def raw_words(seed: int, trials, width: int) -> np.ndarray:
+    """The first `width` raw words of default_rng([seed, trial]), one row per trial."""
+    return np.array([np.random.default_rng([seed, t]).bit_generator.random_raw(width) for t in trials])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_jump_words_are_default_rng_words(seed):
+    width = axioms_module._NARROW_WIDTH
+    words = axioms_module._jump_words(axioms_module._seed_words(seed, TRIALS), width)
+    assert np.array_equal(words, raw_words(seed, TRIALS.tolist(), width))
+
+
+@pytest.mark.parametrize("width", [1, 2, axioms_module._NARROW_WIDTH, axioms_module._NARROW_WIDTH + 1, 264])
+def test_trial_words_are_default_rng_words_on_both_routes(width):
+    # Narrow rows are computed by _jump_words, wide ones and seeds from
+    # 2**32 by setting a PCG64 to each state.  113 trials come in chunks of
+    # 16, 32, 64 and 1 trials: the one-row chunk takes no numpy scalar
+    # arithmetic, whose overflow warnings the test configuration makes errors.
+    for seed in (0, 13, 2**32 - 1, 2**32):
+        chunks = list(axioms_module._trial_words(seed, 113, width))
+        assert [len(words) for words in chunks] == [16, 32, 64, 1]
+        assert np.array_equal(np.concatenate(chunks), raw_words(seed, range(113), width)), seed
+
+
 @pytest.mark.parametrize("seed", [0, 13, 2**32 - 1, 2**32, 2**40 + 3])
 def test_raw_words_map_to_the_generator_draws(seed):
     """_doubles, _uniform and _bounded_integers on the words of
     _trial_words equal random, uniform and integers on default_rng."""
     trials = np.arange(50)
-    words = axioms_module._trial_words(np.random.PCG64(), axioms_module._trial_states(seed, 50), 50, 6)
+    words = np.concatenate(list(axioms_module._trial_words(seed, 50, 6)))
     u = axioms_module._doubles(words)
     for m in (1, 2, 3, 7, 1000):
         index = axioms_module._bounded_integers(words[:, 5], m)
@@ -89,25 +114,43 @@ def test_negative_seed_is_rejected_as_by_default_rng():
         axioms_module._pcg64_states(-1, np.arange(3))
     with pytest.raises(ValueError, match="expected non-negative integer"):
         check_positive_homogeneity(Aggregator("choquet", 2), random_signed_capacity(2, 0), 5, -1)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        axioms_module._paper_replay(Aggregator("weighted-mean", 2), -1)  # draws no words
 
 
 def test_one_row_blocks_share_their_state_computations(monkeypatch):
-    # From n = 16 every block is one trial; the states still come in chunks
+    # From n = 16 every block is one trial; the words still come in chunks
     # of 16, 32, 64, ... trials.
     calls = []
-    states = axioms_module._pcg64_states
+    jump_words = axioms_module._jump_words
 
-    def counted(seed, trials):
-        calls.append(len(trials))
-        return states(seed, trials)
+    def counted(seed_words, width):
+        calls.append(seed_words.shape[1])
+        return jump_words(seed_words, width)
 
-    monkeypatch.setattr(axioms_module, "_pcg64_states", counted)
+    monkeypatch.setattr(axioms_module, "_jump_words", counted)
     report = check_positive_homogeneity(Aggregator("choquet", 16), random_signed_capacity(16, 0), 100, 0)
     assert report.samples_run == 100
     assert calls == [16, 32, 52]
     calls.clear()
-    assert len(list(axioms_module._trial_states(0, 5000))) == 5000
+    assert sum(len(words) for words in axioms_module._trial_words(0, 5000, 4)) == 5000
     assert calls == [16, 32, 64, 128, 256, 512, 1024, 2048, 920]  # at most _STATE_CHUNK each
+    # A chunk holds at most _BLOCK_VALUES values while it is made: the
+    # largest temporary of _jump_words holds 8 per word.
+    for width, per_word, rows in ((27, 8, 303), (264, 1, 248), (1034, 1, 63)):
+        sizes = [len(words) for words in axioms_module._trial_words(0, 1000, width)]
+        assert sum(sizes) == 1000 and max(sizes) == rows
+        assert max(sizes) * width * per_word <= axioms_module._BLOCK_VALUES
+
+
+def test_a_call_without_words_computes_none(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("words computed")
+
+    for name in ("_seed_words", "_pcg64_states", "_setter_words"):
+        monkeypatch.setattr(axioms_module, name, refuse)
+    report = axioms_module._paper_replay(Aggregator("weighted-mean", 2), 0)
+    assert report.falsified and report.samples_run == 1
 
 
 def test_bounded_integers_flags_the_words_lemire_rejects():
