@@ -84,8 +84,8 @@ _MAX_N_LINEARITY = 10
 # doubles): 4096 rows at n = 4, 256 at n = 8, one row from n = 16.
 _BLOCK_VALUES = 1 << 16
 
-# Trial streams are computed in chunks of 16, 32, 64, ... trials up to this
-# many, which take about 0.8 MiB while their seeds are hashed.
+# Trial words are computed in chunks of 16, 32, 64, ... trials up to this
+# many, each also bounded by _BLOCK_VALUES (see _trial_words).
 _STATE_CHUNK = 1 << 11
 
 # Widest rows whose raw words are computed as jump-ahead array arithmetic
