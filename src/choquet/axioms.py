@@ -34,6 +34,7 @@ import numpy as np
 from .errors import DimensionMismatch, GroundSetTooLarge, NonFiniteResult, UnsupportedGroundSet
 from .integral import _chain_sums, _coerce_point, choquet
 from .setfunction import (
+    MAX_GROUND_SET,
     Capacity,
     SignedCapacity,
     SubsetLike,
@@ -84,10 +85,6 @@ _MAX_N_LINEARITY = 10
 # doubles): 4096 rows at n = 4, 256 at n = 8, one row from n = 16.
 _BLOCK_VALUES = 1 << 16
 
-# Trial words are computed in chunks of 16, 32, 64, ... trials up to this
-# many, each also bounded by _BLOCK_VALUES (see _trial_words).
-_STATE_CHUNK = 1 << 11
-
 # Widest rows whose raw words are computed as jump-ahead array arithmetic
 # (_jump_words, about 50 ns a word); wider rows set one PCG64 to each
 # trial's state (about 3 us a trial, then 3 ns a word).  Timed over 100 to
@@ -116,6 +113,8 @@ class Aggregator:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        if self.n > MAX_GROUND_SET:
+            raise GroundSetTooLarge(self.n, MAX_GROUND_SET)
         if self.family == FAMILY_VSTAR_PATCH and self.n != 3:
             raise UnsupportedGroundSet(
                 f"the {FAMILY_VSTAR_PATCH} family is defined on a ground set of size 3, got {self.n}"
@@ -262,10 +261,11 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 # Trial t of a checker called with seed s draws from the stream of
-# default_rng([s, t]).  For 0 <= s < 2**32 and 0 <= t < 2**32 the
-# SeedSequence entropy is exactly the two 32-bit words [s, t], and
-# _seed_words reproduces numpy's SeedSequence pool mixing and
-# generate_state(4, np.uint64) for a whole chunk of trials at once.  numpy
+# default_rng([s, t]), and _seed_words gives the SeedSequence words that
+# seed it.  For 0 <= s < 2**32 and 0 <= t < 2**32 the entropy is exactly
+# the two 32-bit words [s, t], and _seed_words reproduces numpy's pool
+# mixing and generate_state(4, np.uint64) for a whole chunk of trials at
+# once; other seeds and trials it hands to SeedSequence itself.  numpy
 # keeps these streams fixed across releases (NEP 19); tests compare them
 # with default_rng.
 _MASK32 = 0xFFFFFFFF
@@ -310,16 +310,16 @@ def _hash(words: np.ndarray, constants: tuple[np.ndarray, np.ndarray]) -> np.nda
     return words
 
 
-def _in_hash_range(seed: int, last_trial: int) -> bool:
-    """Whether _seed_words reproduces default_rng([seed, t]) for every t up
-    to last_trial."""
-    return 0 <= seed <= _MASK32 and last_trial <= _MASK32
-
-
 def _seed_words(seed: int, trials: np.ndarray) -> np.ndarray:
     """PCG64's initstate (high, low) and initseq (high, low) words of
-    default_rng([seed, trial]) for each of the trials, shape
-    (4, len(trials)), for 0 <= seed, trial < 2**32."""
+    default_rng([seed, trial]) for each of the increasing trials, shape
+    (4, len(trials)).  Seeds and trials outside [0, 2**32) are hashed by
+    SeedSequence itself (a negative seed raises its ValueError)."""
+    seed = int(seed)
+    if not (0 <= seed <= _MASK32 and trials[-1] <= _MASK32):
+        return np.array([
+            np.random.SeedSequence([seed, int(t)]).generate_state(4, np.uint64) for t in trials
+        ]).T
     pool = np.zeros((7, len(trials)), dtype=np.uint32)  # rows 4..6 repeat words 0..2
     pool[0] = seed
     pool[1] = trials
@@ -336,22 +336,6 @@ def _seed_words(seed: int, trials: np.ndarray) -> np.ndarray:
     # Rows 3..6 now hold words 3, 0, 1, 2; generate_state cycles over them.
     words = _hash(pool[[4, 5, 6, 3, 4, 5, 6, 3]], _STATE_HASH).astype(np.uint64)
     return words[0::2] | words[1::2] << 32  # little-endian word pairs
-
-
-def _pcg64_states(seed: int, trials: np.ndarray) -> list[tuple[int, int]]:
-    """The (state, inc) pair of default_rng([seed, trial])'s PCG64 for each
-    of the increasing trials.  Seeds and trials outside [0, 2**32) are
-    seeded by default_rng itself (a negative seed raises its ValueError)."""
-    seed = int(seed)
-    if not _in_hash_range(seed, trials[-1]):
-        states = [_trial_rng(seed, trial).bit_generator.state["state"] for trial in trials]
-        return [(s["state"], s["inc"]) for s in states]
-    state_hi, state_lo, seq_hi, seq_lo = _seed_words(seed, trials).tolist()
-    states = []
-    for a, b, c, d in zip(state_hi, state_lo, seq_hi, seq_lo):
-        inc = (c << 65 | d << 1 | 1) & _MASK128
-        states.append(((((a << 64 | b) + inc) * _PCG64_MULTIPLIER + inc) & _MASK128, inc))
-    return states
 
 
 # PCG64 steps its 128-bit state x to M x + inc and outputs each new state, so
@@ -425,14 +409,18 @@ def _jump_words(seed_words: np.ndarray, width: int) -> np.ndarray:
     return out.T.copy()
 
 
-def _setter_words(bits: np.random.PCG64, states: list[tuple[int, int]], width: int) -> np.ndarray:
-    """The first `width` raw 64-bit words of the streams of the (state, inc)
-    pairs, one row each, drawn by setting bits to each state in turn."""
-    words = np.empty((len(states), width), dtype=np.uint64)
+def _setter_words(bits: np.random.PCG64, seed_words: np.ndarray, width: int) -> np.ndarray:
+    """The first `width` raw 64-bit words of each stream from its column of
+    _seed_words, one row each: PCG64 seeding on Python ints (inc = 2 initseq
+    + 1, one step, += initstate, one step) gives each row's state, and bits,
+    set to each in turn, draws the words."""
+    words = np.empty((seed_words.shape[1], width), dtype=np.uint64)
     pcg = {"state": 0, "inc": 0}
     state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for row, (pcg_state, inc) in enumerate(states):
-        pcg["state"], pcg["inc"] = pcg_state, inc
+    for row, (a, b, c, d) in enumerate(zip(*seed_words.tolist())):
+        inc = (c << 65 | d << 1 | 1) & _MASK128
+        pcg["state"] = (((a << 64 | b) + inc) * _PCG64_MULTIPLIER + inc) & _MASK128
+        pcg["inc"] = inc
         bits.state = state
         words[row] = bits.random_raw(width)
     return words
@@ -440,17 +428,17 @@ def _setter_words(bits: np.random.PCG64, states: list[tuple[int, int]], width: i
 
 def _trial_words(seed: int, trials: int, width: int):
     """The first `width` raw 64-bit words of every trial's stream in trial
-    order, one row each, lazily in chunks of 16, 32, 64, ... trials up to
-    _STATE_CHUNK.  A chunk has a fixed cost of about 100 numpy calls (the
-    seed hash and the jump), so the first four blocks (1 + 2 + 4 + 8
-    trials) and the one-trial blocks of large ground sets share chunks.
+    order, one row each, lazily in chunks of 16, 32, 64, ... trials.  A
+    chunk has a fixed cost of about 100 numpy calls (the seed hash and the
+    jump), so the first four blocks (1 + 2 + 4 + 8 trials) and the one-trial
+    blocks of large ground sets share chunks.
 
-    Rows up to _NARROW_WIDTH words of seeds and trials in [0, 2**32) are
-    computed by _jump_words, whose largest temporary holds 8 values per word;
-    other rows by _setter_words, fed by _pcg64_states.  Either way a chunk
+    Every chunk's streams are seeded by _seed_words.  Rows of up to
+    _NARROW_WIDTH words are computed by _jump_words, whose largest temporary
+    holds 8 values per word, wider ones by _setter_words; either way a chunk
     holds at most _BLOCK_VALUES values while it is made, unless it is one
     row.  Width 0 computes nothing."""
-    narrow = width <= _NARROW_WIDTH and _in_hash_range(int(seed), trials - 1)
+    narrow = width <= _NARROW_WIDTH
     rows = max(1, _BLOCK_VALUES // max(1, width * (8 if narrow else 1)))
     bits = None if narrow else np.random.PCG64(0)  # this call's alone
     start, size = 0, 16
@@ -462,8 +450,8 @@ def _trial_words(seed: int, trials: int, width: int):
         elif narrow:
             yield _jump_words(_seed_words(seed, numbers), width)
         else:
-            yield _setter_words(bits, _pcg64_states(seed, numbers), width)
-        start, size = stop, min(2 * size, _STATE_CHUNK)
+            yield _setter_words(bits, _seed_words(seed, numbers), width)
+        start, size = stop, 2 * size
 
 
 def _doubles(words: np.ndarray) -> np.ndarray:
@@ -513,23 +501,24 @@ def _run_checker(
 
     f = agg._bind(game) (None without a game) is computed once, after trials
     and tolerance are checked, and then the seed: a negative one raises
-    default_rng's ValueError.  For a block of trial numbers, words holds the
-    first `width` raw words of each trial's stream, sliced from the chunks
-    of _trial_words, and inputs maps each witness key that varies by trial
-    to an array with one row per trial.  The two sides are arrays with one
-    row per trial, computed with over/invalid ignored.  The first row that
-    is over the tolerance or non-finite decides: over the tolerance ends the
-    run with a witness whose inputs are the family, the fixed entries and
-    that row of every input (arrays converted to lists and numbers),
-    non-finite raises NonFiniteResult naming agg's operation.  Otherwise
-    every trial runs and the report is satisfied.
+    SeedSequence's ValueError, also when no words are drawn (width 0).  For
+    a block of trial numbers, words holds the first `width` raw words of
+    each trial's stream, sliced from the chunks of _trial_words, and inputs
+    maps each witness key that varies by trial to an array with one row per
+    trial.  The two sides are arrays with one row per trial, computed with
+    over/invalid ignored.  The first row that is over the tolerance or
+    non-finite decides: over the tolerance ends the run with a witness whose
+    inputs are the family, the fixed entries and that row of every input
+    (arrays converted to lists and numbers), non-finite raises
+    NonFiniteResult naming agg's operation.  Otherwise every trial runs and
+    the report is satisfied.
     """
     _require_trials(trials)
     if not (isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     f = None if game is None else agg._bind(game)
     if int(seed) < 0:
-        raise ValueError("expected non-negative integer")  # default_rng's message
+        raise ValueError("expected non-negative integer")  # SeedSequence's message
     chunks = _trial_words(seed, trials, width)
     words = np.empty((0, width), dtype=np.uint64)
     for start, stop in _block_bounds(trials, agg.n):

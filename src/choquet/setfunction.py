@@ -25,7 +25,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .errors import EmptyT, NonFiniteResult, NotAGame, NotMonotone
+from .errors import EmptyT, GroundSetTooLarge, NonFiniteResult, NotAGame, NotMonotone
 
 # Storage bound: 2**20 doubles per set function is the largest array this
 # package is willing to materialize.
@@ -286,8 +286,11 @@ def unanimity_game(n: int, subset: SubsetLike) -> SignedCapacity:
     (mobius_transform maps each one to the matching delta vector).  Raises
     EmptyT for the empty subset: the constant-1 function it would require
     is not a game.  The basis expansion loses nothing by excluding it, since
-    every game has Mobius coefficient 0 on the empty set.
+    every game has Mobius coefficient 0 on the empty set.  Raises
+    GroundSetTooLarge for n > MAX_GROUND_SET before allocating.
     """
+    if n > MAX_GROUND_SET:
+        raise GroundSetTooLarge(n, MAX_GROUND_SET)
     t_mask = as_mask(subset, n)
     if t_mask == 0:
         raise EmptyT("unanimity games are defined for nonempty subsets only")

@@ -16,8 +16,10 @@ any last-bit difference between the two sides, so a reordering of the
 arithmetic shows as a changed witness.  The EDGE calls were recorded, with
 the per-trial `default_rng([seed, trial])` code, before trial streams were
 seeded a block at a time: seed 2**32 - 1 is the largest whose streams take
-the block-seeded path, and 2**32 the smallest that falls back to
-`default_rng`.  An intended change of output means recording the fixture
+the array seed hash, and 2**32 the smallest that SeedSequence hashes itself.
+The choquet n = 6 EDGE calls, recorded later by the same command, pin both
+seeds on rows wider than the jump-ahead route takes (70 words for
+linearity).  An intended change of output means recording the fixture
 again by the same command and saying why in the change log.
 """
 
@@ -43,7 +45,7 @@ SEEDS = (0, 1, 2)
 TRIALS = (1, 2, 3, 7, 64, 200)
 TOLERANCES = (1e-6, 0.0)
 
-EDGE_AGGREGATORS = (("choquet", 3), ("multilinear", 2))
+EDGE_AGGREGATORS = (("choquet", 3), ("multilinear", 2), ("choquet", 6))
 EDGE_SEEDS = (2**32 - 1, 2**32)
 EDGE_TRIALS = (1, 7, 200)
 

@@ -31,6 +31,7 @@ from choquet.setfunction import (
     SetFunction,
     SignedCapacity,
     mobius_transform,
+    unanimity_game,
     zeta_transform,
 )
 
@@ -169,6 +170,29 @@ def test_random_capacity_bound_reported_by_the_error_handler(n):
     code, out, err = run(["random-capacity", "--n", n, "--kind", "monotone"])
     assert_error_exit(code, out, err)
     assert err == f"error: ground set size {n} exceeds the supported bound 20\n"
+
+
+class TestSubsetCheckerBound:
+    """A ground set above 20 is refused before any game of 2**n values is built."""
+
+    def test_aggregator(self):
+        with pytest.raises(GroundSetTooLarge) as info:
+            Aggregator("choquet", 21)
+        assert (info.value.n, info.value.bound) == (21, 20)
+
+    def test_unanimity_game(self):
+        with pytest.raises(GroundSetTooLarge) as info:
+            unanimity_game(21, [1])
+        assert (info.value.n, info.value.bound) == (21, 20)
+
+    @pytest.mark.parametrize("args", [
+        ["--axiom", "zero-on-basis", "--n", "21", "--subset", "1"],
+        ["--axiom", "interval-scale", "--subset", "1,21"],
+    ])
+    def test_cli_exit_2(self, args):
+        code, out, err = run(["check", *args])
+        assert_error_exit(code, out, err)
+        assert err == "error: ground set size 21 exceeds the supported bound 20\n"
 
 
 class TestOverflowInFamiliesAndArithmetic:

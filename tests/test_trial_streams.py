@@ -1,12 +1,14 @@
 """Per-trial random streams of the checkers.
 
 Trial t of a checker called with seed s draws from the stream of
-`np.random.default_rng([s, t])`.  The runner seeds a whole chunk of trials
-at once by reproducing numpy's SeedSequence and PCG64 seeding, computes the
-raw 64-bit words of narrow rows by jumping ahead from those seeds, and maps
-the words to `random`, `uniform` and `integers` draws itself.  numpy keeps
-these streams fixed across releases (NEP 19); if a numpy upgrade changed
-them, these tests fail instead of the reports drifting.
+`np.random.default_rng([s, t])`.  The runner hashes the SeedSequence words
+of a whole chunk of trials at once (seeds and trials from 2**32 through
+SeedSequence itself), computes the raw 64-bit words of narrow rows by
+jumping ahead from those words and of wide rows by setting a PCG64 to each
+seeded state, and maps the words to `random`, `uniform` and `integers`
+draws itself.  numpy keeps these streams fixed across releases (NEP 19); if
+a numpy upgrade changed them, these tests fail instead of the reports
+drifting.
 """
 
 import sys
@@ -31,53 +33,28 @@ SEEDS = (0, 1, 13, 2**31, 2**32 - 1)
 TRIALS = np.array(list(range(303)) + [10**6, 2**32 - 1])
 
 
-def seeded_like(state: tuple[int, int]) -> np.random.Generator:
-    """A generator whose PCG64 is set to the (state, inc) pair."""
-    rng = np.random.Generator(np.random.PCG64())
-    rng.bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": state[0], "inc": state[1]},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return rng
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_block_states_are_default_rng_states(seed):
-    states = axioms_module._pcg64_states(seed, TRIALS)
-    for trial, state in zip(TRIALS.tolist(), states):
-        expected = np.random.default_rng([seed, trial]).bit_generator.state["state"]
-        assert state == (expected["state"], expected["inc"]), trial
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_block_states_give_the_default_rng_draws(seed):
-    for trial, state in zip(TRIALS.tolist(), axioms_module._pcg64_states(seed, TRIALS)):
-        ours, theirs = seeded_like(state), np.random.default_rng([seed, trial])
-        assert np.array_equal(ours.random(4), theirs.random(4))
-        assert np.array_equal(ours.uniform(-5.0, 5.0, 3), theirs.uniform(-5.0, 5.0, 3))
-        assert ours.integers(7) == theirs.integers(7)
-
-
 def raw_words(seed: int, trials, width: int) -> np.ndarray:
     """The first `width` raw words of default_rng([seed, trial]), one row per trial."""
     return np.array([np.random.default_rng([seed, t]).bit_generator.random_raw(width) for t in trials])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_jump_words_are_default_rng_words(seed):
+def test_both_producers_give_the_default_rng_words(seed):
+    seed_words = axioms_module._seed_words(seed, TRIALS)
     width = axioms_module._NARROW_WIDTH
-    words = axioms_module._jump_words(axioms_module._seed_words(seed, TRIALS), width)
+    words = axioms_module._jump_words(seed_words, width)
     assert np.array_equal(words, raw_words(seed, TRIALS.tolist(), width))
+    words = axioms_module._setter_words(np.random.PCG64(0), seed_words, width + 1)
+    assert np.array_equal(words, raw_words(seed, TRIALS.tolist(), width + 1))
 
 
 @pytest.mark.parametrize("width", [1, 2, axioms_module._NARROW_WIDTH, axioms_module._NARROW_WIDTH + 1, 264])
 def test_trial_words_are_default_rng_words_on_both_routes(width):
-    # Narrow rows are computed by _jump_words, wide ones and seeds from
-    # 2**32 by setting a PCG64 to each state.  113 trials come in chunks of
-    # 16, 32, 64 and 1 trials: the one-row chunk takes no numpy scalar
-    # arithmetic, whose overflow warnings the test configuration makes errors.
+    # Narrow rows are computed by _jump_words, wide ones by setting a PCG64
+    # to each state; seed 2**32 is hashed by SeedSequence.  113 trials come
+    # in chunks of 16, 32, 64 and 1 trials: the one-row chunk takes no numpy
+    # scalar arithmetic, whose overflow warnings the test configuration
+    # makes errors.
     for seed in (0, 13, 2**32 - 1, 2**32):
         chunks = list(axioms_module._trial_words(seed, 113, width))
         assert [len(words) for words in chunks] == [16, 32, 64, 1]
@@ -101,17 +78,16 @@ def test_raw_words_map_to_the_generator_draws(seed):
             assert index[trial] == rng.integers(m)
 
 
-def test_seeds_from_two_to_the_32_fall_back_to_default_rng():
-    for seed in (2**32, 2**64 + 5):
-        states = axioms_module._pcg64_states(seed, np.array([0, 1, 2**32]))
-        for trial, state in zip((0, 1, 2**32), states):
-            expected = np.random.default_rng([seed, trial]).bit_generator.state["state"]
-            assert state == (expected["state"], expected["inc"])
+def test_seeds_and_trials_from_two_to_the_32_are_hashed_by_seed_sequence():
+    trials = np.array([0, 1, 2**32])
+    for seed in (0, 2**32, 2**64 + 5):  # seed 0 only for trial 2**32
+        words = axioms_module._jump_words(axioms_module._seed_words(seed, trials), 5)
+        assert np.array_equal(words, raw_words(seed, trials.tolist(), 5)), seed
 
 
 def test_negative_seed_is_rejected_as_by_default_rng():
     with pytest.raises(ValueError, match="expected non-negative integer"):
-        axioms_module._pcg64_states(-1, np.arange(3))
+        axioms_module._seed_words(-1, np.arange(3))
     with pytest.raises(ValueError, match="expected non-negative integer"):
         check_positive_homogeneity(Aggregator("choquet", 2), random_signed_capacity(2, 0), 5, -1)
     with pytest.raises(ValueError, match="expected non-negative integer"):
@@ -134,12 +110,15 @@ def test_one_row_blocks_share_their_state_computations(monkeypatch):
     assert calls == [16, 32, 52]
     calls.clear()
     assert sum(len(words) for words in axioms_module._trial_words(0, 5000, 4)) == 5000
-    assert calls == [16, 32, 64, 128, 256, 512, 1024, 2048, 920]  # at most _STATE_CHUNK each
+    # 2048 rows of width 4 fill a chunk.
+    assert calls == [16, 32, 64, 128, 256, 512, 1024, 2048, 920]
     # A chunk holds at most _BLOCK_VALUES values while it is made: the
-    # largest temporary of _jump_words holds 8 per word.
-    for width, per_word, rows in ((27, 8, 303), (264, 1, 248), (1034, 1, 63)):
-        sizes = [len(words) for words in axioms_module._trial_words(0, 1000, width)]
-        assert sum(sizes) == 1000 and max(sizes) == rows
+    # largest temporary of _jump_words holds 8 per word.  Past the first
+    # 4080 trials the narrowest rows take the largest chunks.
+    for width, per_word, rows in ((2, 8, 4096), (3, 8, 2730), (27, 8, 303),
+                                  (264, 1, 248), (1034, 1, 63)):
+        sizes = [len(words) for words in axioms_module._trial_words(0, 10000, width)]
+        assert sum(sizes) == 10000 and max(sizes) == rows
         assert max(sizes) * width * per_word <= axioms_module._BLOCK_VALUES
 
 
@@ -147,7 +126,7 @@ def test_a_call_without_words_computes_none(monkeypatch):
     def refuse(*args):
         raise AssertionError("words computed")
 
-    for name in ("_seed_words", "_pcg64_states", "_setter_words"):
+    for name in ("_seed_words", "_jump_words", "_setter_words"):
         monkeypatch.setattr(axioms_module, name, refuse)
     report = axioms_module._paper_replay(Aggregator("weighted-mean", 2), 0)
     assert report.falsified and report.samples_run == 1
