@@ -19,7 +19,10 @@ seeded a block at a time: seed 2**32 - 1 is the largest whose streams take
 the array seed hash, and 2**32 the smallest that SeedSequence hashes itself.
 The choquet n = 6 EDGE calls, recorded later by the same command, pin both
 seeds on rows wider than the jump-ahead route takes (70 words for
-linearity).  An intended change of output means recording the fixture
+linearity).  The SPLIT calls, recorded later by the same command, run at
+n = 13, the smallest ground set whose trial blocks (8 rows) are smaller than
+the first word chunk (16 rows), so one chunk's rows are evaluated in several
+blocks; linearity is bounded at n <= 10 and left out.  An intended change of output means recording the fixture
 again by the same command and saying why in the change log.
 """
 
@@ -48,6 +51,10 @@ TOLERANCES = (1e-6, 0.0)
 EDGE_AGGREGATORS = (("choquet", 3), ("multilinear", 2), ("choquet", 6))
 EDGE_SEEDS = (2**32 - 1, 2**32)
 EDGE_TRIALS = (1, 7, 200)
+
+SPLIT_AGGREGATORS = (("choquet", 13), ("multilinear", 13))
+SPLIT_SEEDS = (0, 1)
+SPLIT_TRIALS = (7, 40)
 
 GAME_CHECKERS = {
     axioms.AXIOM_COMONOTONIC_ADDITIVITY: axioms.check_comonotonic_additivity,
@@ -95,6 +102,10 @@ def digests(family: str, n: int, axiom: str, seeds=SEEDS, trial_counts=TRIALS) -
 
 GROUPS = [(family, n, axiom) for family, n in AGGREGATORS for axiom in axioms.AXIOMS]
 EDGE_GROUPS = [(family, n, axiom) for family, n in EDGE_AGGREGATORS for axiom in axioms.AXIOMS]
+SPLIT_GROUPS = [
+    (family, n, axiom) for family, n in SPLIT_AGGREGATORS for axiom in axioms.AXIOMS
+    if axiom != axioms.AXIOM_LINEARITY_IN_CAPACITY
+]
 
 
 @pytest.mark.parametrize("family, n, axiom", GROUPS)
@@ -113,6 +124,14 @@ def test_golden_reports_at_the_seed_edge(family, n, axiom):
     assert got == expected
 
 
+@pytest.mark.parametrize("family, n, axiom", SPLIT_GROUPS)
+def test_golden_reports_on_split_blocks(family, n, axiom):
+    golden = json.loads(GOLDEN_PATH.read_text())
+    got = digests(family, n, axiom, SPLIT_SEEDS, SPLIT_TRIALS)
+    expected = {k: golden[k] for k in got}
+    assert got == expected
+
+
 def _n_calls(groups, seeds, trial_counts) -> int:
     return sum(
         len(seeds) * len(trial_counts) * len(TOLERANCES)
@@ -123,7 +142,10 @@ def _n_calls(groups, seeds, trial_counts) -> int:
 
 def test_fixture_holds_exactly_these_calls():
     golden = json.loads(GOLDEN_PATH.read_text())
-    n_calls = _n_calls(GROUPS, SEEDS, TRIALS) + _n_calls(EDGE_GROUPS, EDGE_SEEDS, EDGE_TRIALS)
+    n_calls = (
+        _n_calls(GROUPS, SEEDS, TRIALS) + _n_calls(EDGE_GROUPS, EDGE_SEEDS, EDGE_TRIALS)
+        + _n_calls(SPLIT_GROUPS, SPLIT_SEEDS, SPLIT_TRIALS)
+    )
     assert len(golden) == n_calls
 
 
@@ -133,5 +155,7 @@ if __name__ == "__main__":
         recorded.update(digests(*group))
     for group in EDGE_GROUPS:
         recorded.update(digests(*group, EDGE_SEEDS, EDGE_TRIALS))
+    for group in SPLIT_GROUPS:
+        recorded.update(digests(*group, SPLIT_SEEDS, SPLIT_TRIALS))
     GOLDEN_PATH.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(recorded)} reports in {GOLDEN_PATH}", file=sys.stderr)
