@@ -80,9 +80,9 @@ DEFAULT_SEED = 0
 # Largest ground set of the linearity checker.
 _MAX_N_LINEARITY = 10
 
-# Checker trials are evaluated in blocks whose rows double from 1 up to the
-# number whose (rows, 2**n) arrays hold at most this many values (512 KiB of
-# doubles): 4096 rows at n = 4, 256 at n = 8, one row from n = 16.
+# Most values a chunk of trial words holds while it is made, and a block of
+# trials in its (rows, 2**n) arrays (512 KiB of doubles), unless it is one
+# row: blocks hold at most 4096 rows at n = 4, 256 at n = 8, one from n = 16.
 _BLOCK_VALUES = 1 << 16
 
 # Widest rows whose raw words are computed as jump-ahead array arithmetic
@@ -113,6 +113,8 @@ class Aggregator:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+            raise UnsupportedGroundSet(f"a ground set has an integer size >= 1, got {self.n!r}")
         if self.n > MAX_GROUND_SET:
             raise GroundSetTooLarge(self.n, MAX_GROUND_SET)
         if self.family == FAMILY_VSTAR_PATCH and self.n != 3:
@@ -430,8 +432,7 @@ def _trial_words(seed: int, trials: int, width: int):
     """The first `width` raw 64-bit words of every trial's stream in trial
     order, one row each, lazily in chunks of 16, 32, 64, ... trials.  A
     chunk has a fixed cost of about 100 numpy calls (the seed hash and the
-    jump), so the first four blocks (1 + 2 + 4 + 8 trials) and the one-trial
-    blocks of large ground sets share chunks.
+    jump), so the one-trial blocks of large ground sets share chunks.
 
     Every chunk's streams are seeded by _seed_words.  Rows of up to
     _NARROW_WIDTH words are computed by _jump_words, whose largest temporary
@@ -481,37 +482,26 @@ def _require_trials(trials: int) -> None:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
 
-def _block_bounds(trials: int, n: int):
-    """(start, stop) of each block of trials: rows double from 1 up to the
-    _BLOCK_VALUES cap."""
-    cap = max(1, _BLOCK_VALUES >> n)
-    start = 0
-    while start < trials:
-        stop = min(trials, start + min(start + 1, cap))
-        yield start, stop
-        start = stop
-
-
 def _run_checker(
     axiom: str, agg: Aggregator, game: Optional[SignedCapacity],
     trials: int, seed: int, tolerance: float, fixed: dict, width: int, draw, sides,
 ) -> AxiomReport:
     """Draw the trials in blocks with draw(numbers, words) -> inputs and
     evaluate them with sides(f, inputs) -> (lhs, rhs), until the sides differ.
+    The blocks are the chunks of _trial_words, split at the _BLOCK_VALUES cap.
 
     f = agg._bind(game) (None without a game) is computed once, after trials
     and tolerance are checked, and then the seed: a negative one raises
     SeedSequence's ValueError, also when no words are drawn (width 0).  For
     a block of trial numbers, words holds the first `width` raw words of
-    each trial's stream, sliced from the chunks of _trial_words, and inputs
-    maps each witness key that varies by trial to an array with one row per
-    trial.  The two sides are arrays with one row per trial, computed with
-    over/invalid ignored.  The first row that is over the tolerance or
-    non-finite decides: over the tolerance ends the run with a witness whose
-    inputs are the family, the fixed entries and that row of every input
-    (arrays converted to lists and numbers), non-finite raises
-    NonFiniteResult naming agg's operation.  Otherwise every trial runs and
-    the report is satisfied.
+    each trial's stream, and inputs maps each witness key that varies by
+    trial to an array with one row per trial.  The two sides are arrays with
+    one row per trial, computed with over/invalid ignored.  The first row
+    that is over the tolerance or non-finite decides: over the tolerance ends
+    the run with a witness whose inputs are the family, the fixed entries and
+    that row of every input (arrays converted to lists and numbers),
+    non-finite raises NonFiniteResult naming agg's operation.  Otherwise
+    every trial runs and the report is satisfied.
     """
     _require_trials(trials)
     if not (isfinite(tolerance) and tolerance >= 0):
@@ -519,13 +509,12 @@ def _run_checker(
     f = None if game is None else agg._bind(game)
     if int(seed) < 0:
         raise ValueError("expected non-negative integer")  # SeedSequence's message
-    chunks = _trial_words(seed, trials, width)
-    words = np.empty((0, width), dtype=np.uint64)
-    for start, stop in _block_bounds(trials, agg.n):
-        while len(words) < stop - start:  # a block can span chunks
-            words = np.concatenate((words, next(chunks)))
-        inputs = draw(np.arange(start, stop), words[:stop - start])
-        words = words[stop - start:]
+    cap = max(1, _BLOCK_VALUES >> agg.n)
+    blocks = (chunk[i:i + cap] for chunk in _trial_words(seed, trials, width)
+              for i in range(0, len(chunk), cap))
+    start = 0
+    for words in blocks:
+        inputs = draw(np.arange(start, start + len(words)), words)
         with np.errstate(over="ignore", invalid="ignore"):
             lhs, rhs = sides(f, inputs)
             within = np.abs(lhs - rhs) <= tolerance  # False where a side is non-finite
@@ -539,6 +528,7 @@ def _run_checker(
             plain.update((k, v[row].tolist()) for k, v in inputs.items())
             witness = Witness(plain, left, right)
             return AxiomReport(axiom, VERDICT_FALSIFIED, witness, start + row + 1, seed, tolerance)
+        start += len(words)
     return AxiomReport(axiom, VERDICT_SATISFIED, None, trials, seed, tolerance)
 
 
@@ -761,6 +751,18 @@ def check_linearity_in_capacity(
                         {}, size + agg.n, draw, sides)
 
 
+# The checker of each axiom: after agg, the first three take a game, the
+# basis conditions a subset and linearity nothing.
+CHECKERS = {
+    AXIOM_COMONOTONIC_ADDITIVITY: check_comonotonic_additivity,
+    AXIOM_POSITIVE_HOMOGENEITY: check_positive_homogeneity,
+    AXIOM_COMONOTONIC_AFFINITY: check_comonotonic_affinity,
+    AXIOM_INTERVAL_SCALE: check_interval_scale_covariance,
+    AXIOM_ZERO_ON_BASIS: check_zero_on_basis,
+    AXIOM_LINEARITY_IN_CAPACITY: check_linearity_in_capacity,
+}
+
+
 # ---------------------------------------------------------------------------
 # Independence of the three capacity-class conditions
 # ---------------------------------------------------------------------------
@@ -867,12 +869,9 @@ def _paper_replay(agg: Aggregator, seed: int) -> AxiomReport:
 
 def _run_condition(agg: Aggregator, condition: str, trials: int, seed: int):
     """All checker reports backing one cell (one per nonempty subset where relevant)."""
+    check = CHECKERS[condition]
     if condition == AXIOM_LINEARITY_IN_CAPACITY:
-        return [check_linearity_in_capacity(agg, trials, seed)]
-    check = {
-        AXIOM_ZERO_ON_BASIS: check_zero_on_basis,
-        AXIOM_INTERVAL_SCALE: check_interval_scale_covariance,
-    }[condition]
+        return [check(agg, trials, seed)]
     return [check(agg, s, trials, seed) for s in range(1, 1 << agg.n)]
 
 

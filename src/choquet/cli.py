@@ -128,14 +128,7 @@ def cmd_check(args) -> int:
         game_args = []
     else:
         game_args = [capacity if capacity is not None else random_signed_capacity(n, args.seed)]
-    report = {
-        axioms.AXIOM_COMONOTONIC_ADDITIVITY: axioms.check_comonotonic_additivity,
-        axioms.AXIOM_POSITIVE_HOMOGENEITY: axioms.check_positive_homogeneity,
-        axioms.AXIOM_COMONOTONIC_AFFINITY: axioms.check_comonotonic_affinity,
-        axioms.AXIOM_INTERVAL_SCALE: axioms.check_interval_scale_covariance,
-        axioms.AXIOM_ZERO_ON_BASIS: axioms.check_zero_on_basis,
-        axioms.AXIOM_LINEARITY_IN_CAPACITY: axioms.check_linearity_in_capacity,
-    }[args.axiom](agg, *game_args, args.trials, args.seed, tolerance)
+    report = axioms.CHECKERS[args.axiom](agg, *game_args, args.trials, args.seed, tolerance)
 
     if args.format == "json":
         _emit(report.to_dict(), None)

@@ -152,6 +152,11 @@ class TestEvaluateFamily:
         with pytest.raises(ValueError):
             Aggregator("harmonic", 3)
 
+    @pytest.mark.parametrize("n", [0, -1, 2.5])
+    def test_ground_set_below_one_or_not_an_integer(self, n):
+        with pytest.raises(UnsupportedGroundSet):
+            Aggregator(FAMILY_CHOQUET, n)
+
     def test_dimension_mismatch(self):
         agg = Aggregator(FAMILY_CHOQUET, 3)
         with pytest.raises(DimensionMismatch):
@@ -375,22 +380,35 @@ class TestBlockRunner:
     """The checker runner evaluates trials in blocks; within a block the
     first row that is over the tolerance or non-finite decides."""
 
-    AGG = Aggregator(FAMILY_CHOQUET, 2)
+    def run(self, rows: dict, trials=7, n=2, blocks=None):
+        """Stub trials whose sides are 0 except where rows gives them; the
+        row count of every block drawn is appended to blocks."""
+        blocks = [] if blocks is None else blocks
 
-    def run(self, rows: dict):
-        """Seven stub trials whose sides are 0 except where rows gives them."""
-        draw = lambda numbers, words: {"trial": numbers}
+        def draw(numbers, words):
+            blocks.append(len(numbers))
+            return {"trial": numbers}
 
         def sides(bound, inputs):
             pairs = [rows.get(trial, (0.0, 0.0)) for trial in inputs["trial"].tolist()]
             return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
 
+        agg = Aggregator(FAMILY_CHOQUET, n)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return axioms_module._run_checker("stub", self.AGG, None, 7, 0, 1e-6, {}, 0, draw, sides)
+            return axioms_module._run_checker("stub", agg, None, trials, 0, 1e-6, {}, 0, draw, sides)
 
-    def test_trials_four_and_five_share_a_block(self):
-        assert list(axioms_module._block_bounds(7, 2)) == [(0, 1), (1, 3), (3, 7)]
+    @pytest.mark.parametrize("trials, n, expected", [(7, 2, [7]), (40, 13, [8] * 5)])
+    def test_blocks_are_the_word_chunks_split_at_the_cap(self, trials, n, expected):
+        blocks = []
+        self.run({}, trials, n, blocks)
+        assert blocks == expected
+
+    def test_falsifying_row_in_the_second_block_of_a_chunk(self):
+        report = self.run({11: (1.0, 0.0), 12: (np.inf, np.inf)}, 40, 13)
+        assert report.falsified and report.samples_run == 12
+        assert report.witness.inputs == {"family": FAMILY_CHOQUET, "trial": 11}
+        assert (report.witness.lhs, report.witness.rhs) == (1.0, 0.0)
 
     def test_falsifying_row_before_an_overflowing_row(self):
         report = self.run({4: (1.0, 0.0), 5: (np.inf, np.inf)})

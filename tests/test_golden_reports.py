@@ -22,8 +22,9 @@ seeds on rows wider than the jump-ahead route takes (70 words for
 linearity).  The SPLIT calls, recorded later by the same command, run at
 n = 13, the smallest ground set whose trial blocks (8 rows) are smaller than
 the first word chunk (16 rows), so one chunk's rows are evaluated in several
-blocks; linearity is bounded at n <= 10 and left out.  An intended change of output means recording the fixture
-again by the same command and saying why in the change log.
+blocks; linearity is bounded at n <= 10 and left out.  An intended change
+of output means recording the fixture again by the same command and saying
+why in the change log.
 """
 
 import hashlib
