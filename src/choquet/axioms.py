@@ -24,6 +24,7 @@ The three families besides the integral itself:
 from __future__ import annotations
 
 import operator
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import partial
 from math import isfinite
@@ -192,9 +193,9 @@ class Aggregator:
 
 def _row_dots(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """m @ row for every row, with m one vector or one per row.  One dot
-    product per row: a matrix product sums in another order, and differs
-    from it in the last bits."""
-    return np.array([a @ b for a, b in zip(np.broadcast_to(m, rows.shape), rows)])
+    product per row, the ddot of a @ b: a matrix product sums in another
+    order, and differs from it in the last bits."""
+    return np.vecdot(np.broadcast_to(m, rows.shape), rows)
 
 
 def _vstar_patch(X: np.ndarray) -> np.ndarray:
@@ -264,12 +265,13 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 # Trial t of a checker called with seed s draws from the stream of
 # default_rng([s, t]), and _seed_words gives the SeedSequence words that
-# seed it.  For 0 <= s < 2**32 and 0 <= t < 2**32 the entropy is exactly
-# the two 32-bit words [s, t], and _seed_words reproduces numpy's pool
-# mixing and generate_state(4, np.uint64) for a whole chunk of trials at
-# once; other seeds and trials it hands to SeedSequence itself.  numpy
-# keeps these streams fixed across releases (NEP 19); tests compare them
-# with default_rng.
+# seed it.  SeedSequence splits s and t into 32-bit words, low first, one
+# word for 0 and two for 2**32 <= t < 2**64.  Up to four words fill its
+# pool directly, and _seed_words reproduces numpy's pool mixing and
+# generate_state(4, np.uint64) for a whole chunk of trials at once; longer
+# entropy, which adds mixing rounds, it hands to SeedSequence itself.
+# numpy keeps these streams fixed across releases (NEP 19); tests compare
+# them with default_rng.
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
@@ -315,16 +317,26 @@ def _hash(words: np.ndarray, constants: tuple[np.ndarray, np.ndarray]) -> np.nda
 def _seed_words(seed: int, trials: np.ndarray) -> np.ndarray:
     """PCG64's initstate (high, low) and initseq (high, low) words of
     default_rng([seed, trial]) for each of the increasing trials, shape
-    (4, len(trials)).  Seeds and trials outside [0, 2**32) are hashed by
-    SeedSequence itself (a negative seed raises its ValueError)."""
+    (4, len(trials)).  Entropy of more than four words is hashed by
+    SeedSequence itself, and so is a negative seed, which raises its
+    ValueError."""
     seed = int(seed)
-    if not (0 <= seed <= _MASK32 and trials[-1] <= _MASK32):
+    split = int(np.searchsorted(trials, _MASK32 + 1))  # trials from 2**32 take two words
+    if 0 < split < len(trials):
+        return np.concatenate((_seed_words(seed, trials[:split]), _seed_words(seed, trials[split:])), axis=1)
+    entropy = [seed & _MASK32]  # the seed's words, low first, as SeedSequence splits an int
+    while seed >> 32 * len(entropy) > 0:
+        entropy.append(seed >> 32 * len(entropy) & _MASK32)
+    wide = split == 0  # every trial takes two words
+    if seed < 0 or len(entropy) + 1 + wide > 4:
         return np.array([
             np.random.SeedSequence([seed, int(t)]).generate_state(4, np.uint64) for t in trials
         ]).T
     pool = np.zeros((7, len(trials)), dtype=np.uint32)  # rows 4..6 repeat words 0..2
-    pool[0] = seed
-    pool[1] = trials
+    pool[:len(entropy)] = np.array(entropy, dtype=np.uint32)[:, None]
+    pool[len(entropy)] = trials & _MASK32
+    if wide:
+        pool[len(entropy) + 1] = trials >> 32
     pool[:4] = _hash(pool[:4], _ENTROPY_HASH)
     for s, constants in enumerate(_CROSS_HASH):
         if s:
@@ -428,11 +440,35 @@ def _setter_words(bits: np.random.PCG64, seed_words: np.ndarray, width: int) -> 
     return words
 
 
+# The trial words of one independence_suite call, whose checker calls draw
+# from one seed over the same trials: seed words by (seed, start, stop) and
+# words by (seed, start, stop, width), read-only, at most _BLOCK_VALUES
+# values in all.  None outside a suite, so other calls share nothing.
+_SUITE_WORDS: ContextVar[Optional[dict]] = ContextVar("_SUITE_WORDS", default=None)
+
+
+def _suite_shared(key: tuple, make: Callable[[], np.ndarray]) -> np.ndarray:
+    """make(), or the suite's stored array of that key.  Inside a suite a
+    new array is stored read-only while the store has room for it."""
+    store = _SUITE_WORDS.get()
+    if store is None:
+        return make()
+    words = store.get(key)
+    if words is None:
+        words = make()
+        if words.size + sum(stored.size for stored in store.values()) <= _BLOCK_VALUES:
+            words.setflags(write=False)
+            store[key] = words
+    return words
+
+
 def _trial_words(seed: int, trials: int, width: int):
     """The first `width` raw 64-bit words of every trial's stream in trial
     order, one row each, lazily in chunks of 16, 32, 64, ... trials.  A
-    chunk has a fixed cost of about 100 numpy calls (the seed hash and the
-    jump), so the one-trial blocks of large ground sets share chunks.
+    chunk pays a fixed cost of numpy calls for its seed hash and its words
+    (about 40-80 us each on a 2-vCPU Xeon), so the one-trial blocks of large
+    ground sets share chunks, and the checker calls of one independence
+    suite share the chunks themselves (_suite_shared).
 
     Every chunk's streams are seeded by _seed_words.  Rows of up to
     _NARROW_WIDTH words are computed by _jump_words, whose largest temporary
@@ -442,16 +478,18 @@ def _trial_words(seed: int, trials: int, width: int):
     narrow = width <= _NARROW_WIDTH
     rows = max(1, _BLOCK_VALUES // max(1, width * (8 if narrow else 1)))
     bits = None if narrow else np.random.PCG64(0)  # this call's alone
+
+    def words(start, stop):
+        seed_words = _suite_shared((seed, start, stop), lambda: _seed_words(seed, np.arange(start, stop)))
+        return _jump_words(seed_words, width) if narrow else _setter_words(bits, seed_words, width)
+
     start, size = 0, 16
     while start < trials:
         stop = min(trials, start + min(size, rows))
-        numbers = np.arange(start, stop)
         if not width:
             yield np.empty((stop - start, 0), dtype=np.uint64)
-        elif narrow:
-            yield _jump_words(_seed_words(seed, numbers), width)
         else:
-            yield _setter_words(bits, _seed_words(seed, numbers), width)
+            yield _suite_shared((seed, start, stop, width), partial(words, start, stop))
         start, size = stop, 2 * size
 
 
@@ -540,20 +578,45 @@ _PAIR_WORDS = 22
 _LOG_R = (np.log(0.1), np.log(10.0))
 
 
+# The _uniform bounds of a monotone map's 11 draws: 5 knot gaps, a first
+# level and 5 level rises.
+_MAP_LOW = np.array([0.1] * 5 + [-5.0] + [0.0] * 5)
+_MAP_HIGH = np.array([3.5] * 5 + [5.0] + [2.0] * 5)
+_MAP_LOW.setflags(write=False)
+_MAP_HIGH.setflags(write=False)
+
+
 def _monotone_maps(base: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Each row of base through its own random nondecreasing piecewise-linear
-    map, drawn from 11 random() draws per row: 5 knot gaps on [0.1, 3.5]
-    from -7, a first level on [-5, 5] and 5 level rises on [0, 2]."""
-    knots = -7.0 + np.cumsum(_uniform(u[:, :5], 0.1, 3.5), axis=1)
-    levels = _uniform(u[:, 5:6], -5.0, 5.0) + np.cumsum(_uniform(u[:, 6:11], 0.0, 2.0), axis=1)
-    return np.array([np.interp(b, k, v) for b, k, v in zip(base, knots, levels)])
+    """Each row of base (rows, n) through random nondecreasing
+    piecewise-linear maps of its own, shape (rows, maps, n).  Map i of a row
+    is drawn from its 11 random() draws u[row, i]: 5 knot gaps on [0.1, 3.5]
+    from -7, a first level on [-5, 5] and 5 level rises on [0, 2].
+
+    np.interp(x, knots, levels) bit for bit: below the first knot the first
+    level, at or above the last knot the last level, on a knot its level,
+    and otherwise slope * (x - knot) + level from the segment's first knot.
+    Knots lie at least 0.1 apart, so no slope divides by zero."""
+    draws = _uniform(u, _MAP_LOW, _MAP_HIGH)
+    knots = -7.0 + draws[..., :5].cumsum(axis=-1)
+    levels = draws[..., 5:6] + draws[..., 6:].cumsum(axis=-1)
+    x = base[:, None, :]
+    # The first knot of each x's segment (0 below the second knot, 3 from
+    # the fourth) as an index into the flattened (rows, maps, 5) arrays.
+    at = np.add.reduce(knots[..., None, 1:4] <= x[..., None], axis=-1)
+    at += np.arange(0, knots.size, 5).reshape(knots.shape[:2] + (1,))
+    k, y = knots.take(at), levels.take(at)
+    at += 1
+    # x <= k below the first knot and on the segment's first knot.
+    out = np.where(x <= k, y, (levels.take(at) - y) / (knots.take(at) - k) * (x - k) + y)
+    return np.where(x >= knots[..., 4:], levels[..., 4:], out)
 
 
 def _comonotonic_pairs(u: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Base vectors on [-5, 5]^n and two comonotonic points from each: two
     monotone maps applied to the shared base vector (n + _PAIR_WORDS draws)."""
     base = _uniform(u[:, :n], -5.0, 5.0)
-    return base, _monotone_maps(base, u[:, n:n + 11]), _monotone_maps(base, u[:, n + 11:n + 22])
+    maps = _monotone_maps(base, u[:, n:n + _PAIR_WORDS].reshape(-1, 2, 11))
+    return base, maps[:, 0], maps[:, 1]
 
 
 def check_comonotonic_additivity(
@@ -889,13 +952,19 @@ def independence_suite(
     """
     _require_trials(trials)
     cells = []
-    for family in INDEPENDENCE_FAMILIES:
-        agg = Aggregator(family, _FAMILY_SUITE_N[family])
-        for condition in INDEPENDENCE_CONDITIONS:
-            reports = [_paper_replay(agg, seed)] if EXPECTED_FALSIFIED[family] == condition else []
-            if not paper_witnesses_only:
-                reports += _run_condition(agg, condition, trials, seed)
-            witness = next((r.witness for r in reports if r.falsified), None)
-            samples = sum(r.samples_run for r in reports)
-            cells.append(IndependenceCell(family, condition, witness is not None, samples, witness))
+    shared = {}  # the words its checker calls share
+    token = _SUITE_WORDS.set(shared)
+    try:
+        for family in INDEPENDENCE_FAMILIES:
+            agg = Aggregator(family, _FAMILY_SUITE_N[family])
+            for condition in INDEPENDENCE_CONDITIONS:
+                reports = [_paper_replay(agg, seed)] if EXPECTED_FALSIFIED[family] == condition else []
+                if not paper_witnesses_only:
+                    reports += _run_condition(agg, condition, trials, seed)
+                witness = next((r.witness for r in reports if r.falsified), None)
+                samples = sum(r.samples_run for r in reports)
+                cells.append(IndependenceCell(family, condition, witness is not None, samples, witness))
+    finally:
+        _SUITE_WORDS.reset(token)
+        shared.clear()
     return IndependenceSummary(tuple(cells), trials, seed, paper_witnesses_only)

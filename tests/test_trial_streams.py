@@ -2,8 +2,8 @@
 
 Trial t of a checker called with seed s draws from the stream of
 `np.random.default_rng([s, t])`.  The runner hashes the SeedSequence words
-of a whole chunk of trials at once (seeds and trials from 2**32 through
-SeedSequence itself), computes the raw 64-bit words of narrow rows by
+of a whole chunk of trials at once (entropy of more than four 32-bit words
+through SeedSequence itself), computes the raw 64-bit words of narrow rows by
 jumping ahead from those words and of wide rows by setting a PCG64 to each
 seeded state, and maps the words to `random`, `uniform` and `integers`
 draws itself.  numpy keeps these streams fixed across releases (NEP 19); if
@@ -26,6 +26,7 @@ from choquet.axioms import (
     check_linearity_in_capacity,
     check_positive_homogeneity,
     check_zero_on_basis,
+    independence_suite,
 )
 from choquet.generate import random_signed_capacity
 
@@ -51,7 +52,7 @@ def test_both_producers_give_the_default_rng_words(seed):
 @pytest.mark.parametrize("width", [1, 2, axioms_module._NARROW_WIDTH, axioms_module._NARROW_WIDTH + 1, 264])
 def test_trial_words_are_default_rng_words_on_both_routes(width):
     # Narrow rows are computed by _jump_words, wide ones by setting a PCG64
-    # to each state; seed 2**32 is hashed by SeedSequence.  113 trials come
+    # to each state; seed 2**32 takes two entropy words.  113 trials come
     # in chunks of 16, 32, 64 and 1 trials: the one-row chunk takes no numpy
     # scalar arithmetic, whose overflow warnings the test configuration
     # makes errors.
@@ -78,11 +79,32 @@ def test_raw_words_map_to_the_generator_draws(seed):
             assert index[trial] == rng.integers(m)
 
 
-def test_seeds_and_trials_from_two_to_the_32_are_hashed_by_seed_sequence():
+def test_seeds_and_trials_from_two_to_the_32_give_the_default_rng_words():
+    # Seed 2**64 + 5 takes three entropy words, and trial 2**32 two more.
     trials = np.array([0, 1, 2**32])
     for seed in (0, 2**32, 2**64 + 5):  # seed 0 only for trial 2**32
         words = axioms_module._jump_words(axioms_module._seed_words(seed, trials), 5)
         assert np.array_equal(words, raw_words(seed, trials.tolist(), 5)), seed
+
+
+def seed_sequence_words(seed: int, trials) -> np.ndarray:
+    return np.array([np.random.SeedSequence([seed, int(t)]).generate_state(4, np.uint64) for t in trials]).T
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**96 - 1])
+def test_entropy_of_up_to_four_words_is_hashed_as_arrays(seed, monkeypatch):
+    # The trials straddle 2**32, where a trial's entropy grows to two words;
+    # seed 2**96 - 1 takes three words and so only trials below 2**32.
+    trials = np.arange(2**32 - 2, 2**32 + 3) if seed < 2**64 else np.array([0, 1, 2**32 - 1])
+    expected = seed_sequence_words(seed, trials)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("hashed by SeedSequence")
+
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    words = axioms_module._seed_words(seed, trials)
+    assert words.dtype == np.uint64 and np.array_equal(words, expected)
+
 
 
 def test_negative_seed_is_rejected_as_by_default_rng():
@@ -152,8 +174,9 @@ def test_zero_on_basis_replays_rejected_draws_on_the_trial_stream(monkeypatch):
 
 
 def checker_calls():
-    """One call of every checker on three families, long enough to cross blocks."""
-    calls = []
+    """One call of every checker on three families, long enough to cross
+    blocks, and two independence suites, whose checker calls share words."""
+    calls = [(independence_suite, (200, 0)), (independence_suite, (200, 2**32))]
     for family, n in (("choquet", 3), ("weighted-mean", 2), ("multilinear", 2)):
         agg = Aggregator(family, n)
         v = random_signed_capacity(n, 5)
@@ -187,3 +210,85 @@ def test_concurrent_checker_calls_return_the_serial_reports():
     assert sorted(results) == [0, 1, 2, 3]
     for reports in results.values():
         assert reports == serial
+
+
+def test_suite_cells_are_the_reports_of_its_checker_calls():
+    trials, seed = 300, 7
+    summary = independence_suite(trials, seed)
+    for cell in summary.cells:
+        agg = Aggregator(cell.family, axioms_module._FAMILY_SUITE_N[cell.family])
+        reports = axioms_module._run_condition(agg, cell.condition, trials, seed)  # outside a suite
+        if axioms_module.EXPECTED_FALSIFIED[cell.family] == cell.condition:
+            reports.insert(0, axioms_module._paper_replay(agg, seed))
+        witness = next((r.witness for r in reports if r.falsified), None)
+        assert cell.samples_run == sum(r.samples_run for r in reports)
+        assert (cell.witness and cell.witness.to_dict()) == (witness and witness.to_dict())
+
+
+def test_a_suite_hashes_each_trial_chunk_once(monkeypatch):
+    calls = []
+    seed_words = axioms_module._seed_words
+
+    def counted(seed, trials):
+        calls.append((seed, int(trials[0]), int(trials[-1]) + 1))
+        return seed_words(seed, trials)
+
+    monkeypatch.setattr(axioms_module, "_seed_words", counted)
+    independence_suite(1000, 3)
+    # Every width of the suite (3 to 11 words) fills chunks of 16, 32, ...
+    # trials; the paper replays draw one trial.
+    assert sorted(calls) == [(3, 0, 1), (3, 0, 16), (3, 16, 48), (3, 48, 112), (3, 112, 240),
+                             (3, 240, 496), (3, 496, 1000)]
+    calls.clear()
+    check_zero_on_basis(Aggregator("weighted-mean", 2), 1, 1000, 3)  # outside a suite nothing is kept
+    check_zero_on_basis(Aggregator("weighted-mean", 2), 1, 1000, 3)
+    assert len(calls) == 12
+
+
+def test_the_suite_words_live_for_one_suite_call(monkeypatch):
+    stores = []
+    shared = axioms_module._suite_shared
+
+    def watched(key, make):
+        words = shared(key, make)
+        store = axioms_module._SUITE_WORDS.get()
+        stores.append((store, len(store)))
+        return words
+
+    monkeypatch.setattr(axioms_module, "_suite_shared", watched)
+    independence_suite(100, 0)
+    assert all(store is stores[0][0] for store, _ in stores) and max(size for _, size in stores) > 1
+    assert stores[0][0] == {} and axioms_module._SUITE_WORDS.get() is None
+
+    def fail(*args):
+        raise RuntimeError("checker failed")
+
+    stores.clear()
+    monkeypatch.setitem(axioms_module.CHECKERS, axioms_module.AXIOM_LINEARITY_IN_CAPACITY, fail)
+    with pytest.raises(RuntimeError, match="checker failed"):
+        independence_suite(100, 0)
+    assert max(size for _, size in stores) > 1  # words were kept before the failure
+    assert stores[0][0] == {} and axioms_module._SUITE_WORDS.get() is None
+
+
+def test_the_suite_words_stay_within_the_block_budget(monkeypatch):
+    # 10,000 trials need 40,000 seed words and 30,000 to 60,000 words per
+    # width, far past the budget: chunks past it are made and not kept.
+    totals, made = [], []
+    shared, seed_words = axioms_module._suite_shared, axioms_module._seed_words
+
+    def watched(key, make):
+        words = shared(key, make)
+        totals.append(sum(stored.size for stored in axioms_module._SUITE_WORDS.get().values()))
+        return words
+
+    def counted(seed, trials):
+        made.append(int(trials[0]))
+        return seed_words(seed, trials)
+
+    monkeypatch.setattr(axioms_module, "_suite_shared", watched)
+    monkeypatch.setattr(axioms_module, "_seed_words", counted)
+    independence_suite(10000, 1)
+    assert axioms_module._BLOCK_VALUES // 2 < max(totals) <= axioms_module._BLOCK_VALUES
+    assert len(made) > len(set(made))  # some chunks were hashed again
+
