@@ -265,13 +265,12 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 # Trial t of a checker called with seed s draws from the stream of
 # default_rng([s, t]), and _seed_words gives the SeedSequence words that
-# seed it.  SeedSequence splits s and t into 32-bit words, low first, one
-# word for 0 and two for 2**32 <= t < 2**64.  Up to four words fill its
-# pool directly, and _seed_words reproduces numpy's pool mixing and
-# generate_state(4, np.uint64) for a whole chunk of trials at once; longer
-# entropy, which adds mixing rounds, it hands to SeedSequence itself.
-# numpy keeps these streams fixed across releases (NEP 19); tests compare
-# them with default_rng.
+# seed it.  For 0 <= s < 2**32 and 0 <= t < 2**32 the entropy is exactly
+# the two 32-bit words [s, t], and _seed_words reproduces numpy's pool
+# mixing and generate_state(4, np.uint64) for a whole chunk of trials at
+# once; other seeds and trials it hands to SeedSequence itself.  numpy
+# keeps these streams fixed across releases (NEP 19); tests compare them
+# with default_rng.
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
@@ -317,26 +316,16 @@ def _hash(words: np.ndarray, constants: tuple[np.ndarray, np.ndarray]) -> np.nda
 def _seed_words(seed: int, trials: np.ndarray) -> np.ndarray:
     """PCG64's initstate (high, low) and initseq (high, low) words of
     default_rng([seed, trial]) for each of the increasing trials, shape
-    (4, len(trials)).  Entropy of more than four words is hashed by
-    SeedSequence itself, and so is a negative seed, which raises its
-    ValueError."""
+    (4, len(trials)).  Seeds and trials outside [0, 2**32) are hashed by
+    SeedSequence itself (a negative seed raises its ValueError)."""
     seed = int(seed)
-    split = int(np.searchsorted(trials, _MASK32 + 1))  # trials from 2**32 take two words
-    if 0 < split < len(trials):
-        return np.concatenate((_seed_words(seed, trials[:split]), _seed_words(seed, trials[split:])), axis=1)
-    entropy = [seed & _MASK32]  # the seed's words, low first, as SeedSequence splits an int
-    while seed >> 32 * len(entropy) > 0:
-        entropy.append(seed >> 32 * len(entropy) & _MASK32)
-    wide = split == 0  # every trial takes two words
-    if seed < 0 or len(entropy) + 1 + wide > 4:
+    if not (0 <= seed <= _MASK32 and trials[-1] <= _MASK32):
         return np.array([
             np.random.SeedSequence([seed, int(t)]).generate_state(4, np.uint64) for t in trials
         ]).T
     pool = np.zeros((7, len(trials)), dtype=np.uint32)  # rows 4..6 repeat words 0..2
-    pool[:len(entropy)] = np.array(entropy, dtype=np.uint32)[:, None]
-    pool[len(entropy)] = trials & _MASK32
-    if wide:
-        pool[len(entropy) + 1] = trials >> 32
+    pool[0] = seed
+    pool[1] = trials
     pool[:4] = _hash(pool[:4], _ENTROPY_HASH)
     for s, constants in enumerate(_CROSS_HASH):
         if s:

@@ -2,8 +2,8 @@
 
 Trial t of a checker called with seed s draws from the stream of
 `np.random.default_rng([s, t])`.  The runner hashes the SeedSequence words
-of a whole chunk of trials at once (entropy of more than four 32-bit words
-through SeedSequence itself), computes the raw 64-bit words of narrow rows by
+of a whole chunk of trials at once (seeds and trials from 2**32 through
+SeedSequence itself), computes the raw 64-bit words of narrow rows by
 jumping ahead from those words and of wide rows by setting a PCG64 to each
 seeded state, and maps the words to `random`, `uniform` and `integers`
 draws itself.  numpy keeps these streams fixed across releases (NEP 19); if
@@ -52,7 +52,7 @@ def test_both_producers_give_the_default_rng_words(seed):
 @pytest.mark.parametrize("width", [1, 2, axioms_module._NARROW_WIDTH, axioms_module._NARROW_WIDTH + 1, 264])
 def test_trial_words_are_default_rng_words_on_both_routes(width):
     # Narrow rows are computed by _jump_words, wide ones by setting a PCG64
-    # to each state; seed 2**32 takes two entropy words.  113 trials come
+    # to each state; seed 2**32 is hashed by SeedSequence.  113 trials come
     # in chunks of 16, 32, 64 and 1 trials: the one-row chunk takes no numpy
     # scalar arithmetic, whose overflow warnings the test configuration
     # makes errors.
@@ -79,32 +79,11 @@ def test_raw_words_map_to_the_generator_draws(seed):
             assert index[trial] == rng.integers(m)
 
 
-def test_seeds_and_trials_from_two_to_the_32_give_the_default_rng_words():
-    # Seed 2**64 + 5 takes three entropy words, and trial 2**32 two more.
+def test_seeds_and_trials_from_two_to_the_32_are_hashed_by_seed_sequence():
     trials = np.array([0, 1, 2**32])
     for seed in (0, 2**32, 2**64 + 5):  # seed 0 only for trial 2**32
         words = axioms_module._jump_words(axioms_module._seed_words(seed, trials), 5)
         assert np.array_equal(words, raw_words(seed, trials.tolist(), 5)), seed
-
-
-def seed_sequence_words(seed: int, trials) -> np.ndarray:
-    return np.array([np.random.SeedSequence([seed, int(t)]).generate_state(4, np.uint64) for t in trials]).T
-
-
-@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**96 - 1])
-def test_entropy_of_up_to_four_words_is_hashed_as_arrays(seed, monkeypatch):
-    # The trials straddle 2**32, where a trial's entropy grows to two words;
-    # seed 2**96 - 1 takes three words and so only trials below 2**32.
-    trials = np.arange(2**32 - 2, 2**32 + 3) if seed < 2**64 else np.array([0, 1, 2**32 - 1])
-    expected = seed_sequence_words(seed, trials)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("hashed by SeedSequence")
-
-    monkeypatch.setattr(np.random, "SeedSequence", refuse)
-    words = axioms_module._seed_words(seed, trials)
-    assert words.dtype == np.uint64 and np.array_equal(words, expected)
-
 
 
 def test_negative_seed_is_rejected_as_by_default_rng():
