@@ -114,21 +114,21 @@ def _chain_sums(values: np.ndarray, X: np.ndarray) -> np.ndarray:
     (values of shape (2**n,)) or at one set function per row ((k, 2**n)).
 
     A stable row argsort orders ties as sort_permutation does, and the
-    differences, products and the column-by-column sum are the same float
+    differences, products and the row-wise running sum are the same float
     operations in the same order as _chain_sum, so every entry equals the
-    scalar route bit for bit.  Overflow is not checked: its rows come out
-    non-finite.
+    scalar route bit for bit.  The running sum starts from the first term,
+    not from 0.0, so it differs only where every term is -0.0; adding 0.0
+    turns that -0.0 into the +0.0 of _chain_sum and leaves every other sum
+    as it is.  Overflow is not checked: its rows come out non-finite.
     """
     k, n = X.shape
+    rows = np.arange(k)[:, None]
     order = np.argsort(X, axis=1, kind="stable")
     chain = np.zeros((k, n + 1), dtype=np.int64)  # upper sets of each row, then the empty set
     chain[:, :n] = np.cumsum((1 << order)[:, ::-1], axis=1)[:, ::-1]
-    f = values[chain] if values.ndim == 1 else np.take_along_axis(values, chain, axis=1)
-    terms = (f[:, :-1] - f[:, 1:]) * np.take_along_axis(X, order, axis=1)
-    total = np.zeros(k)
-    for column in terms.T:
-        total += column
-    return total
+    f = values[chain] if values.ndim == 1 else values[rows, chain]
+    terms = (f[:, :-1] - f[:, 1:]) * X[rows, order]
+    return np.cumsum(terms, axis=1)[:, -1] + 0.0
 
 
 def choquet(v: SetFunction, x: Sequence[float]) -> EvaluationResult:
@@ -163,6 +163,11 @@ def choquet_mobius(m: MobiusRepresentation, x: Sequence[float]) -> EvaluationRes
     The empty-set term contributes m(empty) verbatim as a constant offset,
     so this route also evaluates general Lovasz extensions; it is a signed
     Choquet integral exactly when m(empty) = 0.
+
+    O(2**n) per point: the subset minima are built by prefix doubling, one
+    write per mask, and each minimum is still folded over the mask's
+    coordinates in ascending element order (see _subset_statistic), so the
+    value is the one a per-mask fold gives, bit for bit.
     """
     coords = _coerce_point(x, m.n)
     mins = _subset_statistic(np.minimum, np.inf, coords)  # entry 0 (+inf) is unused

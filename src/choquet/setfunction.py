@@ -114,12 +114,21 @@ def _subset_statistic(op, identity: float, coords) -> np.ndarray:
 
     coords is one point of length n, giving 2**n values, or a (k, n) array
     of points, giving one row of 2**n values per point.
+
+    Built by prefix doubling: once the first 2**i entries hold the statistic
+    of every mask on bits below i, one op call over that contiguous prefix
+    and coordinate i writes the next 2**i, since mask S + {i} gets
+    op(stat(S), x_i).  That is the fold of S extended by its largest
+    element, so the operations, their order and their argument order are
+    those of the per-mask fold, and the result equals it bit for bit
+    (signed zeros included).  Each entry is written once: O(2**n) per point.
     """
-    columns = np.asarray(coords, dtype=float).T[..., None, None]  # coordinate i of every row
-    out = np.empty(columns.shape[1:-2] + (1 << len(columns),))
-    out.fill(identity)  # faster than np.full on the small arrays the checkers use
-    for i, _, hi in _lattice_passes(out):
-        op(hi, columns[i], out=hi)
+    columns = np.asarray(coords, dtype=float).T[..., None]  # coordinate i of every row
+    out = np.empty(columns.shape[1:-1] + (1 << len(columns),))
+    out[..., 0] = identity
+    for i, column in enumerate(columns):
+        size = 1 << i
+        op(out[..., :size], column, out=out[..., size:2 * size])
     return out
 
 

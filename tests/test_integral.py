@@ -271,3 +271,51 @@ def test_chain_sums_equal_the_scalar_route_exactly(n):
     for x, got, game, got_own in zip(points, shared, games, per_row):
         for value, expected in ((got, choquet(v, x).value), (got_own, choquet(game, x).value)):
             assert value == expected and np.signbit(value) == np.signbit(expected), (x, value, expected)
+
+
+def _chain_sums_by_columns(values, X):
+    """The column-by-column form _chain_sums used to take: a total that
+    starts from +0.0 and adds one column of terms per numpy call."""
+    k, n = X.shape
+    order = np.argsort(X, axis=1, kind="stable")
+    chain = np.zeros((k, n + 1), dtype=np.int64)
+    chain[:, :n] = np.cumsum((1 << order)[:, ::-1], axis=1)[:, ::-1]
+    f = values[chain] if values.ndim == 1 else np.take_along_axis(values, chain, axis=1)
+    terms = (f[:, :-1] - f[:, 1:]) * np.take_along_axis(X, order, axis=1)
+    total = np.zeros(k)
+    for column in terms.T:
+        total += column
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 13, 16])
+@pytest.mark.parametrize("k", [1, 5, 256])
+def test_chain_sums_equal_the_column_by_column_sum_bit_for_bit(n, k):
+    """Ties, signed zeros and rows of -0.0 only (every term -0.0 at a game
+    whose chain differences are all positive), at one game and at one game
+    per row.  One game per row is left out at n = 16 with 256 rows (32 M
+    values); checker blocks hold at most 2**16."""
+    rng = np.random.default_rng([n, k])
+    X = rng.integers(-300, 301, (k, n)) / 100
+    X[rng.random(X.shape) < 0.2] = -0.0
+    X[rng.random(X.shape) < 0.2] = 0.0
+    X[::2] = -0.0
+    increasing = np.arange(1 << n, dtype=float)  # every chain difference is positive
+    games = [random_signed_capacity(n, rng).values, increasing]
+    if k << n <= 1 << 21:
+        games += [rng.uniform(-1.0, 1.0, (k, 1 << n)), np.broadcast_to(increasing, (k, 1 << n))]
+    for values in games:
+        got, expected = _chain_sums(values, X), _chain_sums_by_columns(values, X)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+    assert not np.signbit(_chain_sums(increasing, X)[::2]).any()
+
+
+@pytest.mark.parametrize("monotone", [False, True])
+def test_mobius_route_matches_the_permutation_route_at_n_20(monotone):
+    v = random_capacity(20, 20) if monotone else random_signed_capacity(20, 20)
+    m = mobius_transform(v)
+    rng = np.random.default_rng(20)
+    for _ in range(3):
+        x = rng.integers(-300, 301, 20) / 100
+        assert_close(choquet_mobius(m, x).value, choquet(v, x).value, rel=1e-9)

@@ -291,23 +291,74 @@ def test_mobius_of_game_vanishes_on_empty():
         assert mobius_transform(v).coefficients[0] == 0.0
 
 
+def _assert_same_bits(got, expected):
+    """Equal values, NaN where NaN, and equal signs on every non-NaN entry."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected, equal_nan=True)
+    numbers = ~np.isnan(expected)
+    assert np.array_equal(np.signbit(got[numbers]), np.signbit(expected[numbers]))
+
+
+# Two-decimal values repeat (ties); signed zeros and infinities are exact.
+SPECIAL_COORDS = np.array([-0.0, 0.0, np.inf, -np.inf, 1.5, -1.5, 0.25])
+
+
+def _special_coords(rng, shape):
+    """Two-decimal coordinates, about half of them taken from SPECIAL_COORDS."""
+    x = rng.integers(-300, 301, shape) / 100
+    special = rng.random(shape) < 0.5
+    x[special] = rng.choice(SPECIAL_COORDS, shape)[special]
+    return x
+
+
 @pytest.mark.parametrize(
     "op, identity, reduce",
     [
-        (np.minimum, np.inf, min),
+        # np.minimum returns its second argument on ties (so min(0.0, -0.0) is -0.0).
+        (np.minimum, np.inf, lambda a, b: a if a < b else b),
         (np.add, 0.0, lambda a, b: a + b),
         (np.multiply, 1.0, lambda a, b: a * b),
     ],
 )
-@pytest.mark.parametrize("n", [1, 2, 5, 9])
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 12])
 def test_subset_statistic_matches_per_mask_fold(op, identity, reduce, n):
-    coords = list(np.random.default_rng(n).uniform(-5.0, 5.0, n))
-    out = _subset_statistic(op, identity, coords)
+    coords = [float(c) for c in _special_coords(np.random.default_rng(n), n)]
+    with np.errstate(invalid="ignore"):
+        out = _subset_statistic(op, identity, coords)
+    expected = []
     for mask in range(1 << n):
-        expected = identity
+        value = identity
         for e in elements_from_mask(mask):
-            expected = reduce(expected, coords[e - 1])
-        assert out[mask] == expected, (mask, out[mask], expected)
+            value = reduce(value, coords[e - 1])
+        expected.append(value)
+    _assert_same_bits(out, expected)
+
+
+def _per_bit_statistic(op, identity, coords):
+    """The per-bit lattice recursion _subset_statistic used to run: for each
+    bit i, op(stat, x_i) on every mask with bit i, n passes over half the
+    entries each."""
+    columns = np.asarray(coords, dtype=float).T[..., None, None]
+    out = np.empty(columns.shape[1:-2] + (1 << len(columns),))
+    out.fill(identity)
+    for i, column in enumerate(columns):
+        hi = out.reshape(out.shape[:-1] + (-1, 2, 1 << i))[..., 1, :]
+        op(hi, column, out=hi)
+    return out
+
+
+@pytest.mark.parametrize(
+    "op, identity", [(np.minimum, np.inf), (np.add, 0.0), (np.multiply, 1.0)]
+)
+@pytest.mark.parametrize("n", range(1, 17))
+def test_subset_statistic_equals_the_per_bit_recursion_bit_for_bit(op, identity, n):
+    rng = np.random.default_rng([n, 17])
+    for coords in (_special_coords(rng, n), _special_coords(rng, (3, n))):
+        with np.errstate(invalid="ignore"):
+            got = _subset_statistic(op, identity, coords)
+            expected = _per_bit_statistic(op, identity, coords)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 @pytest.mark.parametrize(
