@@ -293,8 +293,8 @@ def _chain_sums_by_columns(values, X):
 def test_chain_sums_equal_the_column_by_column_sum_bit_for_bit(n, k):
     """Ties, signed zeros and rows of -0.0 only (every term -0.0 at a game
     whose chain differences are all positive), at one game and at one game
-    per row.  One game per row is left out at n = 16 with 256 rows (32 M
-    values); checker blocks hold at most 2**16."""
+    per row.  One game per row is left out at n = 16 with 256 rows (2**24
+    values, 134 MB); a checker block holds at most 2**16."""
     rng = np.random.default_rng([n, k])
     X = rng.integers(-300, 301, (k, n)) / 100
     X[rng.random(X.shape) < 0.2] = -0.0

@@ -300,7 +300,7 @@ def _assert_same_bits(got, expected):
     assert np.array_equal(np.signbit(got[numbers]), np.signbit(expected[numbers]))
 
 
-# Two-decimal values repeat (ties); signed zeros and infinities are exact.
+# Drawn often enough to repeat (ties), with both signed zeros and both infinities.
 SPECIAL_COORDS = np.array([-0.0, 0.0, np.inf, -np.inf, 1.5, -1.5, 0.25])
 
 
