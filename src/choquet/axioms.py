@@ -126,9 +126,7 @@ class Aggregator:
     def evaluate(self, v: SignedCapacity, x: Sequence[float]) -> float:
         """The family at game v and point x; an overflow raises NonFiniteResult."""
         f = self._bind(v)  # checks the dimension before the point
-        if self.family == FAMILY_CHOQUET or (
-            self.family == FAMILY_VSTAR_PATCH and not np.array_equal(v.values, _VSTAR_VALUES)
-        ):
+        if self.family == FAMILY_CHOQUET:
             # One point takes the scalar chain sum, which _chain_sums equals bit for bit.
             return choquet(v, x).value
         X = np.array([_coerce_point(x, self.n)])
@@ -463,7 +461,7 @@ def _trial_words(seed: int, trials: int, width: int):
     _NARROW_WIDTH words are computed by _jump_words, whose largest temporary
     holds 8 values per word, wider ones by _setter_words; either way a chunk
     holds at most _BLOCK_VALUES values while it is made, unless it is one
-    row.  Width 0 computes nothing."""
+    row."""
     narrow = width <= _NARROW_WIDTH
     rows = max(1, _BLOCK_VALUES // max(1, width * (8 if narrow else 1)))
     bits = None if narrow else np.random.PCG64(0)  # this call's alone
@@ -475,10 +473,7 @@ def _trial_words(seed: int, trials: int, width: int):
     start, size = 0, 16
     while start < trials:
         stop = min(trials, start + min(size, rows))
-        if not width:
-            yield np.empty((stop - start, 0), dtype=np.uint64)
-        else:
-            yield _suite_shared((seed, start, stop, width), partial(words, start, stop))
+        yield _suite_shared((seed, start, stop, width), partial(words, start, stop))
         start, size = stop, 2 * size
 
 
@@ -504,9 +499,18 @@ def _bounded_integers(words: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _require_trials(trials: int) -> None:
+def _require_integer(name: str, value) -> int:
+    """value as a Python int: an int or a numpy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _require_trials(trials) -> int:
+    trials = _require_integer("trials", trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    return trials
 
 
 def _run_checker(
@@ -518,23 +522,25 @@ def _run_checker(
     The blocks are the chunks of _trial_words, split at the _BLOCK_VALUES cap.
 
     f = agg._bind(game) (None without a game) is computed once, after trials
-    and tolerance are checked, and then the seed: a negative one raises
-    SeedSequence's ValueError, also when no words are drawn (width 0).  For
-    a block of trial numbers, words holds the first `width` raw words of
-    each trial's stream, and inputs maps each witness key that varies by
-    trial to an array with one row per trial.  The two sides are arrays with
-    one row per trial, computed with over/invalid ignored.  The first row
-    that is over the tolerance or non-finite decides: over the tolerance ends
-    the run with a witness whose inputs are the family, the fixed entries and
-    that row of every input (arrays converted to lists and numbers),
-    non-finite raises NonFiniteResult naming agg's operation.  Otherwise
-    every trial runs and the report is satisfied.
+    and tolerance are checked, and then the seed.  Trials and seed are ints
+    or numpy integers, reported as ints; a negative seed raises the
+    ValueError of SeedSequence.  For a block of trial numbers, words holds
+    the first `width` raw words of each trial's stream, and inputs maps each
+    witness key that varies by trial to an array with one row per trial.
+    The two sides are arrays with one row per trial, computed with
+    over/invalid ignored.  The first row that is over the tolerance or
+    non-finite decides: over the tolerance ends the run with a witness whose
+    inputs are the family, the fixed entries and that row of every input
+    (arrays converted to lists and numbers), non-finite raises
+    NonFiniteResult naming agg's operation.  Otherwise every trial runs and
+    the report is satisfied.
     """
-    _require_trials(trials)
+    trials = _require_trials(trials)
     if not (isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     f = None if game is None else agg._bind(game)
-    if int(seed) < 0:
+    seed = _require_integer("seed", seed)
+    if seed < 0:
         raise ValueError("expected non-negative integer")  # SeedSequence's message
     cap = max(1, _BLOCK_VALUES >> agg.n)
     blocks = (chunk[i:i + cap] for chunk in _trial_words(seed, trials, width)
@@ -939,7 +945,7 @@ def independence_suite(
     disabled) backs the expected-pass cells and typically finds additional
     falsifying samples in the failing ones.
     """
-    _require_trials(trials)
+    trials, seed = _require_trials(trials), _require_integer("seed", seed)
     cells = []
     shared = {}  # the words its checker calls share
     token = _SUITE_WORDS.set(shared)

@@ -7,7 +7,8 @@ every invocation is deterministic given its full flag set (seed included).
 Exit codes:
     0  success / axiom satisfied / matrix as expected
     1  axiom falsified / independence matrix deviates
-    2  unparseable input, unknown name, invalid parameter, or overflow
+    2  unparseable input, a file that cannot be read or written, unknown
+       name, invalid parameter, or overflow
     3  point length does not match the ground set
     4  the capacity file is not a game (empty set value nonzero)
 """
@@ -44,12 +45,10 @@ def _positive_int(text: str) -> int:
 
 
 def _emit(doc: dict, out: Optional[str]) -> None:
-    text = io.format_document(doc)
     if out:
-        with open(out, "w") as handle:
-            handle.write(text)
+        io.dump_document(doc, out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(io.format_document(doc))
 
 
 def _parse_int_list(flag: str, text: str) -> list[int]:
@@ -115,7 +114,6 @@ def cmd_check(args) -> int:
     elements = _parse_int_list("--subset", args.subset) if args.subset else None
     n = _resolve_check_n(args, capacity, elements)
     agg = axioms.Aggregator(args.family, n)
-    tolerance = args.tolerance if args.tolerance is not None else axioms.FALSIFY_TOLERANCE
 
     if args.axiom in SUBSET_AXIOMS:
         if elements is None:
@@ -128,7 +126,7 @@ def cmd_check(args) -> int:
         game_args = []
     else:
         game_args = [capacity if capacity is not None else random_signed_capacity(n, args.seed)]
-    report = axioms.CHECKERS[args.axiom](agg, *game_args, args.trials, args.seed, tolerance)
+    report = axioms.CHECKERS[args.axiom](agg, *game_args, args.trials, args.seed, args.tolerance)
 
     if args.format == "json":
         _emit(report.to_dict(), None)
@@ -242,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subset", help="basis subset for interval-scale / zero-on-basis, e.g. 1,2")
     p.add_argument("--family", choices=axioms.FAMILIES, default=axioms.FAMILY_CHOQUET,
                    help="aggregation family to check (default choquet)")
-    p.add_argument("--tolerance", type=float,
+    p.add_argument("--tolerance", type=float, default=axioms.FALSIFY_TOLERANCE,
                    help="falsification threshold override (default 1e-6)")
     add_common(p)
     p.set_defaults(func=cmd_check)
@@ -292,7 +290,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: point dimension: {exc}", file=sys.stderr)
         return 3
     except NotAGame as exc:
-        print(f"error: {exc} (use --lovasz for general set functions)", file=sys.stderr)
+        hint = " (use --lovasz for general set functions)" if args.command == "eval" else ""
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return 4
     except (ChoquetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

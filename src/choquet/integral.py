@@ -98,14 +98,10 @@ def _chain_sum(values: np.ndarray, coords: list[float], perm: SortPermutation) -
     Terms accumulate left to right in ascending i, so the result is
     bit-for-bit reproducible.
     """
-    order, chain = perm.order, perm.upper_chain
-    n = len(order)
-    empty = float(values[0])
+    f = values[[*perm.upper_chain, 0]].tolist()
     total = 0.0
-    for i in range(n):
-        hi = float(values[chain[i]])
-        lo = float(values[chain[i + 1]]) if i + 1 < n else empty
-        total += (hi - lo) * coords[order[i] - 1]
+    for i, element in enumerate(perm.order):
+        total += (f[i] - f[i + 1]) * coords[element - 1]
     return total
 
 

@@ -6,7 +6,8 @@ A document carries the ground-set size and the values in one of two forms:
     {"n": 2, "by_subset": {"": 0.0, "1": 3.0, "2": -1.0, "1,2": 2.0}}
 
 A subset key is the comma-joined ascending 1-based element list, with ""
-for the empty set.  In by_subset form, omitted subsets default to 0.
+for the empty set.  In by_subset form, omitted subsets default to 0, and
+no two keys may name the same subset.
 Writers always emit by_subset form with all 2**n keys; values serialize via
 repr and so round-trip at full double precision.
 """
@@ -84,8 +85,13 @@ def _values_from_document(doc: dict) -> tuple[int, np.ndarray]:
         if not isinstance(raw, dict):
             raise FileFormatError("field 'by_subset' must be an object")
         values = np.zeros(size)
+        named = {}  # the key that first named each mask
         for key, entry in raw.items():
-            values[parse_subset_key(key, n)] = _as_float(entry, f"by_subset[{key!r}]")
+            mask = parse_subset_key(key, n)
+            first = named.setdefault(mask, key)
+            if first != key:
+                raise FileFormatError(f"subset key {key!r} names the same subset as {first!r}")
+            values[mask] = _as_float(entry, f"by_subset[{key!r}]")
     return n, values
 
 
@@ -104,10 +110,7 @@ def _as_float(entry, field: str) -> float:
 def set_function_from_document(doc: dict) -> SetFunction:
     """Build a SetFunction from a parsed document."""
     n, values = _values_from_document(doc)
-    try:
-        return SetFunction(n, values)
-    except ValueError as exc:
-        raise FileFormatError(str(exc)) from None
+    return SetFunction(n, values)
 
 
 def mobius_from_document(doc: dict) -> MobiusRepresentation:
@@ -144,16 +147,23 @@ def load_mobius(path: PathLike) -> MobiusRepresentation:
 def _load_json(path: PathLike) -> dict:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise FileFormatError(f"{path} nests too deeply to parse") from None
 
 
 def dump_document(doc: dict, path: PathLike) -> None:
-    Path(path).write_text(format_document(doc))
+    """Write format_document(doc) to path; FileFormatError if that fails."""
+    text = format_document(doc)
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise FileFormatError(f"cannot write {path}: {exc}") from None
 
 
 def format_document(doc: dict) -> str:

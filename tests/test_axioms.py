@@ -1,5 +1,6 @@
 """Axiom checkers, counterexample families and the independence matrix."""
 
+import json
 import warnings
 
 import numpy as np
@@ -341,6 +342,39 @@ class TestIndependenceSuite:
 def test_trials_must_be_positive():
     with pytest.raises(ValueError):
         check_positive_homogeneity(Aggregator(FAMILY_CHOQUET, 2), random_signed_capacity(2, 0), 0)
+
+
+def _every_checker(trials, seed):
+    agg = Aggregator(FAMILY_CHOQUET, 2)
+    v = random_signed_capacity(2, 0)
+    return [
+        lambda: check_comonotonic_additivity(agg, v, trials, seed),
+        lambda: check_positive_homogeneity(agg, v, trials, seed),
+        lambda: check_comonotonic_affinity(agg, v, trials, seed),
+        lambda: check_interval_scale_covariance(agg, [1, 2], trials, seed),
+        lambda: check_zero_on_basis(agg, [1, 2], trials, seed),
+        lambda: check_linearity_in_capacity(agg, trials, seed),
+        lambda: independence_suite(trials, seed, paper_witnesses_only=True),
+    ]
+
+
+@pytest.mark.parametrize("trials, seed, name", [
+    (2.5, 0, "trials"), (np.float64(3.0), 0, "trials"), (True, 0, "trials"), ("3", 0, "trials"),
+    (None, 0, "trials"), (3, 2.5, "seed"), (3, "3", "seed"), (3, False, "seed"),
+    (3, np.float64(1.0), "seed"),
+])
+def test_trials_and_seed_must_be_integers(trials, seed, name):
+    for run in _every_checker(trials, seed):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            run()
+
+
+def test_numpy_integer_trials_and_seed_are_reported_as_ints():
+    for expected, got in zip(_every_checker(3, 7), _every_checker(np.int64(3), np.uint32(7))):
+        doc = got().to_dict()
+        assert json.dumps(doc) == json.dumps(expected().to_dict())
+        assert type(doc["trials" if "cells" in doc else "samples_run"]) is int
+        assert type(doc["seed"]) is int
 
 
 @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])

@@ -90,6 +90,16 @@ class TestEval:
         code, _, err = run(["eval", "--capacity", offset_file, "--point", "0,1"], capsys)
         assert code == 4
         assert "empty set" in err
+        assert err.endswith(" (use --lovasz for general set functions)\n")
+
+    @pytest.mark.parametrize("command", [
+        ["check", "--axiom", "positive-homogeneity", "--trials", "5"],
+        ["oracle", "choquet-perms", "--point", "0,1"],
+    ])
+    def test_not_a_game_without_a_lovasz_flag_has_no_hint(self, offset_file, command, capsys):
+        code, _, err = run(command + ["--capacity", offset_file], capsys)
+        assert code == 4
+        assert err.startswith("error: set function is not a game") and "--lovasz" not in err
 
     def test_lovasz_allows_offset(self, offset_file, capsys):
         code, out, _ = run(

@@ -319,3 +319,37 @@ def test_mobius_route_matches_the_permutation_route_at_n_20(monotone):
     for _ in range(3):
         x = rng.integers(-300, 301, 20) / 100
         assert_close(choquet_mobius(m, x).value, choquet(v, x).value, rel=1e-9)
+
+
+def _chain_sum_reading_twice(values, coords, perm):
+    """The scalar chain sum as it read most values twice: each upper-set
+    value as hi at step i and again as lo at step i + 1."""
+    order, chain = perm.order, perm.upper_chain
+    n = len(order)
+    empty = float(values[0])
+    total = 0.0
+    for i in range(n):
+        hi = float(values[chain[i]])
+        lo = float(values[chain[i + 1]]) if i + 1 < n else empty
+        total += (hi - lo) * coords[order[i] - 1]
+    return total
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_scalar_chain_sum_equals_the_two_read_loop_bit_for_bit(n):
+    """choquet and lovasz_extension on two-decimal points (ties at every n),
+    points with signed zeros and points of +0.0 and -0.0 only."""
+    rng = np.random.default_rng([n, 302])
+    points = rng.integers(-300, 301, (40, n)) / 100
+    points[rng.random(points.shape) < 0.2] = -0.0
+    points[rng.random(points.shape) < 0.2] = 0.0
+    zeros = np.where(rng.random((20, n)) < 0.5, -0.0, 0.0)
+    zeros[0], zeros[1] = 0.0, -0.0
+    v = random_signed_capacity(n, rng)
+    f = random_set_function(n, rng)
+    for x in np.concatenate([points, zeros]).tolist():
+        perm = sort_permutation(x)
+        got = (choquet(v, x).value, lovasz_extension(f, x).value)
+        expected = (_chain_sum_reading_twice(v.values, x, perm),
+                    float(f.values[0]) + _chain_sum_reading_twice(f.values, x, perm))
+        assert [g.hex() for g in got] == [e.hex() for e in expected], x

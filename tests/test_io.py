@@ -107,6 +107,16 @@ class TestDocuments:
             mobius_from_document(doc)
 
 
+    @pytest.mark.parametrize("keys", [("1,2", "2,1"), ("1", "01"), ("1", "+1"), ("01", " 1")])
+    @pytest.mark.parametrize("build", [set_function_from_document, mobius_from_document])
+    def test_two_keys_of_one_subset_rejected(self, build, keys):
+        first, second = keys
+        doc = {"n": 2, "by_subset": {"": 0.0, first: 1.0, second: 1.0}}
+        with pytest.raises(FileFormatError) as info:
+            build(doc)
+        assert str(info.value) == f"subset key {second!r} names the same subset as {first!r}"
+
+
 class TestWriter:
     def test_emits_every_subset_key(self):
         doc = set_function_to_document(SetFunction(3, np.arange(8.0)))

@@ -5,6 +5,7 @@ import io as text_io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -23,9 +24,14 @@ from choquet.axioms import (
     evaluate_family,
 )
 from choquet.cli import main
-from choquet.errors import ChoquetError, GroundSetTooLarge, NonFiniteResult
+from choquet.errors import ChoquetError, FileFormatError, GroundSetTooLarge, NonFiniteResult
 from choquet.integral import choquet, choquet_mobius, lovasz_extension
-from choquet.io import dump_document, mobius_from_document, set_function_from_document
+from choquet.io import (
+    dump_document,
+    load_set_function,
+    mobius_from_document,
+    set_function_from_document,
+)
 from choquet.setfunction import (
     MobiusRepresentation,
     SetFunction,
@@ -128,6 +134,38 @@ class TestOverflowInTheCli:
         assert done.stderr.splitlines() == [
             "error: mobius_transform overflowed: the result is not a finite float"
         ]
+
+
+class TestFilesThatCannotBeReadOrWritten:
+    """A file the CLI cannot read or write is an input error (exit 2) whose
+    message names the path, never a traceback."""
+
+    def test_out_into_a_missing_directory(self, tmp_path):
+        game = tmp_path / "game.json"
+        dump_document({"n": 2, "by_mask": [0.0, 1.0, 1.0, 2.0]}, game)
+        out = tmp_path / "missing" / "x.json"
+        code, stdout, err = run(["mobius", "--capacity", str(game), "--out", str(out)])
+        assert_error_exit(code, stdout, err)
+        assert err.startswith(f"error: cannot write {out}")
+
+    def test_out_onto_a_directory(self, tmp_path):
+        code, stdout, err = run(["random-capacity", "--n", "2", "--kind", "signed",
+                                 "--out", str(tmp_path)])
+        assert_error_exit(code, stdout, err)
+        assert err.startswith(f"error: cannot write {tmp_path}")
+
+    @pytest.mark.parametrize("content", [
+        b"[" * 100_000,  # deeper than the decoder's recursion limit
+        b'{"n": 1, "by_mask": [0.0, \xff]}',  # not UTF-8
+    ], ids=["nested", "not-utf-8"])
+    def test_unparseable_bytes(self, tmp_path, content):
+        path = tmp_path / "capacity.json"
+        path.write_bytes(content)
+        with pytest.raises(FileFormatError, match=re.escape(str(path))):
+            load_set_function(path)
+        code, stdout, err = run(["eval", "--capacity", str(path), "--point", "1"])
+        assert_error_exit(code, stdout, err)
+        assert str(path) in err
 
 
 class TestCheckSubsetFlag:

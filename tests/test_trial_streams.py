@@ -92,7 +92,7 @@ def test_negative_seed_is_rejected_as_by_default_rng():
     with pytest.raises(ValueError, match="expected non-negative integer"):
         check_positive_homogeneity(Aggregator("choquet", 2), random_signed_capacity(2, 0), 5, -1)
     with pytest.raises(ValueError, match="expected non-negative integer"):
-        axioms_module._paper_replay(Aggregator("weighted-mean", 2), -1)  # draws no words
+        axioms_module._paper_replay(Aggregator("weighted-mean", 2), -1)  # width 0
 
 
 def test_one_row_blocks_share_their_state_computations(monkeypatch):
@@ -121,16 +121,6 @@ def test_one_row_blocks_share_their_state_computations(monkeypatch):
         sizes = [len(words) for words in axioms_module._trial_words(0, 10000, width)]
         assert sum(sizes) == 10000 and max(sizes) == rows
         assert max(sizes) * width * per_word <= axioms_module._BLOCK_VALUES
-
-
-def test_a_call_without_words_computes_none(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("words computed")
-
-    for name in ("_seed_words", "_jump_words", "_setter_words"):
-        monkeypatch.setattr(axioms_module, name, refuse)
-    report = axioms_module._paper_replay(Aggregator("weighted-mean", 2), 0)
-    assert report.falsified and report.samples_run == 1
 
 
 def test_bounded_integers_flags_the_words_lemire_rejects():
