@@ -24,6 +24,7 @@ The three families besides the integral itself:
 from __future__ import annotations
 
 import operator
+import sys
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import partial
@@ -33,7 +34,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, GroundSetTooLarge, NonFiniteResult, UnsupportedGroundSet
-from .integral import _chain_sums, _coerce_point, choquet
+from .integral import _chain_sums, _coerce_point, _row_dots, _row_sums, choquet
 from .setfunction import (
     MAX_GROUND_SET,
     Capacity,
@@ -187,13 +188,6 @@ class Aggregator:
         if self.family == FAMILY_MULTILINEAR:
             return _subset_statistic(np.multiply, 1.0, X)[:, 1:]
         return _subset_statistic(np.minimum, np.inf, X)[:, 1:]
-
-
-def _row_dots(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """m @ row for every row, with m one vector or one per row.  One dot
-    product per row, the ddot of a @ b: a matrix product sums in another
-    order, and differs from it in the last bits."""
-    return np.vecdot(np.broadcast_to(m, rows.shape), rows)
 
 
 def _vstar_patch(X: np.ndarray) -> np.ndarray:
@@ -513,6 +507,17 @@ def _require_trials(trials) -> int:
     return trials
 
 
+def _require_tolerance(tolerance) -> float:
+    """tolerance as a Python number: an int, a float or a numpy real, not a
+    bool, finite and >= 0."""
+    if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float, np.integer, np.floating)):
+        raise ValueError(f"tolerance must be a real number, got {tolerance!r}")
+    tolerance = tolerance.item() if isinstance(tolerance, np.generic) else tolerance
+    if not 0 <= tolerance <= sys.float_info.max:  # exact for ints beyond the float range
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+    return tolerance
+
+
 def _run_checker(
     axiom: str, agg: Aggregator, game: Optional[SignedCapacity],
     trials: int, seed: int, tolerance: float, fixed: dict, width: int, draw, sides,
@@ -523,7 +528,8 @@ def _run_checker(
 
     f = agg._bind(game) (None without a game) is computed once, after trials
     and tolerance are checked, and then the seed.  Trials and seed are ints
-    or numpy integers, reported as ints; a negative seed raises the
+    or numpy integers, reported as ints, and tolerance is an int, a float or
+    a numpy real, reported as a Python number; a negative seed raises the
     ValueError of SeedSequence.  For a block of trial numbers, words holds
     the first `width` raw words of each trial's stream, and inputs maps each
     witness key that varies by trial to an array with one row per trial.
@@ -535,9 +541,7 @@ def _run_checker(
     NonFiniteResult naming agg's operation.  Otherwise every trial runs and
     the report is satisfied.
     """
-    trials = _require_trials(trials)
-    if not (isfinite(tolerance) and tolerance >= 0):
-        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+    trials, tolerance = _require_trials(trials), _require_tolerance(tolerance)
     f = None if game is None else agg._bind(game)
     seed = _require_integer("seed", seed)
     if seed < 0:
@@ -773,13 +777,13 @@ def check_linearity_in_capacity(
     """f_v(x) = sum over T of m_v(T) * f_{v_T}(x) for sampled games v.
 
     Games are drawn as random_signed_capacity draws them (values uniform on
-    [-1, 1], v(empty) = 0), then x on [-5, 5]^n.  The sum runs over the
-    nonempty masks in ascending order (every game has Mobius coefficient 0
-    on the empty set), with f_{v_T} from Aggregator._basis_values; each
-    block of games is Mobius-transformed once for both sides.  On a ground
-    set of size 3, trial 0 evaluates the patched capacity of the vstar
-    family at x = (0, 2, 1), the sample that separates that family.
-    Bounded at n <= 10.
+    [-1, 1], v(empty) = 0), then x on [-5, 5]^n.  The sum runs left to
+    right over the nonempty masks in ascending order, by _row_sums (every
+    game has Mobius coefficient 0 on the empty set), with f_{v_T} from
+    Aggregator._basis_values; each block of games is Mobius-transformed
+    once for both sides.  On a ground set of size 3, trial 0 evaluates the
+    patched capacity of the vstar family at x = (0, 2, 1), the sample that
+    separates that family.  Bounded at n <= 10.
     """
     if agg.n > _MAX_N_LINEARITY:
         raise GroundSetTooLarge(agg.n, _MAX_N_LINEARITY)
@@ -798,12 +802,7 @@ def check_linearity_in_capacity(
     def sides(_, inputs):
         V, X = inputs["capacity"], inputs["x"]
         m = _lattice_cumulation(V, operator.isub, "mobius_transform")
-        # A zero term adds a signed zero, which leaves a sum that starts at
-        # +0.0 as it is: the same sum as skipping it.
-        rhs = np.zeros(len(X))
-        for coeff, basis_value in zip(m[:, 1:].T, agg._basis_values(X).T):
-            rhs += coeff * basis_value
-        return agg._evaluate(V, m, X), rhs
+        return agg._evaluate(V, m, X), _row_sums(m[:, 1:] * agg._basis_values(X))
 
     return _run_checker(AXIOM_LINEARITY_IN_CAPACITY, agg, None, trials, seed, tolerance,
                         {}, size + agg.n, draw, sides)
@@ -943,9 +942,13 @@ def independence_suite(
     Every expected-fail cell first replays its hand-checked witness, so the
     verdict pattern is deterministic across seeds; random sampling (unless
     disabled) backs the expected-pass cells and typically finds additional
-    falsifying samples in the failing ones.
+    falsifying samples in the failing ones.  paper_witnesses_only is a bool
+    or a numpy bool, reported as a bool.
     """
     trials, seed = _require_trials(trials), _require_integer("seed", seed)
+    if not isinstance(paper_witnesses_only, (bool, np.bool_)):
+        raise ValueError(f"paper_witnesses_only must be a bool, got {paper_witnesses_only!r}")
+    paper_witnesses_only = bool(paper_witnesses_only)
     cells = []
     shared = {}  # the words its checker calls share
     token = _SUITE_WORDS.set(shared)

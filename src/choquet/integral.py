@@ -11,7 +11,8 @@ Two independent evaluation routes are provided:
 Both compute the same function; tests and the acceptance suite cross-check
 them against each other.  A value that overflows the float range raises
 NonFiniteResult.  Points are plain sequences of reals; everything here is a
-pure function over immutable inputs.
+pure function over immutable inputs.  The package's row reductions are here:
+_row_dots (one BLAS dot per row) and _row_sums (a left-to-right sum).
 """
 
 from __future__ import annotations
@@ -110,12 +111,9 @@ def _chain_sums(values: np.ndarray, X: np.ndarray) -> np.ndarray:
     (values of shape (2**n,)) or at one set function per row ((k, 2**n)).
 
     A stable row argsort orders ties as sort_permutation does, and the
-    differences, products and the row-wise running sum are the same float
-    operations in the same order as _chain_sum, so every entry equals the
-    scalar route bit for bit.  The running sum starts from the first term,
-    not from 0.0, so it differs only where every term is -0.0; adding 0.0
-    turns that -0.0 into the +0.0 of _chain_sum and leaves every other sum
-    as it is.  Overflow is not checked: its rows come out non-finite.
+    differences and products are the same float operations as _chain_sum's,
+    and _row_sums adds them in its order, so every entry equals the scalar
+    route bit for bit.  Overflow is not checked: its rows come out non-finite.
     """
     k, n = X.shape
     rows = np.arange(k)[:, None]
@@ -124,7 +122,22 @@ def _chain_sums(values: np.ndarray, X: np.ndarray) -> np.ndarray:
     chain[:, :n] = np.cumsum((1 << order)[:, ::-1], axis=1)[:, ::-1]
     f = values[chain] if values.ndim == 1 else values[rows, chain]
     terms = (f[:, :-1] - f[:, 1:]) * X[rows, order]
+    return _row_sums(terms)
+
+
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """The sum of each row of terms (k, w), w >= 1, added left to right as a
+    loop from 0.0 adds them.  The running sum starts from the first term, so
+    it differs from the loop only where every term is -0.0; adding 0.0 turns
+    that into the loop's +0.0 and leaves every other sum as it is."""
     return np.cumsum(terms, axis=1)[:, -1] + 0.0
+
+
+def _row_dots(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """m @ row for every row (or m @ rows for one vector), with m one vector
+    or one per row.  One dot product per row, the ddot of a @ b: a matrix
+    product sums in another order, and differs from it in the last bits."""
+    return np.vecdot(m, rows)
 
 
 def choquet(v: SetFunction, x: Sequence[float]) -> EvaluationResult:
@@ -168,7 +181,7 @@ def choquet_mobius(m: MobiusRepresentation, x: Sequence[float]) -> EvaluationRes
     coords = _coerce_point(x, m.n)
     mins = _subset_statistic(np.minimum, np.inf, coords)  # entry 0 (+inf) is unused
     with np.errstate(over="ignore", invalid="ignore"):
-        value = float(m.coefficients[0]) + float(m.coefficients[1:] @ mins[1:])
+        value = float(m.coefficients[0]) + float(_row_dots(m.coefficients[1:], mins[1:]))
     return EvaluationResult(_finite(value, "choquet_mobius"), None)
 
 

@@ -33,6 +33,8 @@ def subset_key(mask: int) -> str:
 
 def parse_subset_key(key: str, n: int) -> int:
     """Parse a subset key back to a mask.  Raises FileFormatError on bad keys."""
+    if not isinstance(key, str):
+        raise FileFormatError(f"subset key {key!r} is not a string")
     if key == "":
         return 0
     mask = 0

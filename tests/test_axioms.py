@@ -15,6 +15,7 @@ from choquet.axioms import (
     AXIOM_POSITIVE_HOMOGENEITY,
     AXIOM_ZERO_ON_BASIS,
     Aggregator,
+    FALSIFY_TOLERANCE,
     FAMILY_CHOQUET,
     FAMILY_MULTILINEAR,
     FAMILY_VSTAR_PATCH,
@@ -344,17 +345,18 @@ def test_trials_must_be_positive():
         check_positive_homogeneity(Aggregator(FAMILY_CHOQUET, 2), random_signed_capacity(2, 0), 0)
 
 
-def _every_checker(trials, seed):
+def _every_checker(trials, seed, tolerance=FALSIFY_TOLERANCE, paper_witnesses_only=True):
+    """Every checker, then independence_suite, which takes no tolerance."""
     agg = Aggregator(FAMILY_CHOQUET, 2)
     v = random_signed_capacity(2, 0)
     return [
-        lambda: check_comonotonic_additivity(agg, v, trials, seed),
-        lambda: check_positive_homogeneity(agg, v, trials, seed),
-        lambda: check_comonotonic_affinity(agg, v, trials, seed),
-        lambda: check_interval_scale_covariance(agg, [1, 2], trials, seed),
-        lambda: check_zero_on_basis(agg, [1, 2], trials, seed),
-        lambda: check_linearity_in_capacity(agg, trials, seed),
-        lambda: independence_suite(trials, seed, paper_witnesses_only=True),
+        lambda: check_comonotonic_additivity(agg, v, trials, seed, tolerance),
+        lambda: check_positive_homogeneity(agg, v, trials, seed, tolerance),
+        lambda: check_comonotonic_affinity(agg, v, trials, seed, tolerance),
+        lambda: check_interval_scale_covariance(agg, [1, 2], trials, seed, tolerance),
+        lambda: check_zero_on_basis(agg, [1, 2], trials, seed, tolerance),
+        lambda: check_linearity_in_capacity(agg, trials, seed, tolerance),
+        lambda: independence_suite(trials, seed, paper_witnesses_only),
     ]
 
 
@@ -369,27 +371,24 @@ def test_trials_and_seed_must_be_integers(trials, seed, name):
             run()
 
 
-def test_numpy_integer_trials_and_seed_are_reported_as_ints():
-    for expected, got in zip(_every_checker(3, 7), _every_checker(np.int64(3), np.uint32(7))):
+def test_numpy_arguments_are_reported_as_python_values():
+    plain = _every_checker(3, 7, 0.5, True)
+    numpy = _every_checker(np.int64(3), np.uint32(7), np.float32(0.5), np.bool_(True))
+    for expected, got in zip(plain, numpy):
         doc = got().to_dict()
         assert json.dumps(doc) == json.dumps(expected().to_dict())
         assert type(doc["trials" if "cells" in doc else "samples_run"]) is int
         assert type(doc["seed"]) is int
+        key, kind = ("paper_witnesses_only", bool) if "cells" in doc else ("tolerance", float)
+        assert type(doc[key]) is kind
 
 
-@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("tolerance", [
+    float("nan"), float("inf"), -1.0, np.float64(-1.0), 10**400,
+    "1e-6", True, np.bool_(False), None, [0.1],
+])
 def test_tolerance_must_be_finite_and_nonnegative(tolerance):
-    agg = Aggregator(FAMILY_CHOQUET, 2)
-    v = random_signed_capacity(2, 0)
-    runs = [
-        lambda: check_comonotonic_additivity(agg, v, 5, 0, tolerance),
-        lambda: check_positive_homogeneity(agg, v, 5, 0, tolerance),
-        lambda: check_comonotonic_affinity(agg, v, 5, 0, tolerance),
-        lambda: check_interval_scale_covariance(agg, [1, 2], 5, 0, tolerance),
-        lambda: check_zero_on_basis(agg, [1, 2], 5, 0, tolerance),
-        lambda: check_linearity_in_capacity(agg, 5, 0, tolerance),
-    ]
-    for run in runs:
+    for run in _every_checker(5, 0, tolerance)[:-1]:
         with pytest.raises(ValueError, match="tolerance"):
             run()
 
@@ -398,6 +397,12 @@ def test_zero_tolerance_is_valid():
     report = check_zero_on_basis(Aggregator(FAMILY_CHOQUET, 3), [1, 2], 50, 0, 0.0)
     assert not report.falsified
     assert report.tolerance == 0.0
+
+
+@pytest.mark.parametrize("flag", ["no", 1, 0, None, np.int64(1)])
+def test_paper_witnesses_only_must_be_a_bool(flag):
+    with pytest.raises(ValueError, match="paper_witnesses_only must be a bool"):
+        independence_suite(5, 0, flag)
 
 
 def test_checker_transforms_its_game_once(monkeypatch):

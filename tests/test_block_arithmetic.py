@@ -1,14 +1,16 @@
 """The checkers' block arithmetic against the per-row numpy calls it replaces.
 
-`_row_dots` takes one dot product per row with `np.vecdot`, and
-`_monotone_maps` evaluates numpy's interp rules as array arithmetic.  Both
-must give the bits of the per-row `a @ b` and `np.interp` calls.
+`_row_dots` takes one dot product per row with `np.vecdot`, `_row_sums`
+adds each row with one `np.cumsum`, and `_monotone_maps` evaluates numpy's
+interp rules as array arithmetic.  They must give the bits of the per-row
+`a @ b`, the per-column loop and the per-row `np.interp` calls.
 """
 
 import numpy as np
 import pytest
 
-from choquet.axioms import _monotone_maps, _row_dots, _uniform
+from choquet.axioms import _monotone_maps, _uniform
+from choquet.integral import _row_dots, _row_sums
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -26,6 +28,36 @@ def test_row_dots_are_the_per_row_dot_products(length):
     assert same_bits(_row_dots(shared, rows), np.array([shared @ row for row in rows]))
     per_row = rng.standard_normal((5, length))
     assert same_bits(_row_dots(per_row, rows), np.array([a @ b for a, b in zip(per_row, rows)]))
+    # The offset slices m[..., 1:] that the weighted-mean family and
+    # choquet_mobius pass, shared and one per row.
+    for m in rng.standard_normal(length + 1), rng.standard_normal((5, length + 1)):
+        offset = m[..., 1:]
+        expected = [(offset if offset.ndim == 1 else offset[i]) @ row for i, row in enumerate(rows)]
+        assert same_bits(_row_dots(offset, rows), np.array(expected))
+
+
+def loop_sums(terms: np.ndarray) -> np.ndarray:
+    """The per-column loop the linearity checker once summed its Mobius
+    expansion with: one numpy call per nonempty mask, from +0.0."""
+    total = np.zeros(len(terms))
+    for column in terms.T:
+        total += column
+    return total
+
+
+@pytest.mark.parametrize("rows", [1, 5, 256])
+def test_row_sums_are_the_per_column_loop(rows):
+    rng = np.random.default_rng(rows)
+    shape = (rows, 1023)
+    pool = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    pool[rng.random(shape) < 0.2] = 0.0
+    pool[rng.random(shape) < 0.2] = -0.0
+    pool[2::4] = rng.choice([0.0, -0.0], pool[2::4].shape)
+    pool[3::4] = -0.0  # rows of -0.0 only, which the loop sums to +0.0
+    for width in range(1, 1024):
+        terms = pool[:, :width]
+        got, expected = _row_sums(terms), loop_sums(terms)
+        assert (got.view(np.uint64) == expected.view(np.uint64)).all(), width
 
 
 def interp_maps(base: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -116,6 +116,13 @@ class TestDocuments:
             build(doc)
         assert str(info.value) == f"subset key {second!r} names the same subset as {first!r}"
 
+    @pytest.mark.parametrize("key", [1, None, 1.0, (1,), b"1"])
+    @pytest.mark.parametrize("build", [set_function_from_document, mobius_from_document])
+    def test_non_string_subset_key_rejected(self, build, key):
+        with pytest.raises(FileFormatError) as info:
+            build({"n": 2, "by_subset": {"1": 1.0, key: 1.0}})
+        assert str(info.value) == f"subset key {key!r} is not a string"
+
 
 class TestWriter:
     def test_emits_every_subset_key(self):
