@@ -26,21 +26,22 @@ from __future__ import annotations
 import operator
 import sys
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from functools import partial
-from math import isfinite
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, GroundSetTooLarge, NonFiniteResult, UnsupportedGroundSet
-from .integral import _chain_sums, _coerce_point, _row_dots, _row_sums, choquet
+from .errors import DimensionMismatch, GroundSetTooLarge, UnsupportedGroundSet
+from .integral import _chain_sums, _coerce_point, _finite, _row_dots, _row_sums, choquet
 from .setfunction import (
-    MAX_GROUND_SET,
     Capacity,
     SignedCapacity,
     SubsetLike,
+    _ground_set,
     _lattice_cumulation,
+    _require_integer,
+    _require_seed,
     _subset_statistic,
     as_mask,
     elements_from_mask,
@@ -115,10 +116,7 @@ class Aggregator:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise UnsupportedGroundSet(f"a ground set has an integer size >= 1, got {self.n!r}")
-        if self.n > MAX_GROUND_SET:
-            raise GroundSetTooLarge(self.n, MAX_GROUND_SET)
+        object.__setattr__(self, "n", _ground_set(self.n))
         if self.family == FAMILY_VSTAR_PATCH and self.n != 3:
             raise UnsupportedGroundSet(
                 f"the {FAMILY_VSTAR_PATCH} family is defined on a ground set of size 3, got {self.n}"
@@ -133,9 +131,7 @@ class Aggregator:
         X = np.array([_coerce_point(x, self.n)])
         with np.errstate(over="ignore", invalid="ignore"):
             value = float(f(X)[0])
-        if not isfinite(value):
-            raise NonFiniteResult(self._operation)
-        return value
+        return _finite(value, self._operation)
 
     def basis_evaluate(self, subset: SubsetLike, x: Sequence[float]) -> float:
         """Evaluate the family at the unanimity game of the given subset."""
@@ -210,18 +206,13 @@ class Witness:
     inputs: dict
     lhs: float
     rhs: float
+    discrepancy: float = field(init=False)
 
-    @property
-    def discrepancy(self) -> float:
-        return abs(self.lhs - self.rhs)
+    def __post_init__(self):
+        object.__setattr__(self, "discrepancy", abs(self.lhs - self.rhs))
 
     def to_dict(self) -> dict:
-        return {
-            "inputs": self.inputs,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "discrepancy": self.discrepancy,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -240,14 +231,7 @@ class AxiomReport:
         return self.verdict == VERDICT_FALSIFIED
 
     def to_dict(self) -> dict:
-        return {
-            "axiom": self.axiom,
-            "verdict": self.verdict,
-            "witness": self.witness.to_dict() if self.witness else None,
-            "samples_run": self.samples_run,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-        }
+        return asdict(self)
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -493,13 +477,6 @@ def _bounded_integers(words: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _require_integer(name: str, value) -> int:
-    """value as a Python int: an int or a numpy integer, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _require_trials(trials) -> int:
     trials = _require_integer("trials", trials)
     if trials < 1:
@@ -527,25 +504,21 @@ def _run_checker(
     The blocks are the chunks of _trial_words, split at the _BLOCK_VALUES cap.
 
     f = agg._bind(game) (None without a game) is computed once, after trials
-    and tolerance are checked, and then the seed.  Trials and seed are ints
-    or numpy integers, reported as ints, and tolerance is an int, a float or
-    a numpy real, reported as a Python number; a negative seed raises the
-    ValueError of SeedSequence.  For a block of trial numbers, words holds
-    the first `width` raw words of each trial's stream, and inputs maps each
-    witness key that varies by trial to an array with one row per trial.
-    The two sides are arrays with one row per trial, computed with
-    over/invalid ignored.  The first row that is over the tolerance or
-    non-finite decides: over the tolerance ends the run with a witness whose
-    inputs are the family, the fixed entries and that row of every input
-    (arrays converted to lists and numbers), non-finite raises
+    and tolerance are checked, and then the seed (by _require_seed); all
+    three are reported as Python numbers.  For a block of trial numbers,
+    words holds the first `width` raw words of each trial's stream, and
+    inputs maps each witness key that varies by trial to an array with one
+    row per trial.  The two sides are arrays with one row per trial,
+    computed with over/invalid ignored.  The first row that is over the
+    tolerance or non-finite decides: over the tolerance ends the run with a
+    witness whose inputs are the family, the fixed entries and that row of
+    every input (arrays converted to lists and numbers), non-finite raises
     NonFiniteResult naming agg's operation.  Otherwise every trial runs and
     the report is satisfied.
     """
     trials, tolerance = _require_trials(trials), _require_tolerance(tolerance)
     f = None if game is None else agg._bind(game)
-    seed = _require_integer("seed", seed)
-    if seed < 0:
-        raise ValueError("expected non-negative integer")  # SeedSequence's message
+    seed = _require_seed(seed)
     cap = max(1, _BLOCK_VALUES >> agg.n)
     blocks = (chunk[i:i + cap] for chunk in _trial_words(seed, trials, width)
               for i in range(0, len(chunk), cap))
@@ -557,9 +530,8 @@ def _run_checker(
             within = np.abs(lhs - rhs) <= tolerance  # False where a side is non-finite
         if not within.all():
             row = int(np.argmin(within))
-            left, right = float(lhs[row]), float(rhs[row])
-            if not (isfinite(left) and isfinite(right)):
-                raise NonFiniteResult(agg._operation)
+            left = _finite(float(lhs[row]), agg._operation)
+            right = _finite(float(rhs[row]), agg._operation)
             plain = {"family": agg.family}
             plain.update((k, v.tolist() if isinstance(v, np.ndarray) else v) for k, v in fixed.items())
             plain.update((k, v[row].tolist()) for k, v in inputs.items())
@@ -850,13 +822,7 @@ class IndependenceCell:
     witness: Optional[Witness]
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "condition": self.condition,
-            "falsified": self.falsified,
-            "samples_run": self.samples_run,
-            "witness": self.witness.to_dict() if self.witness else None,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -945,7 +911,7 @@ def independence_suite(
     falsifying samples in the failing ones.  paper_witnesses_only is a bool
     or a numpy bool, reported as a bool.
     """
-    trials, seed = _require_trials(trials), _require_integer("seed", seed)
+    trials, seed = _require_trials(trials), _require_seed(seed)
     if not isinstance(paper_witnesses_only, (bool, np.bool_)):
         raise ValueError(f"paper_witnesses_only must be a bool, got {paper_witnesses_only!r}")
     paper_witnesses_only = bool(paper_witnesses_only)

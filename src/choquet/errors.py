@@ -47,8 +47,9 @@ class DimensionMismatch(ChoquetError):
         super().__init__(f"expected a point of length {expected}, got {got}")
 
 
-class GroundSetTooLarge(ChoquetError):
-    """The ground set exceeds the bound an operation supports."""
+class GroundSetTooLarge(ChoquetError, ValueError):
+    """The ground set exceeds the bound an operation supports.  Also a
+    ValueError, as UnsupportedGroundSet is: both reject a size argument."""
 
     def __init__(self, n: int, bound: int):
         self.n = n
@@ -64,8 +65,8 @@ class NonFiniteResult(ChoquetError):
         super().__init__(f"{operation} overflowed: the result is not a finite float")
 
 
-class UnsupportedGroundSet(ChoquetError):
-    """The aggregation family is not defined for this ground-set size."""
+class UnsupportedGroundSet(ChoquetError, ValueError):
+    """The ground-set size is not an integer >= 1, or the family is not defined on it."""
 
 
 class FileFormatError(ChoquetError):

@@ -6,19 +6,20 @@ from typing import Union
 
 import numpy as np
 
-from .errors import GroundSetTooLarge
-from .setfunction import MAX_GROUND_SET, Capacity, SetFunction, SignedCapacity, _lattice_passes
+from .setfunction import (
+    Capacity, SetFunction, SignedCapacity, _ground_set, _lattice_passes, _require_seed,
+)
 
 SeedLike = Union[int, np.random.Generator]
 
 
 def _as_rng(n: int, seed: SeedLike) -> np.random.Generator:
-    """The generator for seed, after rejecting a ground set too large to allocate."""
-    if n > MAX_GROUND_SET:
-        raise GroundSetTooLarge(n, MAX_GROUND_SET)
+    """The generator for seed (a Generator, or a seed under _require_seed),
+    after checking n by _ground_set, before anything is allocated."""
+    _ground_set(n)
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(seed)
+    return np.random.default_rng(_require_seed(seed))
 
 
 def random_set_function(n: int, seed: SeedLike = 0) -> SetFunction:

@@ -55,9 +55,11 @@ class EvaluationResult:
         return self.value
 
 
-def _coerce_point(x: Sequence[float], n: int) -> list[float]:
+def _coerce_point(x: Sequence[float], n: Optional[int] = None) -> list[float]:
+    """x as a list of finite floats, of length n if n is given: the package's one
+    conversion of a point (ValueError or DimensionMismatch otherwise)."""
     coords = [float(c) for c in x]
-    if len(coords) != n:
+    if n is not None and len(coords) != n:
         raise DimensionMismatch(n, len(coords))
     for c in coords:
         if not isfinite(c):
@@ -72,8 +74,12 @@ def sort_permutation(x: Sequence[float]) -> SortPermutation:
     integral value itself does not depend on how ties are broken, which is
     asserted separately as an invariant.
     """
-    coords = [float(c) for c in x]
-    return _permutation(sorted(range(len(coords)), key=lambda i: (coords[i], i)))
+    return _sort(_coerce_point(x))
+
+
+def _sort(coords: list[float]) -> SortPermutation:
+    """sort_permutation of finite coords: a stable sort, so ties keep ascending order."""
+    return _permutation(sorted(range(len(coords)), key=coords.__getitem__))
 
 
 def _permutation(indices: list[int]) -> SortPermutation:
@@ -149,7 +155,7 @@ def choquet(v: SetFunction, x: Sequence[float]) -> EvaluationResult:
     if v.values[0] != 0.0:
         raise NotAGame(v.values[0])
     coords = _coerce_point(x, v.n)
-    perm = sort_permutation(coords)
+    perm = _sort(coords)
     return EvaluationResult(_finite(_chain_sum(v.values, coords, perm), "choquet"), perm)
 
 
@@ -161,7 +167,7 @@ def lovasz_extension(f: SetFunction, x: Sequence[float]) -> EvaluationResult:
     Coincides with the signed Choquet integral when f(empty) = 0.
     """
     coords = _coerce_point(x, f.n)
-    perm = sort_permutation(coords)
+    perm = _sort(coords)
     value = float(f.values[0]) + _chain_sum(f.values, coords, perm)
     return EvaluationResult(_finite(value, "lovasz_extension"), perm)
 
@@ -191,10 +197,8 @@ def comonotonic(x: Sequence[float], y: Sequence[float]) -> bool:
     Equivalent to the two points sharing a sorting permutation (see
     common_sort_permutation, which computes one).
     """
-    xs = [float(c) for c in x]
-    ys = [float(c) for c in y]
-    if len(xs) != len(ys):
-        raise DimensionMismatch(len(xs), len(ys))
+    xs = _coerce_point(x)
+    ys = _coerce_point(y, len(xs))
     n = len(xs)
     for i in range(n):
         for j in range(i + 1, n):
@@ -212,10 +216,8 @@ def common_sort_permutation(
     whenever the points are comonotonic, so this is an independent route to
     the same predicate as `comonotonic`.
     """
-    xs = [float(c) for c in x]
-    ys = [float(c) for c in y]
-    if len(xs) != len(ys):
-        raise DimensionMismatch(len(xs), len(ys))
+    xs = _coerce_point(x)
+    ys = _coerce_point(y, len(xs))
     n = len(xs)
     candidate = sorted(range(n), key=lambda i: (xs[i], ys[i], i))
     for a, b in zip(candidate, candidate[1:]):

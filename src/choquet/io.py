@@ -15,13 +15,14 @@ repr and so round-trip at full double precision.
 from __future__ import annotations
 
 import json
+from math import isfinite
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
-from .errors import FileFormatError, GroundSetTooLarge
-from .setfunction import MAX_GROUND_SET, MobiusRepresentation, SetFunction, elements_from_mask
+from .errors import FileFormatError, UnsupportedGroundSet
+from .setfunction import MobiusRepresentation, SetFunction, _ground_set, elements_from_mask
 
 PathLike = Union[str, Path]
 
@@ -66,11 +67,10 @@ def _values_from_document(doc: dict) -> tuple[int, np.ndarray]:
         raise FileFormatError("document must be a JSON object")
     if "n" not in doc:
         raise FileFormatError("missing field 'n'")
-    n = doc["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise FileFormatError(f"field 'n' must be a positive integer, got {n!r}")
-    if n > MAX_GROUND_SET:
-        raise GroundSetTooLarge(n, MAX_GROUND_SET)
+    try:
+        n = _ground_set(doc["n"])  # GroundSetTooLarge above the bound, before sizing
+    except UnsupportedGroundSet:
+        raise FileFormatError(f"field 'n' must be a positive integer, got {doc['n']!r}") from None
     has_mask = "by_mask" in doc
     has_subset = "by_subset" in doc
     if has_mask == has_subset:
@@ -104,7 +104,7 @@ def _as_float(entry, field: str) -> float:
         value = float(entry)
     except OverflowError:  # an integer beyond the float range
         value = float("inf")
-    if not np.isfinite(value):
+    if not isfinite(value):
         raise FileFormatError(f"field {field} must be finite, got {value!r}")
     return value
 

@@ -25,7 +25,9 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .errors import EmptyT, GroundSetTooLarge, NonFiniteResult, NotAGame, NotMonotone
+from .errors import (
+    EmptyT, GroundSetTooLarge, NonFiniteResult, NotAGame, NotMonotone, UnsupportedGroundSet,
+)
 
 # Storage bound: 2**20 doubles per set function is the largest array this
 # package is willing to materialize.
@@ -34,20 +36,48 @@ MAX_GROUND_SET = 20
 SubsetLike = Union[int, Iterable[int]]
 
 
+# The argument rules of the package: every module checks ground-set sizes,
+# integers and seeds with these three functions.
+def _require_integer(name: str, value, error: type = ValueError) -> int:
+    """value as a Python int if it is an int or a numpy integer, not a bool; else error."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _ground_set(n) -> int:
+    """n as a Python int in 1..MAX_GROUND_SET.  Raises GroundSetTooLarge above the
+    bound, before anything is allocated, and UnsupportedGroundSet otherwise."""
+    n = _require_integer("ground-set size", n, UnsupportedGroundSet)
+    if n < 1:
+        raise UnsupportedGroundSet(f"ground-set size must be >= 1, got {n}")
+    if n > MAX_GROUND_SET:
+        raise GroundSetTooLarge(n, MAX_GROUND_SET)
+    return n
+
+
+def _require_seed(seed) -> int:
+    """seed as a Python int >= 0, with SeedSequence's message for a negative one."""
+    seed = _require_integer("seed", seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    return seed
+
+
 def full_mask(n: int) -> int:
     """Bitmask of the full ground set [n]."""
-    return (1 << n) - 1
+    return (1 << _ground_set(n)) - 1
 
 
 def mask_from_elements(elements: Iterable[int], n: int | None = None) -> int:
     """Bitmask of a collection of 1-based elements.
 
-    Duplicates are tolerated (set semantics).  Raises ValueError for
-    elements outside 1..n.
+    Duplicates are tolerated (set semantics).  Raises ValueError for an
+    element that is not an integer or lies outside 1..n.
     """
     mask = 0
     for e in elements:
-        e = int(e)
+        e = _require_integer("subset element", e)
         if e < 1 or (n is not None and e > n):
             bound = f"1..{n}" if n is not None else ">= 1"
             raise ValueError(f"element {e} outside the ground set ({bound})")
@@ -62,8 +92,8 @@ def elements_from_mask(mask: int) -> tuple[int, ...]:
 
 def as_mask(subset: SubsetLike, n: int) -> int:
     """Coerce a subset given as a bitmask or an element iterable."""
-    if isinstance(subset, (int, np.integer)):
-        mask = int(subset)
+    if isinstance(subset, (int, np.integer)) or not hasattr(subset, "__iter__"):
+        mask = _require_integer("subset mask", subset)
         if mask < 0 or mask >= (1 << n):
             raise ValueError(f"mask {mask} out of range for ground set of size {n}")
         return mask
@@ -72,8 +102,6 @@ def as_mask(subset: SubsetLike, n: int) -> int:
 
 def _validated_values(n: int, values) -> np.ndarray:
     """Read-only float copy of the 2**n values on [n]; raises ValueError otherwise."""
-    if not (1 <= n <= MAX_GROUND_SET):
-        raise ValueError(f"ground set size must be in 1..{MAX_GROUND_SET}, got {n}")
     arr = np.array(values, dtype=float, copy=True)
     size = 1 << n
     if arr.shape != (size,):
@@ -155,7 +183,7 @@ class SetFunction:
     """A real-valued function on all 2**n subsets of [n].
 
     Attributes:
-        n: ground-set size, 1 <= n <= 20.
+        n: ground-set size, a Python int in 1..20 (a numpy integer is converted).
         values: read-only float array of length 2**n; values[mask] is the
             value on the subset encoded by mask.
     """
@@ -164,6 +192,7 @@ class SetFunction:
     values: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _ground_set(self.n))
         object.__setattr__(self, "values", _validated_values(self.n, self.values))
 
     def value(self, subset: SubsetLike) -> float:
@@ -261,6 +290,7 @@ class MobiusRepresentation:
     coefficients: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _ground_set(self.n))
         object.__setattr__(self, "coefficients", _validated_values(self.n, self.coefficients))
 
     def __getitem__(self, mask: int) -> float:
@@ -298,8 +328,7 @@ def unanimity_game(n: int, subset: SubsetLike) -> SignedCapacity:
     every game has Mobius coefficient 0 on the empty set.  Raises
     GroundSetTooLarge for n > MAX_GROUND_SET before allocating.
     """
-    if n > MAX_GROUND_SET:
-        raise GroundSetTooLarge(n, MAX_GROUND_SET)
+    n = _ground_set(n)
     t_mask = as_mask(subset, n)
     if t_mask == 0:
         raise EmptyT("unanimity games are defined for nonempty subsets only")

@@ -1,6 +1,7 @@
 """Overflow, flag validation and fuzzing: every input ends in a finite value
 or a ChoquetError with its documented exit code, never a traceback."""
 
+import inspect
 import io as text_io
 import json
 import math
@@ -12,30 +13,61 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import choquet as package
 from choquet.axioms import (
     Aggregator,
     check_comonotonic_additivity,
     check_comonotonic_affinity,
+    check_interval_scale_covariance,
     check_linearity_in_capacity,
     check_positive_homogeneity,
+    check_zero_on_basis,
     evaluate_family,
+    independence_suite,
 )
 from choquet.cli import main
-from choquet.errors import ChoquetError, FileFormatError, GroundSetTooLarge, NonFiniteResult
-from choquet.integral import choquet, choquet_mobius, lovasz_extension
+from choquet.errors import (
+    ChoquetError,
+    DimensionMismatch,
+    FileFormatError,
+    GroundSetTooLarge,
+    NonFiniteResult,
+    UnsupportedGroundSet,
+)
+from choquet.generate import (
+    random_capacity,
+    random_normalized_capacity,
+    random_set_function,
+    random_signed_capacity,
+)
+from choquet.integral import (
+    choquet,
+    choquet_mobius,
+    common_sort_permutation,
+    comonotonic,
+    lovasz_extension,
+    sort_permutation,
+)
 from choquet.io import (
     dump_document,
+    format_document,
     load_set_function,
     mobius_from_document,
     set_function_from_document,
+    set_function_to_document,
 )
 from choquet.setfunction import (
+    Capacity,
     MobiusRepresentation,
     SetFunction,
     SignedCapacity,
+    as_mask,
+    full_mask,
+    mask_from_elements,
     mobius_transform,
     unanimity_game,
     zeta_transform,
@@ -296,6 +328,143 @@ class TestLinearityBound:
                               "--trials", "1"])
         assert_error_exit(code, out, err)
         assert err == "error: ground set size 20 exceeds the supported bound 10\n"
+
+
+# ---------------------------------------------------------------------------
+# One rule per argument kind
+# ---------------------------------------------------------------------------
+
+NAN, INF = float("nan"), float("inf")
+AGG2, AGG3 = Aggregator("choquet", 2), Aggregator("choquet", 3)
+GAME2 = SignedCapacity(2, [0.0, 1.0, 0.5, 2.0])
+MOBIUS2 = MobiusRepresentation(2, [0.0, 1.0, 0.5, 0.5])
+NOT_AN_INTEGER = "ground-set size must be an integer, got "
+BELOW_ONE = "ground-set size must be >= 1, got "
+NOT_FINITE = "point has non-finite coordinate "
+
+# Entry point, its arguments (one of them bad), the exception class and the
+# start of its message.  Ground-set sizes, subset elements and masks, and
+# seeds are Python or numpy integers, not bools, and points are finite.
+ARGUMENT_RULES = [
+    pytest.param(SetFunction, (True, [0.0, 1.0]), UnsupportedGroundSet, NOT_AN_INTEGER + "True",
+                 id="SetFunction-n-bool"),
+    pytest.param(SetFunction, (2.5, [0.0] * 4), UnsupportedGroundSet, NOT_AN_INTEGER + "2.5",
+                 id="SetFunction-n-float"),
+    pytest.param(SignedCapacity, (np.float64(2.0), [0.0] * 4), UnsupportedGroundSet,
+                 NOT_AN_INTEGER, id="SignedCapacity-n-numpy-float"),
+    pytest.param(Capacity, (True, [0.0, 1.0]), UnsupportedGroundSet, NOT_AN_INTEGER + "True",
+                 id="Capacity-n-bool"),
+    pytest.param(MobiusRepresentation, (True, [0.0, 1.0]), UnsupportedGroundSet,
+                 NOT_AN_INTEGER + "True", id="MobiusRepresentation-n-bool"),
+    pytest.param(Aggregator, ("choquet", True), UnsupportedGroundSet, NOT_AN_INTEGER + "True",
+                 id="Aggregator-n-bool"),
+    pytest.param(full_mask, (True,), UnsupportedGroundSet, NOT_AN_INTEGER + "True",
+                 id="full_mask-n-bool"),
+    pytest.param(unanimity_game, (2.5, 1), UnsupportedGroundSet, NOT_AN_INTEGER + "2.5",
+                 id="unanimity_game-n-float"),
+    pytest.param(unanimity_game, (-1, 1), UnsupportedGroundSet, BELOW_ONE + "-1",
+                 id="unanimity_game-n-negative"),
+    pytest.param(random_set_function, (True,), UnsupportedGroundSet, NOT_AN_INTEGER + "True",
+                 id="random_set_function-n-bool"),
+    pytest.param(random_signed_capacity, (2.5,), UnsupportedGroundSet, NOT_AN_INTEGER + "2.5",
+                 id="random_signed_capacity-n-float"),
+    pytest.param(random_capacity, (-1,), UnsupportedGroundSet, BELOW_ONE + "-1",
+                 id="random_capacity-n-negative"),
+    pytest.param(random_normalized_capacity, (0,), UnsupportedGroundSet, BELOW_ONE + "0",
+                 id="random_normalized_capacity-n-zero"),
+    pytest.param(mask_from_elements, ([2.9], 3), ValueError,
+                 "subset element must be an integer, got 2.9", id="mask_from_elements-float"),
+    pytest.param(mask_from_elements, (["2"], 3), ValueError,
+                 "subset element must be an integer, got '2'", id="mask_from_elements-str"),
+    pytest.param(as_mask, ("12", 2), ValueError, "subset element must be an integer, got '1'",
+                 id="as_mask-str"),
+    pytest.param(unanimity_game, (3, 2.0), ValueError, "subset mask must be an integer, got 2.0",
+                 id="unanimity_game-subset-float"),
+    pytest.param(check_zero_on_basis, (AGG3, [1.9, 2]), ValueError,
+                 "subset element must be an integer, got 1.9", id="check_zero_on_basis-subset"),
+    pytest.param(check_interval_scale_covariance, (AGG3, [1, True]), ValueError,
+                 "subset element must be an integer, got True",
+                 id="check_interval_scale_covariance-subset"),
+    pytest.param(random_signed_capacity, (2, 2.5), ValueError, "seed must be an integer, got 2.5",
+                 id="random_signed_capacity-seed-float"),
+    pytest.param(random_set_function, (2, True), ValueError, "seed must be an integer, got True",
+                 id="random_set_function-seed-bool"),
+    pytest.param(random_capacity, (2, np.float64(1.0)), ValueError, "seed must be an integer",
+                 id="random_capacity-seed-numpy-float"),
+    pytest.param(random_normalized_capacity, (2, True), ValueError,
+                 "seed must be an integer, got True", id="random_normalized_capacity-seed-bool"),
+    pytest.param(comonotonic, ([NAN, 1.0], [1.0, 2.0]), ValueError, NOT_FINITE + "nan",
+                 id="comonotonic-x"),
+    pytest.param(comonotonic, ([1.0, 2.0], [1.0, INF]), ValueError, NOT_FINITE + "inf",
+                 id="comonotonic-y"),
+    pytest.param(common_sort_permutation, ([NAN, 1.0], [1.0, 2.0]), ValueError,
+                 NOT_FINITE + "nan", id="common_sort_permutation-x"),
+    pytest.param(sort_permutation, ([NAN, 1.0],), ValueError, NOT_FINITE + "nan",
+                 id="sort_permutation-x"),
+    # These entry points checked their arguments this way before the rules
+    # moved into setfunction and integral._coerce_point.
+    pytest.param(choquet, (GAME2, [NAN, 1.0]), ValueError, NOT_FINITE + "nan", id="choquet-x"),
+    pytest.param(lovasz_extension, (GAME2, [1.0, INF]), ValueError, NOT_FINITE + "inf",
+                 id="lovasz_extension-x"),
+    pytest.param(choquet_mobius, (MOBIUS2, [NAN, 0.0]), ValueError, NOT_FINITE + "nan",
+                 id="choquet_mobius-x"),
+    pytest.param(evaluate_family, (AGG2, GAME2, [NAN, 1.0]), ValueError, NOT_FINITE + "nan",
+                 id="evaluate_family-x"),
+    pytest.param(comonotonic, ([1.0, 2.0], [1.0, 2.0, 3.0]), DimensionMismatch,
+                 "expected a point of length 2, got 3", id="comonotonic-lengths"),
+    pytest.param(common_sort_permutation, ([1.0, 2.0, 3.0], [1.0]), DimensionMismatch,
+                 "expected a point of length 3, got 1", id="common_sort_permutation-lengths"),
+    pytest.param(check_comonotonic_additivity, (AGG2, GAME2, 5, -1), ValueError,
+                 "expected non-negative integer", id="check_comonotonic_additivity-seed"),
+    pytest.param(check_positive_homogeneity, (AGG2, GAME2, 5, True), ValueError,
+                 "seed must be an integer, got True", id="check_positive_homogeneity-seed"),
+    pytest.param(check_comonotonic_affinity, (AGG2, GAME2, 5, 2.5), ValueError,
+                 "seed must be an integer, got 2.5", id="check_comonotonic_affinity-seed"),
+    pytest.param(check_linearity_in_capacity, (AGG2, 5, -1), ValueError,
+                 "expected non-negative integer", id="check_linearity_in_capacity-seed"),
+    pytest.param(independence_suite, (5, -1), ValueError, "expected non-negative integer",
+                 id="independence_suite-seed"),
+]
+
+
+@pytest.mark.parametrize("entry, args, error, start", ARGUMENT_RULES)
+def test_bad_argument_raises_its_rule(entry, args, error, start):
+    with pytest.raises(error) as info:
+        entry(*args)
+    assert type(info.value) is error
+    assert str(info.value).startswith(start), str(info.value)
+
+
+# Parameters whose arguments the rules above check.
+RULED_PARAMETERS = {"n", "seed", "subset", "x", "y"}
+# Records of a finished run: the checkers build them from checked arguments.
+RECORDS = {"AxiomReport", "IndependenceSummary"}
+
+
+def test_every_public_entry_point_with_a_ruled_parameter_has_a_row():
+    covered = {row.values[0] for row in ARGUMENT_RULES}
+    missing = []
+    for name in package.__all__:
+        entry = getattr(package, name)
+        if not callable(entry) or name in RECORDS:
+            continue
+        if isinstance(entry, type) and issubclass(entry, BaseException):
+            continue
+        if RULED_PARAMETERS & set(inspect.signature(entry).parameters) and entry not in covered:
+            missing.append(name)
+    assert missing == []
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SetFunction(np.int64(2), [0.0, 1.5, -2.0, 0.25]),
+    lambda: random_signed_capacity(np.int64(3), 4),
+], ids=["SetFunction", "random_signed_capacity"])
+def test_numpy_integer_ground_set_round_trips_through_a_document(build):
+    f = build()
+    assert type(f.n) is int
+    g = set_function_from_document(json.loads(format_document(set_function_to_document(f))))
+    assert g.n == f.n
+    assert g.values.tobytes() == f.values.tobytes()
 
 
 # ---------------------------------------------------------------------------
