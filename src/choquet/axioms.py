@@ -34,12 +34,31 @@ import numpy as np
 
 from .errors import DimensionMismatch, GroundSetTooLarge, UnsupportedGroundSet
 from .integral import _chain_sums, _coerce_point, _finite, _row_dots, _row_sums, choquet
+from .names import (
+    AXIOM_COMONOTONIC_ADDITIVITY,
+    AXIOM_COMONOTONIC_AFFINITY,
+    AXIOM_INTERVAL_SCALE,
+    AXIOM_LINEARITY_IN_CAPACITY,
+    AXIOM_POSITIVE_HOMOGENEITY,
+    AXIOM_ZERO_ON_BASIS,
+    AXIOMS,
+    DEFAULT_SEED,
+    DEFAULT_TRIALS,
+    FALSIFY_TOLERANCE,
+    FAMILIES,
+    FAMILY_CHOQUET,
+    FAMILY_MULTILINEAR,
+    FAMILY_VSTAR_PATCH,
+    FAMILY_WEIGHTED_MEAN,
+)
 from .setfunction import (
     Capacity,
+    SetFunction,
     SignedCapacity,
     SubsetLike,
     _ground_set,
     _lattice_cumulation,
+    _require_instance,
     _require_integer,
     _require_seed,
     _subset_statistic,
@@ -49,36 +68,8 @@ from .setfunction import (
     unanimity_game,
 )
 
-FAMILY_CHOQUET = "choquet"
-FAMILY_WEIGHTED_MEAN = "weighted-mean"
-FAMILY_MULTILINEAR = "multilinear"
-FAMILY_VSTAR_PATCH = "vstar-patch"
-FAMILIES = (FAMILY_CHOQUET, FAMILY_WEIGHTED_MEAN, FAMILY_MULTILINEAR, FAMILY_VSTAR_PATCH)
-
-AXIOM_COMONOTONIC_ADDITIVITY = "comonotonic-additivity"
-AXIOM_POSITIVE_HOMOGENEITY = "positive-homogeneity"
-AXIOM_COMONOTONIC_AFFINITY = "comonotonic-affinity"
-AXIOM_INTERVAL_SCALE = "interval-scale"
-AXIOM_ZERO_ON_BASIS = "zero-on-basis"
-AXIOM_LINEARITY_IN_CAPACITY = "linearity-in-capacity"
-AXIOMS = (
-    AXIOM_COMONOTONIC_ADDITIVITY,
-    AXIOM_POSITIVE_HOMOGENEITY,
-    AXIOM_COMONOTONIC_AFFINITY,
-    AXIOM_INTERVAL_SCALE,
-    AXIOM_ZERO_ON_BASIS,
-    AXIOM_LINEARITY_IN_CAPACITY,
-)
-
 VERDICT_SATISFIED = "satisfied-on-samples"
 VERDICT_FALSIFIED = "falsified"
-
-# Falsification threshold for "the two sides genuinely differ", well above
-# rounding noise.
-FALSIFY_TOLERANCE = 1e-6
-
-DEFAULT_TRIALS = 1000
-DEFAULT_SEED = 0
 
 # Largest ground set of the linearity checker.
 _MAX_N_LINEARITY = 10
@@ -146,8 +137,9 @@ class Aggregator:
 
     def _bind(self, v: SignedCapacity) -> Callable[[np.ndarray], np.ndarray]:
         """The family at game v as a function of a (k, n) array of points,
-        with the work that depends on v alone (dimension check, Mobius
-        transform) done once.  Rows that overflow come out non-finite."""
+        with the work that depends on v alone (type and dimension checks,
+        Mobius transform) done once.  Rows that overflow come out non-finite."""
+        _require_instance(v, SignedCapacity)
         if v.n != self.n:
             raise DimensionMismatch(self.n, v.n)
         if self.family in (FAMILY_CHOQUET, FAMILY_VSTAR_PATCH):
@@ -503,18 +495,19 @@ def _run_checker(
     evaluate them with sides(f, inputs) -> (lhs, rhs), until the sides differ.
     The blocks are the chunks of _trial_words, split at the _BLOCK_VALUES cap.
 
-    f = agg._bind(game) (None without a game) is computed once, after trials
-    and tolerance are checked, and then the seed (by _require_seed); all
-    three are reported as Python numbers.  For a block of trial numbers,
-    words holds the first `width` raw words of each trial's stream, and
-    inputs maps each witness key that varies by trial to an array with one
-    row per trial.  The two sides are arrays with one row per trial,
-    computed with over/invalid ignored.  The first row that is over the
-    tolerance or non-finite decides: over the tolerance ends the run with a
-    witness whose inputs are the family, the fixed entries and that row of
-    every input (arrays converted to lists and numbers), non-finite raises
-    NonFiniteResult naming agg's operation.  Otherwise every trial runs and
-    the report is satisfied.
+    f = agg._bind(game) (None without a game), which checks that game is a
+    SignedCapacity, is computed once, after trials and tolerance are
+    checked, and then the seed (by _require_seed); all three are reported as
+    Python numbers.  For a block of trial numbers, words holds the first
+    `width` raw words of each trial's stream, and inputs maps each witness
+    key that varies by trial to an array with one row per trial.  The two
+    sides are arrays with one row per trial, computed with over/invalid
+    ignored.  The first row that is over the tolerance or non-finite
+    decides: over the tolerance ends the run with a witness whose inputs are
+    the family, the fixed entries (a game as the list of its values) and
+    that row of every input (arrays converted to lists and numbers),
+    non-finite raises NonFiniteResult naming agg's operation.  Otherwise
+    every trial runs and the report is satisfied.
     """
     trials, tolerance = _require_trials(trials), _require_tolerance(tolerance)
     f = None if game is None else agg._bind(game)
@@ -533,7 +526,8 @@ def _run_checker(
             left = _finite(float(lhs[row]), agg._operation)
             right = _finite(float(rhs[row]), agg._operation)
             plain = {"family": agg.family}
-            plain.update((k, v.tolist() if isinstance(v, np.ndarray) else v) for k, v in fixed.items())
+            plain.update((k, v.values.tolist() if isinstance(v, SetFunction) else v)
+                         for k, v in fixed.items())
             plain.update((k, v[row].tolist()) for k, v in inputs.items())
             witness = Witness(plain, left, right)
             return AxiomReport(axiom, VERDICT_FALSIFIED, witness, start + row + 1, seed, tolerance)
@@ -612,7 +606,7 @@ def check_comonotonic_additivity(
         return f(X + Y), f(X) + f(Y)
 
     return _run_checker(AXIOM_COMONOTONIC_ADDITIVITY, agg, v, trials, seed, tolerance,
-                        {"capacity": v.values}, agg.n + _PAIR_WORDS, draw, sides)
+                        {"capacity": v}, agg.n + _PAIR_WORDS, draw, sides)
 
 
 def check_positive_homogeneity(
@@ -637,7 +631,7 @@ def check_positive_homogeneity(
         return f(r[:, None] * X), r * f(X)
 
     return _run_checker(AXIOM_POSITIVE_HOMOGENEITY, agg, v, trials, seed, tolerance,
-                        {"capacity": v.values}, agg.n + 1, draw, sides)
+                        {"capacity": v}, agg.n + 1, draw, sides)
 
 
 def check_comonotonic_affinity(
@@ -662,7 +656,7 @@ def check_comonotonic_affinity(
         return f(lam[:, None] * X + (1.0 - lam[:, None]) * Y), lam * f(X) + (1.0 - lam) * f(Y)
 
     return _run_checker(AXIOM_COMONOTONIC_AFFINITY, agg, v, trials, seed, tolerance,
-                        {"capacity": v.values}, agg.n + _PAIR_WORDS + 1, draw, sides)
+                        {"capacity": v}, agg.n + _PAIR_WORDS + 1, draw, sides)
 
 
 def check_interval_scale_covariance(

@@ -3,6 +3,8 @@
 Commands: eval, mobius, check, independence-suite, random-capacity, and the
 ad-hoc oracle subcommand.  Values go to stdout, diagnostics to stderr, and
 every invocation is deterministic given its full flag set (seed included).
+The checkers, generators and oracles are imported by the commands that use
+them, so `eval` and `mobius` start without loading them.
 
 Exit codes:
     0  success / axiom satisfied / matrix as expected
@@ -20,9 +22,8 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from . import axioms, io, oracle
+from . import io, names
 from .errors import ChoquetError, DimensionMismatch, FileFormatError, NotAGame
-from .generate import random_capacity, random_normalized_capacity, random_signed_capacity
 from .integral import choquet, lovasz_extension
 from .setfunction import (
     mask_from_elements,
@@ -34,7 +35,7 @@ from .setfunction import (
 KIND_SIGNED = "signed"
 KIND_MONOTONE = "monotone"
 KIND_NORMALIZED = "normalized-monotone"
-SUBSET_AXIOMS = (axioms.AXIOM_INTERVAL_SCALE, axioms.AXIOM_ZERO_ON_BASIS)
+SUBSET_AXIOMS = (names.AXIOM_INTERVAL_SCALE, names.AXIOM_ZERO_ON_BASIS)
 
 
 def _positive_int(text: str) -> int:
@@ -99,6 +100,8 @@ def _resolve_check_n(args, capacity, elements) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import axioms, generate
+
     if args.subset and args.axiom not in SUBSET_AXIOMS:
         raise FileFormatError(
             f"--subset applies only to the {' and '.join(SUBSET_AXIOMS)} axioms, "
@@ -122,10 +125,12 @@ def cmd_check(args) -> int:
             game_args = [mask_from_elements(elements, n)]
         except ValueError as exc:
             raise FileFormatError(f"--subset {args.subset!r}: {exc}") from None
-    elif args.axiom == axioms.AXIOM_LINEARITY_IN_CAPACITY:
+    elif args.axiom == names.AXIOM_LINEARITY_IN_CAPACITY:
         game_args = []
+    elif capacity is not None:
+        game_args = [capacity]
     else:
-        game_args = [capacity if capacity is not None else random_signed_capacity(n, args.seed)]
+        game_args = [generate.random_signed_capacity(n, args.seed)]
     report = axioms.CHECKERS[args.axiom](agg, *game_args, args.trials, args.seed, args.tolerance)
 
     if args.format == "json":
@@ -148,6 +153,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_independence_suite(args) -> int:
+    from . import axioms
+
     summary = axioms.independence_suite(args.trials, args.seed, args.paper_witnesses_only)
     if args.format == "json":
         _emit(summary.to_dict(), None)
@@ -165,16 +172,20 @@ def cmd_independence_suite(args) -> int:
 
 
 def cmd_random_capacity(args) -> int:
+    from . import generate
+
     generator = {
-        KIND_SIGNED: random_signed_capacity,
-        KIND_MONOTONE: random_capacity,
-        KIND_NORMALIZED: random_normalized_capacity,
+        KIND_SIGNED: generate.random_signed_capacity,
+        KIND_MONOTONE: generate.random_capacity,
+        KIND_NORMALIZED: generate.random_normalized_capacity,
     }[args.kind]
     _emit(io.set_function_to_document(generator(args.n, args.seed)), args.out)
     return 0
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle
+
     if args.oracle_command == "mobius":
         f = io.load_set_function(args.capacity)
         _emit(io.mobius_to_document(oracle.mobius_naive(f)), args.out)
@@ -211,9 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     def add_common(p):
-        p.add_argument("--trials", type=_positive_int, default=axioms.DEFAULT_TRIALS,
+        p.add_argument("--trials", type=_positive_int, default=names.DEFAULT_TRIALS,
                        help="number of sampled trials (default 1000)")
-        p.add_argument("--seed", type=int, default=axioms.DEFAULT_SEED,
+        p.add_argument("--seed", type=int, default=names.DEFAULT_SEED,
                        help="RNG seed; all sampling is deterministic given it (default 0)")
         p.add_argument("--format", choices=("text", "json"), default="text",
                        help="output format (default text)")
@@ -234,13 +245,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mobius)
 
     p = sub.add_parser("check", help="run one axiom checker")
-    p.add_argument("--axiom", required=True, choices=axioms.AXIOMS)
+    p.add_argument("--axiom", required=True, choices=names.AXIOMS)
     p.add_argument("--capacity", help="game to check (random if omitted; see --n)")
     p.add_argument("--n", type=_positive_int, help="ground-set size when no capacity file is given")
     p.add_argument("--subset", help="basis subset for interval-scale / zero-on-basis, e.g. 1,2")
-    p.add_argument("--family", choices=axioms.FAMILIES, default=axioms.FAMILY_CHOQUET,
+    p.add_argument("--family", choices=names.FAMILIES, default=names.FAMILY_CHOQUET,
                    help="aggregation family to check (default choquet)")
-    p.add_argument("--tolerance", type=float, default=axioms.FALSIFY_TOLERANCE,
+    p.add_argument("--tolerance", type=float, default=names.FALSIFY_TOLERANCE,
                    help="falsification threshold override (default 1e-6)")
     add_common(p)
     p.set_defaults(func=cmd_check)
@@ -255,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("random-capacity", help="generate a random set-function file")
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--kind", required=True, choices=(KIND_SIGNED, KIND_MONOTONE, KIND_NORMALIZED))
-    p.add_argument("--seed", type=int, default=axioms.DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=names.DEFAULT_SEED)
     p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=cmd_random_capacity)
 
@@ -272,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--capacity", required=True)
     q.add_argument("--order", required=True, help="permutation as comma-separated elements")
     q.add_argument("--trials", type=_positive_int, default=100)
-    q.add_argument("--seed", type=int, default=axioms.DEFAULT_SEED)
+    q.add_argument("--seed", type=int, default=names.DEFAULT_SEED)
     p.set_defaults(func=cmd_oracle)
 
     return parser

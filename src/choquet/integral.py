@@ -57,14 +57,32 @@ class EvaluationResult:
 
 def _coerce_point(x: Sequence[float], n: Optional[int] = None) -> list[float]:
     """x as a list of finite floats, of length n if n is given: the package's one
-    conversion of a point (ValueError or DimensionMismatch otherwise)."""
-    coords = [float(c) for c in x]
+    conversion of a point.  Coordinates are floats, ints that are not bools
+    and numpy reals; anything else, or an x that is not iterable, raises
+    ValueError, and so does a non-finite coordinate.  A wrong length raises
+    DimensionMismatch."""
+    try:
+        coords = list(x)
+    except TypeError:
+        raise ValueError(f"point must be a sequence of real numbers, got {x!r}") from None
     if n is not None and len(coords) != n:
         raise DimensionMismatch(n, len(coords))
-    for c in coords:
+    for i, c in enumerate(coords):
+        if type(c) is not float:
+            coords[i] = c = _coordinate(c)
         if not isfinite(c):
             raise ValueError(f"point has non-finite coordinate {c!r}")
     return coords
+
+
+def _coordinate(c) -> float:
+    """A coordinate that is not a Python float, converted by the rule of _coerce_point."""
+    if isinstance(c, bool) or not isinstance(c, (int, float, np.integer, np.floating)):
+        raise ValueError(f"point coordinate must be a real number, got {c!r}")
+    try:
+        return float(c)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError("point has an integer coordinate beyond the float range") from None
 
 
 def sort_permutation(x: Sequence[float]) -> SortPermutation:

@@ -1,0 +1,33 @@
+"""Names and defaults of the aggregation families and axioms.
+
+The CLI builds its choices and defaults from these without importing the
+checkers in `axioms`, which re-exports every one of them.
+"""
+
+FAMILY_CHOQUET = "choquet"
+FAMILY_WEIGHTED_MEAN = "weighted-mean"
+FAMILY_MULTILINEAR = "multilinear"
+FAMILY_VSTAR_PATCH = "vstar-patch"
+FAMILIES = (FAMILY_CHOQUET, FAMILY_WEIGHTED_MEAN, FAMILY_MULTILINEAR, FAMILY_VSTAR_PATCH)
+
+AXIOM_COMONOTONIC_ADDITIVITY = "comonotonic-additivity"
+AXIOM_POSITIVE_HOMOGENEITY = "positive-homogeneity"
+AXIOM_COMONOTONIC_AFFINITY = "comonotonic-affinity"
+AXIOM_INTERVAL_SCALE = "interval-scale"
+AXIOM_ZERO_ON_BASIS = "zero-on-basis"
+AXIOM_LINEARITY_IN_CAPACITY = "linearity-in-capacity"
+AXIOMS = (
+    AXIOM_COMONOTONIC_ADDITIVITY,
+    AXIOM_POSITIVE_HOMOGENEITY,
+    AXIOM_COMONOTONIC_AFFINITY,
+    AXIOM_INTERVAL_SCALE,
+    AXIOM_ZERO_ON_BASIS,
+    AXIOM_LINEARITY_IN_CAPACITY,
+)
+
+# Falsification threshold for "the two sides genuinely differ", well above
+# rounding noise.
+FALSIFY_TOLERANCE = 1e-6
+
+DEFAULT_TRIALS = 1000
+DEFAULT_SEED = 0

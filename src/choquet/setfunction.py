@@ -37,7 +37,8 @@ SubsetLike = Union[int, Iterable[int]]
 
 
 # The argument rules of the package: every module checks ground-set sizes,
-# integers and seeds with these three functions.
+# integers, seeds and the type of a set-function argument with these four
+# functions.
 def _require_integer(name: str, value, error: type = ValueError) -> int:
     """value as a Python int if it is an int or a numpy integer, not a bool; else error."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -62,6 +63,12 @@ def _require_seed(seed) -> int:
     if seed < 0:
         raise ValueError("expected non-negative integer")
     return seed
+
+
+def _require_instance(value, cls: type) -> None:
+    """ValueError unless value is a cls (or a subclass)."""
+    if not isinstance(value, cls):
+        raise ValueError(f"expected a {cls.__name__}, got {type(value).__name__}")
 
 
 def full_mask(n: int) -> int:
@@ -265,6 +272,7 @@ def _first_covering_violation(values):
 
 def validate_signed_capacity(f: SetFunction) -> SignedCapacity:
     """Wrap f as a game.  Raises NotAGame unless f(empty) = 0 exactly."""
+    _require_instance(f, SetFunction)
     return SignedCapacity(f.n, f.values)
 
 
@@ -274,6 +282,7 @@ def validate_capacity(v: SetFunction) -> Capacity:
     Raises NotAGame if v(empty) != 0 and NotMonotone (with the first
     offending covering pair as witness) if any covering pair decreases.
     """
+    _require_instance(v, SetFunction)
     return Capacity(v.n, v.values)
 
 
@@ -306,6 +315,7 @@ def mobius_transform(f: SetFunction) -> MobiusRepresentation:
     O(n * 2**n) arithmetic; agrees with the direct double-loop summation.
     Raises NonFiniteResult if a coefficient overflows.
     """
+    _require_instance(f, SetFunction)
     coefficients = _lattice_cumulation(f.values, operator.isub, "mobius_transform")
     return MobiusRepresentation(f.n, coefficients)
 
@@ -315,6 +325,7 @@ def zeta_transform(m: MobiusRepresentation) -> SetFunction:
 
     Raises NonFiniteResult if a value overflows.
     """
+    _require_instance(m, MobiusRepresentation)
     return SetFunction(m.n, _lattice_cumulation(m.coefficients, operator.iadd, "zeta_transform"))
 
 

@@ -354,3 +354,51 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "2.0"
+
+
+# Runs `python -m choquet` with the arguments after it in this interpreter,
+# then prints the exit code and the names of every loaded module.
+MODULES_AFTER = """\
+import runpy, sys
+try:
+    runpy.run_module("choquet", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print(exc.code)
+print(" ".join(sorted(sys.modules)))
+"""
+# What eval and mobius need from the package, and what they must not load.
+CORE_MODULES = {"choquet", "choquet.cli", "choquet.errors", "choquet.integral", "choquet.io",
+                "choquet.names", "choquet.setfunction"}
+NOT_LOADED = {"choquet.axioms", "choquet.generate", "choquet.oracle", "numpy.random"}
+
+
+def loaded_modules(args):
+    """Exit code and loaded module names of `python -m choquet args` in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", MODULES_AFTER, *args],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(REPO_SRC)),
+        timeout=60,
+    )
+    *_, code, modules = proc.stdout.splitlines()
+    return int(code), set(modules.split())
+
+
+@pytest.mark.parametrize("args", [
+    ["eval", "--point", "1,-2,3,0.5"],
+    ["mobius"],
+], ids=["eval", "mobius"])
+def test_eval_and_mobius_load_no_checkers_generators_or_oracles(tmp_path, args):
+    capacity = tmp_path / "v4.json"
+    dump_document({"n": 4, "by_mask": [0.0] + [float(k % 5) - 2.0 for k in range(1, 16)]},
+                  capacity)
+    code, modules = loaded_modules(args[:1] + ["--capacity", str(capacity)] + args[1:])
+    assert code == 0
+    assert {m for m in modules if m.startswith("choquet")} == CORE_MODULES
+    assert not modules & NOT_LOADED
+
+
+def test_check_loads_the_checkers():
+    code, modules = loaded_modules(["check", "--axiom", "positive-homogeneity", "--n", "2",
+                                    "--trials", "5"])
+    assert code == 0
+    assert "choquet.axioms" in modules

@@ -66,10 +66,13 @@ from choquet.setfunction import (
     SetFunction,
     SignedCapacity,
     as_mask,
+    basis_decomposition,
     full_mask,
     mask_from_elements,
     mobius_transform,
     unanimity_game,
+    validate_capacity,
+    validate_signed_capacity,
     zeta_transform,
 )
 
@@ -341,10 +344,14 @@ MOBIUS2 = MobiusRepresentation(2, [0.0, 1.0, 0.5, 0.5])
 NOT_AN_INTEGER = "ground-set size must be an integer, got "
 BELOW_ONE = "ground-set size must be >= 1, got "
 NOT_FINITE = "point has non-finite coordinate "
+NOT_A_COORDINATE = "point coordinate must be a real number, got "
 
 # Entry point, its arguments (one of them bad), the exception class and the
 # start of its message.  Ground-set sizes, subset elements and masks, and
-# seeds are Python or numpy integers, not bools, and points are finite.
+# seeds are Python or numpy integers, not bools; points are sequences of
+# finite coordinates, each a float, a numpy real or an int that is not a
+# bool; and a game, set function or Mobius representation is an instance of
+# its class.
 ARGUMENT_RULES = [
     pytest.param(SetFunction, (True, [0.0, 1.0]), UnsupportedGroundSet, NOT_AN_INTEGER + "True",
                  id="SetFunction-n-bool"),
@@ -424,6 +431,37 @@ ARGUMENT_RULES = [
                  "expected non-negative integer", id="check_linearity_in_capacity-seed"),
     pytest.param(independence_suite, (5, -1), ValueError, "expected non-negative integer",
                  id="independence_suite-seed"),
+    pytest.param(choquet, (GAME2, ["1", "2"]), ValueError,
+                 NOT_A_COORDINATE + "'1'", id="choquet-x-str"),
+    pytest.param(lovasz_extension, (GAME2, [True, False]), ValueError,
+                 NOT_A_COORDINATE + "True", id="lovasz_extension-x-bool"),
+    pytest.param(evaluate_family, (AGG2, GAME2, [1.0, np.True_]), ValueError,
+                 NOT_A_COORDINATE + "np.True_", id="evaluate_family-x-numpy-bool"),
+    pytest.param(choquet_mobius, (MOBIUS2, 3.0), ValueError,
+                 "point must be a sequence of real numbers, got 3.0", id="choquet_mobius-x-scalar"),
+    pytest.param(sort_permutation, ([10**400, 1],), ValueError,
+                 "point has an integer coordinate beyond the float range",
+                 id="sort_permutation-x-int-beyond-float"),
+    pytest.param(check_comonotonic_additivity, (AGG2, "x", 5), ValueError,
+                 "expected a SignedCapacity, got str", id="check_comonotonic_additivity-game"),
+    pytest.param(check_positive_homogeneity, (AGG2, SetFunction(2, [1.0, 1.0, 1.0, 1.0]), 5),
+                 ValueError, "expected a SignedCapacity, got SetFunction",
+                 id="check_positive_homogeneity-game-not-a-game"),
+    pytest.param(check_comonotonic_affinity, (AGG2, MOBIUS2, 5), ValueError,
+                 "expected a SignedCapacity, got MobiusRepresentation",
+                 id="check_comonotonic_affinity-game"),
+    pytest.param(evaluate_family, (AGG2, "x", [1.0, 2.0]), ValueError,
+                 "expected a SignedCapacity, got str", id="evaluate_family-game"),
+    pytest.param(mobius_transform, (MOBIUS2,), ValueError,
+                 "expected a SetFunction, got MobiusRepresentation", id="mobius_transform-f"),
+    pytest.param(zeta_transform, (GAME2,), ValueError,
+                 "expected a MobiusRepresentation, got SignedCapacity", id="zeta_transform-m"),
+    pytest.param(basis_decomposition, ("x",), ValueError, "expected a SetFunction, got str",
+                 id="basis_decomposition-v"),
+    pytest.param(validate_capacity, ([0.0, 1.0],), ValueError,
+                 "expected a SetFunction, got list", id="validate_capacity-v"),
+    pytest.param(validate_signed_capacity, (None,), ValueError,
+                 "expected a SetFunction, got NoneType", id="validate_signed_capacity-f"),
 ]
 
 
@@ -436,7 +474,7 @@ def test_bad_argument_raises_its_rule(entry, args, error, start):
 
 
 # Parameters whose arguments the rules above check.
-RULED_PARAMETERS = {"n", "seed", "subset", "x", "y"}
+RULED_PARAMETERS = {"n", "seed", "subset", "x", "y", "v", "f", "m", "game"}
 # Records of a finished run: the checkers build them from checked arguments.
 RECORDS = {"AxiomReport", "IndependenceSummary"}
 
