@@ -14,7 +14,7 @@ attribute, so `python -m choquet eval` loads only what it runs.
 
 from importlib import import_module as _import_module
 
-# The home module of each name in __all__.
+# The home module of each public name: the one list of them, which __all__ sorts.
 _EXPORTS = {
     "names": (
         "AXIOMS", "FAMILIES", "FAMILY_CHOQUET", "FAMILY_MULTILINEAR", "FAMILY_VSTAR_PATCH",
@@ -52,65 +52,7 @@ _SUBMODULES = (*_EXPORTS, "cli", "oracle")
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AXIOMS",
-    "Aggregator",
-    "AxiomReport",
-    "Capacity",
-    "ChoquetError",
-    "DimensionMismatch",
-    "EmptyT",
-    "EvaluationResult",
-    "FAMILIES",
-    "FAMILY_CHOQUET",
-    "FAMILY_MULTILINEAR",
-    "FAMILY_VSTAR_PATCH",
-    "FAMILY_WEIGHTED_MEAN",
-    "FileFormatError",
-    "GroundSetTooLarge",
-    "IndependenceSummary",
-    "MAX_GROUND_SET",
-    "MobiusRepresentation",
-    "NonFiniteResult",
-    "NotAGame",
-    "NotMonotone",
-    "SetFunction",
-    "SignedCapacity",
-    "SortPermutation",
-    "UnsupportedGroundSet",
-    "Witness",
-    "basis_decomposition",
-    "check_comonotonic_additivity",
-    "check_comonotonic_affinity",
-    "check_interval_scale_covariance",
-    "check_linearity_in_capacity",
-    "check_positive_homogeneity",
-    "check_zero_on_basis",
-    "choquet",
-    "choquet_mobius",
-    "common_sort_permutation",
-    "comonotonic",
-    "elements_from_mask",
-    "evaluate_family",
-    "full_mask",
-    "independence_suite",
-    "load_set_function",
-    "lovasz_extension",
-    "mask_from_elements",
-    "mobius_transform",
-    "parse_point",
-    "random_capacity",
-    "random_normalized_capacity",
-    "random_set_function",
-    "random_signed_capacity",
-    "sort_permutation",
-    "subset_key",
-    "unanimity_game",
-    "validate_capacity",
-    "validate_signed_capacity",
-    "vstar_capacity",
-    "zeta_transform",
-]
+__all__ = sorted(_HOMES)
 
 
 def __getattr__(name: str):

@@ -50,6 +50,7 @@ from .names import (
     FAMILY_MULTILINEAR,
     FAMILY_VSTAR_PATCH,
     FAMILY_WEIGHTED_MEAN,
+    SUBSET_AXIOMS,
 )
 from .setfunction import (
     Capacity,
@@ -58,8 +59,9 @@ from .setfunction import (
     SubsetLike,
     _ground_set,
     _lattice_cumulation,
+    _require_count,
     _require_instance,
-    _require_integer,
+    _require_real,
     _require_seed,
     _subset_statistic,
     as_mask,
@@ -469,18 +471,10 @@ def _bounded_integers(words: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _require_trials(trials) -> int:
-    trials = _require_integer("trials", trials)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    return trials
-
-
 def _require_tolerance(tolerance) -> float:
     """tolerance as a Python number: an int, a float or a numpy real, not a
     bool, finite and >= 0."""
-    if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float, np.integer, np.floating)):
-        raise ValueError(f"tolerance must be a real number, got {tolerance!r}")
+    _require_real("tolerance", tolerance)
     tolerance = tolerance.item() if isinstance(tolerance, np.generic) else tolerance
     if not 0 <= tolerance <= sys.float_info.max:  # exact for ints beyond the float range
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
@@ -509,7 +503,7 @@ def _run_checker(
     non-finite raises NonFiniteResult naming agg's operation.  Otherwise
     every trial runs and the report is satisfied.
     """
-    trials, tolerance = _require_trials(trials), _require_tolerance(tolerance)
+    trials, tolerance = _require_count("trials", trials), _require_tolerance(tolerance)
     f = None if game is None else agg._bind(game)
     seed = _require_seed(seed)
     cap = max(1, _BLOCK_VALUES >> agg.n)
@@ -775,7 +769,7 @@ def check_linearity_in_capacity(
 
 
 # The checker of each axiom: after agg, the first three take a game, the
-# basis conditions a subset and linearity nothing.
+# SUBSET_AXIOMS a subset and linearity nothing.
 CHECKERS = {
     AXIOM_COMONOTONIC_ADDITIVITY: check_comonotonic_additivity,
     AXIOM_POSITIVE_HOMOGENEITY: check_positive_homogeneity,
@@ -790,18 +784,16 @@ CHECKERS = {
 # Independence of the three capacity-class conditions
 # ---------------------------------------------------------------------------
 
-# Column order puts the expected falsifications on the diagonal.
-INDEPENDENCE_CONDITIONS = (
-    AXIOM_ZERO_ON_BASIS,
-    AXIOM_INTERVAL_SCALE,
-    AXIOM_LINEARITY_IN_CAPACITY,
-)
-INDEPENDENCE_FAMILIES = (FAMILY_WEIGHTED_MEAN, FAMILY_MULTILINEAR, FAMILY_VSTAR_PATCH)
+# The one condition each family is expected to falsify.  The matrix lists
+# the families and the conditions in this order, which puts the expected
+# falsifications on the diagonal.
 EXPECTED_FALSIFIED = {
     FAMILY_WEIGHTED_MEAN: AXIOM_ZERO_ON_BASIS,
     FAMILY_MULTILINEAR: AXIOM_INTERVAL_SCALE,
     FAMILY_VSTAR_PATCH: AXIOM_LINEARITY_IN_CAPACITY,
 }
+INDEPENDENCE_FAMILIES = tuple(EXPECTED_FALSIFIED)
+INDEPENDENCE_CONDITIONS = tuple(EXPECTED_FALSIFIED.values())
 _FAMILY_SUITE_N = {FAMILY_WEIGHTED_MEAN: 2, FAMILY_MULTILINEAR: 2, FAMILY_VSTAR_PATCH: 3}
 
 
@@ -887,9 +879,9 @@ def _paper_replay(agg: Aggregator, seed: int) -> AxiomReport:
 def _run_condition(agg: Aggregator, condition: str, trials: int, seed: int):
     """All checker reports backing one cell (one per nonempty subset where relevant)."""
     check = CHECKERS[condition]
-    if condition == AXIOM_LINEARITY_IN_CAPACITY:
-        return [check(agg, trials, seed)]
-    return [check(agg, s, trials, seed) for s in range(1, 1 << agg.n)]
+    if condition in SUBSET_AXIOMS:
+        return [check(agg, s, trials, seed) for s in range(1, 1 << agg.n)]
+    return [check(agg, trials, seed)]
 
 
 def independence_suite(
@@ -905,7 +897,7 @@ def independence_suite(
     falsifying samples in the failing ones.  paper_witnesses_only is a bool
     or a numpy bool, reported as a bool.
     """
-    trials, seed = _require_trials(trials), _require_seed(seed)
+    trials, seed = _require_count("trials", trials), _require_seed(seed)
     if not isinstance(paper_witnesses_only, (bool, np.bool_)):
         raise ValueError(f"paper_witnesses_only must be a bool, got {paper_witnesses_only!r}")
     paper_witnesses_only = bool(paper_witnesses_only)

@@ -32,17 +32,12 @@ from .setfunction import (
     zeta_transform,
 )
 
-KIND_SIGNED = "signed"
-KIND_MONOTONE = "monotone"
-KIND_NORMALIZED = "normalized-monotone"
-SUBSET_AXIOMS = (names.AXIOM_INTERVAL_SCALE, names.AXIOM_ZERO_ON_BASIS)
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+# The generate function behind each --kind of random-capacity.
+GENERATORS = {
+    "signed": "random_signed_capacity",
+    "monotone": "random_capacity",
+    "normalized-monotone": "random_normalized_capacity",
+}
 
 
 def _emit(doc: dict, out: Optional[str]) -> None:
@@ -102,9 +97,9 @@ def _resolve_check_n(args, capacity, elements) -> int:
 def cmd_check(args) -> int:
     from . import axioms, generate
 
-    if args.subset and args.axiom not in SUBSET_AXIOMS:
+    if args.subset and args.axiom not in names.SUBSET_AXIOMS:
         raise FileFormatError(
-            f"--subset applies only to the {' and '.join(SUBSET_AXIOMS)} axioms, "
+            f"--subset applies only to the {' and '.join(names.SUBSET_AXIOMS)} axioms, "
             f"not to {args.axiom}"
         )
     capacity = None
@@ -118,7 +113,7 @@ def cmd_check(args) -> int:
     n = _resolve_check_n(args, capacity, elements)
     agg = axioms.Aggregator(args.family, n)
 
-    if args.axiom in SUBSET_AXIOMS:
+    if args.axiom in names.SUBSET_AXIOMS:
         if elements is None:
             raise FileFormatError(f"axiom {args.axiom} requires --subset")
         try:
@@ -174,11 +169,7 @@ def cmd_independence_suite(args) -> int:
 def cmd_random_capacity(args) -> int:
     from . import generate
 
-    generator = {
-        KIND_SIGNED: generate.random_signed_capacity,
-        KIND_MONOTONE: generate.random_capacity,
-        KIND_NORMALIZED: generate.random_normalized_capacity,
-    }[args.kind]
+    generator = getattr(generate, GENERATORS[args.kind])
     _emit(io.set_function_to_document(generator(args.n, args.seed)), args.out)
     return 0
 
@@ -222,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     def add_common(p):
-        p.add_argument("--trials", type=_positive_int, default=names.DEFAULT_TRIALS,
+        p.add_argument("--trials", type=int, default=names.DEFAULT_TRIALS,
                        help="number of sampled trials (default 1000)")
         p.add_argument("--seed", type=int, default=names.DEFAULT_SEED,
                        help="RNG seed; all sampling is deterministic given it (default 0)")
@@ -247,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run one axiom checker")
     p.add_argument("--axiom", required=True, choices=names.AXIOMS)
     p.add_argument("--capacity", help="game to check (random if omitted; see --n)")
-    p.add_argument("--n", type=_positive_int, help="ground-set size when no capacity file is given")
+    p.add_argument("--n", type=int, help="ground-set size when no capacity file is given")
     p.add_argument("--subset", help="basis subset for interval-scale / zero-on-basis, e.g. 1,2")
     p.add_argument("--family", choices=names.FAMILIES, default=names.FAMILY_CHOQUET,
                    help="aggregation family to check (default choquet)")
@@ -264,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_independence_suite)
 
     p = sub.add_parser("random-capacity", help="generate a random set-function file")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--kind", required=True, choices=(KIND_SIGNED, KIND_MONOTONE, KIND_NORMALIZED))
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--kind", required=True, choices=GENERATORS)
     p.add_argument("--seed", type=int, default=names.DEFAULT_SEED)
     p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=cmd_random_capacity)
@@ -282,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = osub.add_parser("affine-check", help="sampled affineness of the extension on one cone")
     q.add_argument("--capacity", required=True)
     q.add_argument("--order", required=True, help="permutation as comma-separated elements")
-    q.add_argument("--trials", type=_positive_int, default=100)
+    q.add_argument("--trials", type=int, default=100)
     q.add_argument("--seed", type=int, default=names.DEFAULT_SEED)
     p.set_defaults(func=cmd_oracle)
 

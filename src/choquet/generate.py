@@ -7,7 +7,7 @@ from typing import Union
 import numpy as np
 
 from .setfunction import (
-    Capacity, SetFunction, SignedCapacity, _ground_set, _lattice_passes, _require_seed,
+    Capacity, SetFunction, SignedCapacity, _Fresh, _ground_set, _lattice_passes, _require_seed,
 )
 
 SeedLike = Union[int, np.random.Generator]
@@ -25,7 +25,7 @@ def _as_rng(n: int, seed: SeedLike) -> np.random.Generator:
 def random_set_function(n: int, seed: SeedLike = 0) -> SetFunction:
     """Arbitrary set function with i.i.d. uniform values on [-1, 1]."""
     rng = _as_rng(n, seed)
-    return SetFunction(n, rng.uniform(-1.0, 1.0, 1 << n))
+    return SetFunction(n, _Fresh(rng.uniform(-1.0, 1.0, 1 << n)))
 
 
 def random_signed_capacity(n: int, seed: SeedLike = 0) -> SignedCapacity:
@@ -33,7 +33,7 @@ def random_signed_capacity(n: int, seed: SeedLike = 0) -> SignedCapacity:
     rng = _as_rng(n, seed)
     values = rng.uniform(-1.0, 1.0, 1 << n)
     values[0] = 0.0
-    return SignedCapacity(n, values)
+    return SignedCapacity(n, _Fresh(values))
 
 
 def random_capacity(n: int, seed: SeedLike = 0) -> Capacity:
@@ -56,8 +56,8 @@ def random_capacity(n: int, seed: SeedLike = 0) -> Capacity:
         for (_, lo, _), (_, _, hi) in zip(_lattice_passes(values), _lattice_passes(best)):
             np.maximum(hi, lo, out=hi)
         np.add(best[1:], increments[1:], out=values[1:])
-    del best, increments  # the copy Capacity makes would otherwise be a fourth 2**n array
-    return Capacity(n, values)
+    del best, increments  # not held while Capacity checks the values
+    return Capacity(n, _Fresh(values))
 
 
 def random_normalized_capacity(n: int, seed: SeedLike = 0) -> Capacity:
@@ -67,4 +67,4 @@ def random_normalized_capacity(n: int, seed: SeedLike = 0) -> Capacity:
         capacity = random_capacity(n, rng)
         top = capacity.values[-1]
         if top > 0.0:
-            return Capacity(n, capacity.values / top)
+            return Capacity(n, _Fresh(capacity.values / top))

@@ -24,7 +24,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteResult, NotAGame
-from .setfunction import MobiusRepresentation, SetFunction, _subset_statistic
+from .setfunction import (
+    MobiusRepresentation, SetFunction, _require_instance, _require_real, _subset_statistic,
+)
 
 
 @dataclass(frozen=True)
@@ -77,8 +79,7 @@ def _coerce_point(x: Sequence[float], n: Optional[int] = None) -> list[float]:
 
 def _coordinate(c) -> float:
     """A coordinate that is not a Python float, converted by the rule of _coerce_point."""
-    if isinstance(c, bool) or not isinstance(c, (int, float, np.integer, np.floating)):
-        raise ValueError(f"point coordinate must be a real number, got {c!r}")
+    _require_real("point coordinate", c)
     try:
         return float(c)
     except OverflowError:  # an int beyond the float range
@@ -167,9 +168,11 @@ def _row_dots(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def choquet(v: SetFunction, x: Sequence[float]) -> EvaluationResult:
     """Signed Choquet integral of x with respect to a game v.
 
-    Raises NotAGame if v(empty) != 0 (use lovasz_extension for general set
-    functions) and DimensionMismatch if the point length differs from v.n.
+    Raises ValueError unless v is a SetFunction, NotAGame if v(empty) != 0
+    (use lovasz_extension for general set functions) and DimensionMismatch
+    if the point length differs from v.n.
     """
+    _require_instance(v, SetFunction)
     if v.values[0] != 0.0:
         raise NotAGame(v.values[0])
     coords = _coerce_point(x, v.n)
@@ -184,6 +187,7 @@ def lovasz_extension(f: SetFunction, x: Sequence[float]) -> EvaluationResult:
     unit cube: the value at the indicator vector of S is exactly f(S).
     Coincides with the signed Choquet integral when f(empty) = 0.
     """
+    _require_instance(f, SetFunction)
     coords = _coerce_point(x, f.n)
     perm = _sort(coords)
     value = float(f.values[0]) + _chain_sum(f.values, coords, perm)
@@ -202,6 +206,7 @@ def choquet_mobius(m: MobiusRepresentation, x: Sequence[float]) -> EvaluationRes
     coordinates in ascending element order (see _subset_statistic), so the
     value is the one a per-mask fold gives, bit for bit.
     """
+    _require_instance(m, MobiusRepresentation)
     coords = _coerce_point(x, m.n)
     mins = _subset_statistic(np.minimum, np.inf, coords)  # entry 0 (+inf) is unused
     with np.errstate(over="ignore", invalid="ignore"):

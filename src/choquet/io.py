@@ -22,7 +22,7 @@ from typing import Union
 import numpy as np
 
 from .errors import FileFormatError, UnsupportedGroundSet
-from .setfunction import MobiusRepresentation, SetFunction, _ground_set, elements_from_mask
+from .setfunction import MobiusRepresentation, SetFunction, _Fresh, _ground_set, elements_from_mask
 
 PathLike = Union[str, Path]
 
@@ -112,13 +112,13 @@ def _as_float(entry, field: str) -> float:
 def set_function_from_document(doc: dict) -> SetFunction:
     """Build a SetFunction from a parsed document."""
     n, values = _values_from_document(doc)
-    return SetFunction(n, values)
+    return SetFunction(n, _Fresh(values))
 
 
 def mobius_from_document(doc: dict) -> MobiusRepresentation:
     """Build Mobius coefficients from a parsed document (same layout)."""
     n, values = _values_from_document(doc)
-    return MobiusRepresentation(n, values)
+    return MobiusRepresentation(n, _Fresh(values))
 
 
 def document_from_values(n: int, values: np.ndarray) -> dict:

@@ -1,7 +1,9 @@
 """Names and defaults of the aggregation families and axioms.
 
 The CLI builds its choices and defaults from these without importing the
-checkers in `axioms`, which re-exports every one of them.
+checkers in `axioms`, which re-exports every one of them.  SUBSET_AXIOMS
+are the axioms whose checkers take a subset of the ground set; the CLI's
+`--subset` and the independence suite both read it.
 """
 
 FAMILY_CHOQUET = "choquet"
@@ -24,6 +26,7 @@ AXIOMS = (
     AXIOM_ZERO_ON_BASIS,
     AXIOM_LINEARITY_IN_CAPACITY,
 )
+SUBSET_AXIOMS = (AXIOM_INTERVAL_SCALE, AXIOM_ZERO_ON_BASIS)
 
 # Falsification threshold for "the two sides genuinely differ", well above
 # rounding noise.

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, GroundSetTooLarge, NotAGame
 from .integral import lovasz_extension
-from .setfunction import MobiusRepresentation, SetFunction
+from .setfunction import MobiusRepresentation, SetFunction, _require_count
 
 MAX_N_NAIVE_MOBIUS = 12
 MAX_N_ALL_PERMUTATIONS = 6
@@ -95,8 +95,10 @@ def lovasz_affine_check(
     The cone of a permutation pi holds the points whose coordinates are
     nondecreasing along pi; it is convex, so segments stay inside.  Returns
     True iff lovasz_extension is affine on every sampled segment within
-    relative tolerance 1e-9 (absolute floor 1e-12).  Bounded at n <= 8.
+    relative tolerance 1e-9 (absolute floor 1e-12).  Bounded at n <= 8;
+    trials is a count (>= 1).
     """
+    trials = _require_count("trials", trials)
     if f.n > MAX_N_AFFINE_CHECK:
         raise GroundSetTooLarge(f.n, MAX_N_AFFINE_CHECK)
     n = f.n

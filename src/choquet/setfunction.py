@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from math import isfinite
+from math import inf, isfinite
 from typing import Iterable, Union
 
 import numpy as np
@@ -36,9 +36,9 @@ MAX_GROUND_SET = 20
 SubsetLike = Union[int, Iterable[int]]
 
 
-# The argument rules of the package: every module checks ground-set sizes,
-# integers, seeds and the type of a set-function argument with these four
-# functions.
+# The argument rules of the package: every module checks integers, counts,
+# ground-set sizes, seeds, real numbers and the type of a set-function
+# argument with these six functions.
 def _require_integer(name: str, value, error: type = ValueError) -> int:
     """value as a Python int if it is an int or a numpy integer, not a bool; else error."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -46,12 +46,18 @@ def _require_integer(name: str, value, error: type = ValueError) -> int:
     return int(value)
 
 
+def _require_count(name: str, value, error: type = ValueError) -> int:
+    """value as a Python int >= 1 under the rule of _require_integer; else error."""
+    value = _require_integer(name, value, error)
+    if value < 1:
+        raise error(f"{name} must be >= 1, got {value}")
+    return value
+
+
 def _ground_set(n) -> int:
     """n as a Python int in 1..MAX_GROUND_SET.  Raises GroundSetTooLarge above the
     bound, before anything is allocated, and UnsupportedGroundSet otherwise."""
-    n = _require_integer("ground-set size", n, UnsupportedGroundSet)
-    if n < 1:
-        raise UnsupportedGroundSet(f"ground-set size must be >= 1, got {n}")
+    n = _require_count("ground-set size", n, UnsupportedGroundSet)
     if n > MAX_GROUND_SET:
         raise GroundSetTooLarge(n, MAX_GROUND_SET)
     return n
@@ -63,6 +69,12 @@ def _require_seed(seed) -> int:
     if seed < 0:
         raise ValueError("expected non-negative integer")
     return seed
+
+
+def _require_real(name: str, value) -> None:
+    """ValueError unless value is a float, a numpy real or an int that is not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def _require_instance(value, cls: type) -> None:
@@ -80,8 +92,11 @@ def mask_from_elements(elements: Iterable[int], n: int | None = None) -> int:
     """Bitmask of a collection of 1-based elements.
 
     Duplicates are tolerated (set semantics).  Raises ValueError for an
-    element that is not an integer or lies outside 1..n.
+    element that is not an integer or lies outside 1..n; n, if given, is a
+    ground-set size.
     """
+    if n is not None:
+        n = _ground_set(n)
     mask = 0
     for e in elements:
         e = _require_integer("subset element", e)
@@ -107,9 +122,29 @@ def as_mask(subset: SubsetLike, n: int) -> int:
     return mask_from_elements(subset, n)
 
 
+class _Fresh:
+    """A float array that the package has just built and holds nowhere else.
+
+    Passed as the values of a set-function class, it is kept as it is (and
+    made read-only) instead of being copied.  A copy doubles the memory one
+    construction needs, and at n = 20 the freed 8 MB copies, left in the
+    heap among other objects, made the process's peak size differ from
+    run to run.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
 def _validated_values(n: int, values) -> np.ndarray:
-    """Read-only float copy of the 2**n values on [n]; raises ValueError otherwise."""
-    arr = np.array(values, dtype=float, copy=True)
+    """Read-only float copy of the 2**n values on [n] (the array itself when
+    they come as _Fresh); raises ValueError otherwise."""
+    if isinstance(values, _Fresh):
+        arr = np.asarray(values.array, dtype=float)
+    else:
+        arr = np.array(values, dtype=float, copy=True)
     size = 1 << n
     if arr.shape != (size,):
         raise ValueError(
@@ -215,19 +250,23 @@ class SetFunction:
     def __add__(self, other: "SetFunction") -> "SetFunction":
         self._require_same_lattice(other)
         with _overflow_raises("set-function addition"):
-            return SetFunction(self.n, self.values + other.values)
+            return SetFunction(self.n, _Fresh(self.values + other.values))
 
     def __sub__(self, other: "SetFunction") -> "SetFunction":
         self._require_same_lattice(other)
         with _overflow_raises("set-function subtraction"):
-            return SetFunction(self.n, self.values - other.values)
+            return SetFunction(self.n, _Fresh(self.values - other.values))
 
     def __mul__(self, scalar: float) -> "SetFunction":
-        scalar = float(scalar)
+        _require_real("scale factor", scalar)
+        try:
+            scalar = float(scalar)
+        except OverflowError:  # an int beyond the float range
+            scalar = inf if scalar > 0 else -inf
         if not isfinite(scalar):
             raise ValueError(f"cannot scale a set function by the non-finite scalar {scalar!r}")
         with _overflow_raises("set-function scaling"):
-            return SetFunction(self.n, self.values * scalar)
+            return SetFunction(self.n, _Fresh(self.values * scalar))
 
     __rmul__ = __mul__
 
@@ -317,7 +356,7 @@ def mobius_transform(f: SetFunction) -> MobiusRepresentation:
     """
     _require_instance(f, SetFunction)
     coefficients = _lattice_cumulation(f.values, operator.isub, "mobius_transform")
-    return MobiusRepresentation(f.n, coefficients)
+    return MobiusRepresentation(f.n, _Fresh(coefficients))
 
 
 def zeta_transform(m: MobiusRepresentation) -> SetFunction:
@@ -326,7 +365,8 @@ def zeta_transform(m: MobiusRepresentation) -> SetFunction:
     Raises NonFiniteResult if a value overflows.
     """
     _require_instance(m, MobiusRepresentation)
-    return SetFunction(m.n, _lattice_cumulation(m.coefficients, operator.iadd, "zeta_transform"))
+    values = _lattice_cumulation(m.coefficients, operator.iadd, "zeta_transform")
+    return SetFunction(m.n, _Fresh(values))
 
 
 def unanimity_game(n: int, subset: SubsetLike) -> SignedCapacity:
@@ -344,7 +384,7 @@ def unanimity_game(n: int, subset: SubsetLike) -> SignedCapacity:
     if t_mask == 0:
         raise EmptyT("unanimity games are defined for nonempty subsets only")
     masks = np.arange(1 << n)
-    return SignedCapacity(n, ((masks & t_mask) == t_mask).astype(float))
+    return SignedCapacity(n, _Fresh(((masks & t_mask) == t_mask).astype(float)))
 
 
 def basis_decomposition(v: SignedCapacity) -> list[tuple[int, float]]:

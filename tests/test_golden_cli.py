@@ -13,7 +13,10 @@ change log.
 The set covers the acceptance criterion-9 invocations, all six axioms in
 text and JSON for every family at 200 trials (falsified cases included),
 the 1000-trial independence suite in both formats and with
-`--paper-witnesses-only`, and a few error exits.
+`--paper-witnesses-only`, a few error exits, and the `--help` text of the
+program and of every subcommand.  argparse wraps help at the terminal
+width, so every invocation runs with COLUMNS=80, the width the help was
+recorded at.
 """
 
 import hashlib
@@ -52,7 +55,8 @@ def _write_inputs(directory: Path) -> dict:
 
 
 @pytest.mark.parametrize("invocation", sorted(GOLDEN))
-def test_golden_cli(invocation, tmp_path, capsys):
+def test_golden_cli(invocation, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
     paths = _write_inputs(tmp_path)
     argv = [arg.format(**paths) for arg in invocation.split(" ")]
     code = main(argv)

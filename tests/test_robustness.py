@@ -5,6 +5,7 @@ import inspect
 import io as text_io
 import json
 import math
+import operator
 import os
 import re
 import subprocess
@@ -52,6 +53,7 @@ from choquet.integral import (
     lovasz_extension,
     sort_permutation,
 )
+from choquet.oracle import lovasz_affine_check
 from choquet.io import (
     dump_document,
     format_document,
@@ -341,16 +343,19 @@ NAN, INF = float("nan"), float("inf")
 AGG2, AGG3 = Aggregator("choquet", 2), Aggregator("choquet", 3)
 GAME2 = SignedCapacity(2, [0.0, 1.0, 0.5, 2.0])
 MOBIUS2 = MobiusRepresentation(2, [0.0, 1.0, 0.5, 0.5])
+F1 = SetFunction(1, [0.0, 1.0])
 NOT_AN_INTEGER = "ground-set size must be an integer, got "
 BELOW_ONE = "ground-set size must be >= 1, got "
 NOT_FINITE = "point has non-finite coordinate "
 NOT_A_COORDINATE = "point coordinate must be a real number, got "
+NOT_A_SCALE_FACTOR = "scale factor must be a real number, got "
 
 # Entry point, its arguments (one of them bad), the exception class and the
 # start of its message.  Ground-set sizes, subset elements and masks, and
-# seeds are Python or numpy integers, not bools; points are sequences of
-# finite coordinates, each a float, a numpy real or an int that is not a
-# bool; and a game, set function or Mobius representation is an instance of
+# seeds are Python or numpy integers, not bools, and so are trial counts,
+# which are >= 1; points are sequences of finite coordinates, each a float,
+# a numpy real or an int that is not a bool, and a scale factor is one such
+# real; and a game, set function or Mobius representation is an instance of
 # its class.
 ARGUMENT_RULES = [
     pytest.param(SetFunction, (True, [0.0, 1.0]), UnsupportedGroundSet, NOT_AN_INTEGER + "True",
@@ -462,6 +467,41 @@ ARGUMENT_RULES = [
                  "expected a SetFunction, got list", id="validate_capacity-v"),
     pytest.param(validate_signed_capacity, (None,), ValueError,
                  "expected a SetFunction, got NoneType", id="validate_signed_capacity-f"),
+    # The integral routes check the class of their set function.
+    pytest.param(choquet, ("x", [1.0]), ValueError, "expected a SetFunction, got str",
+                 id="choquet-v"),
+    pytest.param(lovasz_extension, (MOBIUS2, [1.0, 2.0]), ValueError,
+                 "expected a SetFunction, got MobiusRepresentation", id="lovasz_extension-f"),
+    pytest.param(choquet_mobius, (GAME2, [1.0, 2.0]), ValueError,
+                 "expected a MobiusRepresentation, got SignedCapacity", id="choquet_mobius-m"),
+    # A scale factor is a real number, and a finite one.
+    pytest.param(operator.mul, (F1, "2"), ValueError, NOT_A_SCALE_FACTOR + "'2'",
+                 id="SetFunction.__mul__-scalar-str"),
+    pytest.param(operator.mul, (F1, True), ValueError, NOT_A_SCALE_FACTOR + "True",
+                 id="SetFunction.__mul__-scalar-bool"),
+    pytest.param(operator.mul, ([3.0], F1), ValueError, NOT_A_SCALE_FACTOR + "[3.0]",
+                 id="SetFunction.__rmul__-scalar-list"),
+    pytest.param(operator.mul, (F1, 10**400), ValueError,
+                 "cannot scale a set function by the non-finite scalar inf",
+                 id="SetFunction.__mul__-scalar-int-beyond-float"),
+    # The oracle's trial count follows the count rule.
+    pytest.param(lovasz_affine_check, (GAME2, [1, 2], 0), ValueError,
+                 "trials must be >= 1, got 0", id="lovasz_affine_check-trials-zero"),
+    pytest.param(lovasz_affine_check, (GAME2, [1, 2], -5), ValueError,
+                 "trials must be >= 1, got -5", id="lovasz_affine_check-trials-negative"),
+    pytest.param(lovasz_affine_check, (GAME2, [1, 2], 2.5), ValueError,
+                 "trials must be an integer, got 2.5", id="lovasz_affine_check-trials-float"),
+    # Parameters that had no row of their own.
+    pytest.param(check_interval_scale_covariance, (AGG3, [1, 2], 5, 2.5), ValueError,
+                 "seed must be an integer, got 2.5", id="check_interval_scale_covariance-seed"),
+    pytest.param(check_zero_on_basis, (AGG3, [1, 2], 5, -1), ValueError,
+                 "expected non-negative integer", id="check_zero_on_basis-seed"),
+    pytest.param(common_sort_permutation, ([1.0, 2.0], [NAN, 1.0]), ValueError,
+                 NOT_FINITE + "nan", id="common_sort_permutation-y"),
+    pytest.param(mask_from_elements, ([1], True), UnsupportedGroundSet,
+                 NOT_AN_INTEGER + "True", id="mask_from_elements-n-bool"),
+    pytest.param(mask_from_elements, ([1], 2.5), UnsupportedGroundSet,
+                 NOT_AN_INTEGER + "2.5", id="mask_from_elements-n-float"),
 ]
 
 
@@ -473,14 +513,16 @@ def test_bad_argument_raises_its_rule(entry, args, error, start):
     assert str(info.value).startswith(start), str(info.value)
 
 
-# Parameters whose arguments the rules above check.
-RULED_PARAMETERS = {"n", "seed", "subset", "x", "y", "v", "f", "m", "game"}
+# Parameters whose arguments the rules above check, each with the words a
+# row id may name it by: the checkers' rows call their parameter v a game.
+RULED_PARAMETERS = {"n": ("n",), "seed": ("seed",), "subset": ("subset",), "x": ("x",),
+                    "y": ("y",), "v": ("v", "game"), "f": ("f",), "m": ("m",)}
 # Records of a finished run: the checkers build them from checked arguments.
 RECORDS = {"AxiomReport", "IndependenceSummary"}
 
 
-def test_every_public_entry_point_with_a_ruled_parameter_has_a_row():
-    covered = {row.values[0] for row in ARGUMENT_RULES}
+def test_every_ruled_parameter_of_a_public_entry_point_has_a_row():
+    named = {tuple(row.id.split("-")[:2]) for row in ARGUMENT_RULES}  # (entry, parameter)
     missing = []
     for name in package.__all__:
         entry = getattr(package, name)
@@ -488,9 +530,43 @@ def test_every_public_entry_point_with_a_ruled_parameter_has_a_row():
             continue
         if isinstance(entry, type) and issubclass(entry, BaseException):
             continue
-        if RULED_PARAMETERS & set(inspect.signature(entry).parameters) and entry not in covered:
-            missing.append(name)
+        for parameter in inspect.signature(entry).parameters:
+            words = RULED_PARAMETERS.get(parameter, ())
+            if words and not any((name, word) in named for word in words):
+                missing.append(f"{name}-{parameter}")
     assert missing == []
+
+
+TRIALS_BELOW_ONE = "error: trials must be >= 1, got "
+N_BELOW_ONE = "error: ground-set size must be >= 1, got "
+
+
+@pytest.mark.parametrize("args, expected", [
+    pytest.param(["check", "--axiom", "positive-homogeneity", "--n", "2", "--trials", "0"],
+                 TRIALS_BELOW_ONE + "0", id="check-trials-zero"),
+    pytest.param(["check", "--axiom", "zero-on-basis", "--subset", "1", "--trials", "-3"],
+                 TRIALS_BELOW_ONE + "-3", id="check-trials-negative"),
+    pytest.param(["check", "--axiom", "linearity-in-capacity", "--n", "0"], N_BELOW_ONE + "0",
+                 id="check-n-zero"),
+    pytest.param(["check", "--axiom", "comonotonic-affinity", "--n", "-2"], N_BELOW_ONE + "-2",
+                 id="check-n-negative"),
+    pytest.param(["independence-suite", "--trials", "0"], TRIALS_BELOW_ONE + "0",
+                 id="independence-suite-trials"),
+    pytest.param(["independence-suite", "--trials", "0", "--paper-witnesses-only"],
+                 TRIALS_BELOW_ONE + "0", id="independence-suite-paper-witnesses-only-trials"),
+    pytest.param(["random-capacity", "--n", "0", "--kind", "signed"], N_BELOW_ONE + "0",
+                 id="random-capacity-n-zero"),
+    pytest.param(["random-capacity", "--n", "-1", "--kind", "monotone"], N_BELOW_ONE + "-1",
+                 id="random-capacity-n-negative"),
+    pytest.param(["oracle", "affine-check", "--capacity", "{game}", "--order", "1,2",
+                  "--trials", "0"], TRIALS_BELOW_ONE + "0", id="oracle-affine-check-trials"),
+])
+def test_a_count_below_one_is_reported_by_the_library(args, expected, tmp_path):
+    game = tmp_path / "game.json"
+    dump_document(set_function_to_document(GAME2), game)
+    code, out, err = run([arg.format(game=game) for arg in args])
+    assert_error_exit(code, out, err)
+    assert err == expected + "\n"
 
 
 @pytest.mark.parametrize("build", [

@@ -1,6 +1,7 @@
 """Set-function representation, validation and transforms."""
 
 import operator
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,6 +25,7 @@ from choquet.setfunction import (
     validate_capacity,
     validate_signed_capacity,
     zeta_transform,
+    _Fresh,
     _lattice_cumulation,
     _subset_statistic,
 )
@@ -74,6 +76,19 @@ class TestSetFunction:
         assert f.value(0b10) == -1.0
         assert f.value([1, 2]) == 2.0
         assert f[1] == 3.0
+
+    def test_a_callers_array_is_copied(self):
+        values = np.array([0.0, 1.0])
+        f = SetFunction(1, values)
+        values[1] = 5.0
+        assert f.value([1]) == 1.0
+        assert values.flags.writeable
+
+    def test_a_fresh_array_is_kept_without_a_copy(self):
+        values = np.array([0.0, 1.0])
+        f = SetFunction(1, _Fresh(values))
+        assert f.values is values
+        assert not values.flags.writeable
 
     def test_linear_combination(self):
         a = unanimity_game(3, [1])
@@ -391,3 +406,30 @@ def test_scaling_by_a_non_finite_scalar_names_the_scalar(scalar):
         with pytest.raises(ValueError, match="non-finite scalar") as info:
             SetFunction(1, [0.0, 1.0]) * scalar
     assert "mask" not in str(info.value)
+
+
+_GAME_16 = random_signed_capacity(16, 1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: random_set_function(16, 1),
+    lambda: random_signed_capacity(16, 1),
+    lambda: mobius_transform(_GAME_16),
+    lambda: _GAME_16 + _GAME_16,
+    lambda: _GAME_16 - _GAME_16,
+    lambda: _GAME_16 * 2.0,
+], ids=["random_set_function", "random_signed_capacity", "mobius_transform", "add", "sub", "mul"])
+def test_a_set_function_built_by_the_package_is_not_copied_again(build):
+    # numpy reports its array memory to tracemalloc.  Keeping the array the
+    # package has just built, instead of copying it, holds the peak of one
+    # construction to about one 2**n array rather than two.
+    array_bytes = 8 << 16
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        built = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built.n == 16
+    assert peak - before < 1.5 * array_bytes
