@@ -23,6 +23,7 @@ The three families besides the integral itself:
 
 from __future__ import annotations
 
+import json
 import operator
 import sys
 from contextvars import ContextVar
@@ -33,7 +34,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, GroundSetTooLarge, UnsupportedGroundSet
-from .integral import _chain_sums, _coerce_point, _finite, _row_dots, _row_sums, choquet
+from .integral import _chain_sums, _coerce_point, _finite, _row_dots, _row_sums
+from .integral import choquet  # noqa: F401  (unused; bench/test_bench.py traces this binding)
 from .names import (
     AXIOM_COMONOTONIC_ADDITIVITY,
     AXIOM_COMONOTONIC_AFFINITY,
@@ -66,7 +68,6 @@ from .setfunction import (
     _subset_statistic,
     as_mask,
     elements_from_mask,
-    mobius_transform,
     unanimity_game,
 )
 
@@ -118,9 +119,6 @@ class Aggregator:
     def evaluate(self, v: SignedCapacity, x: Sequence[float]) -> float:
         """The family at game v and point x; an overflow raises NonFiniteResult."""
         f = self._bind(v)  # checks the dimension before the point
-        if self.family == FAMILY_CHOQUET:
-            # One point takes the scalar chain sum, which _chain_sums equals bit for bit.
-            return choquet(v, x).value
         X = np.array([_coerce_point(x, self.n)])
         with np.errstate(over="ignore", invalid="ignore"):
             value = float(f(X)[0])
@@ -146,7 +144,8 @@ class Aggregator:
             raise DimensionMismatch(self.n, v.n)
         if self.family in (FAMILY_CHOQUET, FAMILY_VSTAR_PATCH):
             return partial(self._evaluate, v.values, None)
-        return partial(self._evaluate, v.values, mobius_transform(v).coefficients)
+        m = _lattice_cumulation(v.values, operator.isub, "mobius_transform")
+        return partial(self._evaluate, v.values, m)
 
     def _evaluate(self, values: np.ndarray, m: Optional[np.ndarray], X: np.ndarray) -> np.ndarray:
         """The family on the rows of X at one game (values and Mobius
@@ -226,6 +225,16 @@ class AxiomReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+    def format_text(self) -> str:
+        """The report as `choquet check` prints it, the witness's inputs as JSON."""
+        w = self.witness
+        witness = ["witness: none"] if w is None else [
+            "witness:", f"  lhs: {w.lhs!r}", f"  rhs: {w.rhs!r}",
+            f"  discrepancy: {w.discrepancy!r}", f"  inputs: {json.dumps(w.inputs)}"]
+        return "\n".join([f"axiom: {self.axiom}", f"verdict: {self.verdict}",
+                          f"samples_run: {self.samples_run}", f"seed: {self.seed}",
+                          f"tolerance: {self.tolerance!r}", *witness])
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -653,6 +662,12 @@ def check_comonotonic_affinity(
                         {"capacity": v}, agg.n + _PAIR_WORDS + 1, draw, sides)
 
 
+def _basis_game(n: int, subset: SubsetLike) -> tuple[SignedCapacity, list[int]]:
+    """The unanimity game of subset on [n] and the subset's elements in ascending order."""
+    mask = as_mask(subset, n)
+    return unanimity_game(n, mask), list(elements_from_mask(mask))
+
+
 def check_interval_scale_covariance(
     agg: Aggregator,
     subset: SubsetLike,
@@ -666,9 +681,7 @@ def check_interval_scale_covariance(
     two-element ground set this is the counterexample that separates the
     multilinear family).
     """
-    s_mask = as_mask(subset, agg.n)
-    game = unanimity_game(agg.n, s_mask)
-    members = list(elements_from_mask(s_mask))
+    game, members = _basis_game(agg.n, subset)
 
     def draw(numbers, words):
         u = _doubles(words)
@@ -707,9 +720,7 @@ def check_zero_on_basis(
     integral violates the raw statement, since a negative coordinate outside
     the zeroed one can carry the minimum).  Trial 0 uses x = 0.
     """
-    s_mask = as_mask(subset, agg.n)
-    game = unanimity_game(agg.n, s_mask)
-    members = list(elements_from_mask(s_mask))
+    game, members = _basis_game(agg.n, subset)
 
     def draw(numbers, words):
         x = _uniform(_doubles(words[:, :agg.n]), 0.0, 1.0)
@@ -847,19 +858,14 @@ class IndependenceSummary:
         }
 
     def format_text(self) -> str:
+        """The matrix as `choquet independence-suite` prints it."""
         width = max(len(c) for c in INDEPENDENCE_CONDITIONS) + 2
-        head = "family".ljust(16) + "".join(c.ljust(width) for c in INDEPENDENCE_CONDITIONS)
-        lines = [head]
+        lines = ["family".ljust(16) + "".join(c.ljust(width) for c in INDEPENDENCE_CONDITIONS)]
         for family in INDEPENDENCE_FAMILIES:
-            row = family.ljust(16)
-            for condition in INDEPENDENCE_CONDITIONS:
-                verdict = "FALSIFIED" if self.cell(family, condition).falsified else "pass"
-                row += verdict.ljust(width)
-            lines.append(row)
-        lines.append("")
-        lines.append(
-            "expected pattern: " + ("reproduced" if self.matches_expected else "DEVIATION")
-        )
+            cells = (self.cell(family, condition) for condition in INDEPENDENCE_CONDITIONS)
+            lines.append(family.ljust(16) + "".join(
+                ("FALSIFIED" if c.falsified else "pass").ljust(width) for c in cells))
+        lines += ["", "expected pattern: " + ("reproduced" if self.matches_expected else "DEVIATION")]
         return "\n".join(lines)
 
 
@@ -871,9 +877,9 @@ def _paper_replay(agg: Aggregator, seed: int) -> AxiomReport:
     if agg.family == FAMILY_VSTAR_PATCH:
         return check_linearity_in_capacity(agg, 1, seed)  # its trial 0
     inputs = {"x": np.array([[0.0, 2.0]]), "zeroed_element": np.array([1])}
-    game = unanimity_game(agg.n, [1, 2])
+    game, members = _basis_game(agg.n, [1, 2])
     return _run_checker(AXIOM_ZERO_ON_BASIS, agg, game, 1, seed, FALSIFY_TOLERANCE,
-                        {"subset": [1, 2]}, 0, lambda numbers, words: inputs, _zero_sides)
+                        {"subset": members}, 0, lambda numbers, words: inputs, _zero_sides)
 
 
 def _run_condition(agg: Aggregator, condition: str, trials: int, seed: int):

@@ -4,7 +4,9 @@ Commands: eval, mobius, check, independence-suite, random-capacity, and the
 ad-hoc oracle subcommand.  Values go to stdout, diagnostics to stderr, and
 every invocation is deterministic given its full flag set (seed included).
 The checkers, generators and oracles are imported by the commands that use
-them, so `eval` and `mobius` start without loading them.
+them, so `eval` and `mobius` start without loading them.  A checker report
+and the independence matrix are printed as their `to_dict` (JSON) or
+`format_text` (text) gives them.
 
 Exit codes:
     0  success / axiom satisfied / matrix as expected
@@ -18,7 +20,6 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional, Sequence
 
@@ -45,6 +46,14 @@ def _emit(doc: dict, out: Optional[str]) -> None:
         io.dump_document(doc, out)
     else:
         sys.stdout.write(io.format_document(doc))
+
+
+def _show(report, output_format: str) -> None:
+    """Print a checker report or the independence matrix in the chosen format."""
+    if output_format == "json":
+        _emit(report.to_dict(), None)
+    else:
+        print(report.format_text())
 
 
 def _parse_int_list(flag: str, text: str) -> list[int]:
@@ -127,23 +136,7 @@ def cmd_check(args) -> int:
     else:
         game_args = [generate.random_signed_capacity(n, args.seed)]
     report = axioms.CHECKERS[args.axiom](agg, *game_args, args.trials, args.seed, args.tolerance)
-
-    if args.format == "json":
-        _emit(report.to_dict(), None)
-    else:
-        print(f"axiom: {report.axiom}")
-        print(f"verdict: {report.verdict}")
-        print(f"samples_run: {report.samples_run}")
-        print(f"seed: {report.seed}")
-        print(f"tolerance: {report.tolerance!r}")
-        if report.witness is None:
-            print("witness: none")
-        else:
-            print("witness:")
-            print(f"  lhs: {report.witness.lhs!r}")
-            print(f"  rhs: {report.witness.rhs!r}")
-            print(f"  discrepancy: {report.witness.discrepancy!r}")
-            print(f"  inputs: {json.dumps(report.witness.inputs)}")
+    _show(report, args.format)
     return 1 if report.falsified else 0
 
 
@@ -151,19 +144,11 @@ def cmd_independence_suite(args) -> int:
     from . import axioms
 
     summary = axioms.independence_suite(args.trials, args.seed, args.paper_witnesses_only)
-    if args.format == "json":
-        _emit(summary.to_dict(), None)
-    else:
-        print(summary.format_text())
-    if summary.matches_expected:
-        return 0
+    _show(summary, args.format)
     for cell in summary.deviations():
-        print(
-            f"deviation: family {cell.family}, condition {cell.condition}, "
-            f"falsified={cell.falsified}",
-            file=sys.stderr,
-        )
-    return 1
+        print(f"deviation: family {cell.family}, condition {cell.condition}, "
+              f"falsified={cell.falsified}", file=sys.stderr)
+    return 0 if summary.matches_expected else 1
 
 
 def cmd_random_capacity(args) -> int:

@@ -4,7 +4,8 @@ Everything here is deliberately slow, literal and arithmetically independent
 of the fast code: the transform is a double loop over subset pairs, and the
 permutation sweep runs in exact rational arithmetic so that mathematically
 equal values compare equal regardless of summation order.  Ground-set sizes
-are capped because the point is verification, not performance.
+are capped because the point is verification, not performance.  Arguments
+are checked by the package's argument rules, which compute nothing.
 """
 
 from __future__ import annotations
@@ -15,9 +16,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, GroundSetTooLarge, NotAGame
-from .integral import lovasz_extension
-from .setfunction import MobiusRepresentation, SetFunction, _require_count
+from .errors import GroundSetTooLarge, NotAGame
+from .integral import _coerce_point, lovasz_extension
+from .setfunction import (
+    MobiusRepresentation, SetFunction, _require_count, _require_instance, _require_integer,
+    _require_seed,
+)
 
 MAX_N_NAIVE_MOBIUS = 12
 MAX_N_ALL_PERMUTATIONS = 6
@@ -33,8 +37,10 @@ def mobius_naive(f: SetFunction) -> MobiusRepresentation:
     Literal O(3**n) double loop; shares no arithmetic with the fast
     transform.  Bounded at n <= 12.
     """
+    _require_instance(f, SetFunction)
     if f.n > MAX_N_NAIVE_MOBIUS:
         raise GroundSetTooLarge(f.n, MAX_N_NAIVE_MOBIUS)
+    values = f.values.tolist()
     size = 1 << f.n
     coeffs = np.zeros(size)
     for s in range(size):
@@ -42,7 +48,7 @@ def mobius_naive(f: SetFunction) -> MobiusRepresentation:
         t = s
         while True:
             sign = -1.0 if (s.bit_count() - t.bit_count()) % 2 else 1.0
-            total += sign * float(f.values[t])
+            total += sign * values[t]
             if t == 0:
                 break
             t = (t - 1) & s
@@ -58,15 +64,14 @@ def choquet_all_permutations(v: SetFunction, x: Sequence[float]) -> set[float]:
     sums are mathematically equal: a singleton certifies that the integral
     does not depend on how ties are broken.  Bounded at n <= 6.
     """
+    _require_instance(v, SetFunction)
     if v.n > MAX_N_ALL_PERMUTATIONS:
         raise GroundSetTooLarge(v.n, MAX_N_ALL_PERMUTATIONS)
     if v.values[0] != 0.0:
         raise NotAGame(v.values[0])
     n = v.n
-    coords = [Fraction(float(c)) for c in x]
-    if len(coords) != n:
-        raise DimensionMismatch(n, len(coords))
-    exact_values = [Fraction(float(val)) for val in v.values]
+    coords = [Fraction(c) for c in _coerce_point(x, n)]
+    exact_values = [Fraction(val) for val in v.values.tolist()]
 
     results: set[Fraction] = set()
     for perm in permutations(range(1, n + 1)):
@@ -96,13 +101,17 @@ def lovasz_affine_check(
     nondecreasing along pi; it is convex, so segments stay inside.  Returns
     True iff lovasz_extension is affine on every sampled segment within
     relative tolerance 1e-9 (absolute floor 1e-12).  Bounded at n <= 8;
-    trials is a count (>= 1).
+    order is a sequence of integers, trials a count (>= 1) and seed >= 0.
     """
-    trials = _require_count("trials", trials)
+    trials, seed = _require_count("trials", trials), _require_seed(seed)
+    _require_instance(f, SetFunction)
     if f.n > MAX_N_AFFINE_CHECK:
         raise GroundSetTooLarge(f.n, MAX_N_AFFINE_CHECK)
     n = f.n
-    perm = [int(p) for p in order]
+    try:
+        perm = [_require_integer("order element", p) for p in order]
+    except TypeError:  # order is not iterable
+        raise ValueError(f"order must be a sequence of integers, got {order!r}") from None
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError(f"{order!r} is not a permutation of 1..{n}")
     rng = np.random.default_rng(seed)

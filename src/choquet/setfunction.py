@@ -248,14 +248,10 @@ class SetFunction:
     # The game property v(empty) = 0 survives them; monotonicity does not,
     # so arithmetic always returns a plain SetFunction.
     def __add__(self, other: "SetFunction") -> "SetFunction":
-        self._require_same_lattice(other)
-        with _overflow_raises("set-function addition"):
-            return SetFunction(self.n, _Fresh(self.values + other.values))
+        return self._combine(other, operator.add, "set-function addition")
 
     def __sub__(self, other: "SetFunction") -> "SetFunction":
-        self._require_same_lattice(other)
-        with _overflow_raises("set-function subtraction"):
-            return SetFunction(self.n, _Fresh(self.values - other.values))
+        return self._combine(other, operator.sub, "set-function subtraction")
 
     def __mul__(self, scalar: float) -> "SetFunction":
         _require_real("scale factor", scalar)
@@ -270,9 +266,13 @@ class SetFunction:
 
     __rmul__ = __mul__
 
-    def _require_same_lattice(self, other: "SetFunction") -> None:
+    def _combine(self, other: "SetFunction", op, operation: str) -> "SetFunction":
+        """op of the values of two set functions on one ground set; an overflow
+        raises NonFiniteResult naming the operation."""
         if not isinstance(other, SetFunction) or other.n != self.n:
             raise ValueError("set functions live on different ground sets")
+        with _overflow_raises(operation):
+            return SetFunction(self.n, _Fresh(op(self.values, other.values)))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self.n}, values={self.values.tolist()})"

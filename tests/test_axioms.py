@@ -125,8 +125,9 @@ class TestEvaluateFamily:
         "family, n", [(FAMILY_CHOQUET, n) for n in range(1, 13)] + [(FAMILY_VSTAR_PATCH, 3)]
     )
     def test_one_point_equals_the_batched_route_exactly(self, family, n):
-        """One point takes the scalar chain sum: on two-decimal points with
-        ties and signed zeros it equals the batched route bit for bit."""
+        """On two-decimal points with ties and signed zeros the bound route
+        equals integral.choquet bit for bit, so checker verdicts rest on the
+        public integral's values."""
         rng = np.random.default_rng(n)
         points = rng.integers(-300, 301, (60, n)) / 100
         points[rng.random(points.shape) < 0.2] = -0.0
@@ -134,8 +135,8 @@ class TestEvaluateFamily:
         agg = Aggregator(family, n)
         v = random_signed_capacity(n, rng)
         batched = agg._bind(v)(points)
-        for x, expected in zip(points, batched):
-            value = evaluate_family(agg, v, x)
+        for x, value in zip(points, batched):
+            expected = choquet(v, x).value
             assert value == expected and np.signbit(value) == np.signbit(expected), (x, value, expected)
 
     def test_vstar_patch_elsewhere_is_the_integral(self):
@@ -163,6 +164,10 @@ class TestEvaluateFamily:
         agg = Aggregator(FAMILY_CHOQUET, 3)
         with pytest.raises(DimensionMismatch):
             evaluate_family(agg, random_signed_capacity(3, 0), [1, 2])
+
+    def test_game_on_another_ground_set(self):
+        with pytest.raises(DimensionMismatch):
+            Aggregator(FAMILY_MULTILINEAR, 3)._bind(random_signed_capacity(2, 0))
 
     def test_choquet_family_matches_integral(self):
         agg = Aggregator(FAMILY_CHOQUET, 4)
@@ -339,6 +344,11 @@ class TestIndependenceSuite:
         assert doc["matches_expected"] is True
         assert len(doc["cells"]) == 9
 
+    def test_unknown_cell(self):
+        summary = independence_suite(trials=10, seed=0, paper_witnesses_only=True)
+        with pytest.raises(KeyError):
+            summary.cell(FAMILY_CHOQUET, AXIOM_ZERO_ON_BASIS)
+
 
 def test_trials_must_be_positive():
     with pytest.raises(ValueError):
@@ -407,8 +417,9 @@ def test_paper_witnesses_only_must_be_a_bool(flag):
 
 def test_checker_transforms_its_game_once(monkeypatch):
     calls = []
-    transform = axioms_module.mobius_transform
-    monkeypatch.setattr(axioms_module, "mobius_transform", lambda f: calls.append(f) or transform(f))
+    transform = axioms_module._lattice_cumulation
+    monkeypatch.setattr(axioms_module, "_lattice_cumulation",
+                        lambda *args: calls.append(args) or transform(*args))
     agg = Aggregator(FAMILY_WEIGHTED_MEAN, 4)
     report = check_comonotonic_additivity(agg, random_signed_capacity(4, 0), 200, seed=0)
     assert report.samples_run == 200

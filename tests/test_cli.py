@@ -230,6 +230,11 @@ class TestCheck:
         assert out == ""
         assert err == "error: expected non-negative integer\n"
 
+    def test_ground_set_required(self, capsys):
+        code, out, err = run(["check", "--axiom", "positive-homogeneity"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: one of --capacity, --n or --subset is required to fix the ground set\n"
+
     def test_single_trial_deterministic_report(self, capsys):
         args = ["check", "--axiom", "comonotonic-affinity", "--n", "4",
                 "--trials", "1", "--seed", "9", "--format", "json"]
@@ -262,6 +267,22 @@ class TestIndependenceSuite:
             assert code == 2
             assert out == ""
             assert err == "error: expected non-negative integer\n"
+
+    def test_deviation_exits_1_with_one_line_per_cell(self, monkeypatch, capsys):
+        from choquet import axioms
+
+        def satisfied_replay(agg, seed):
+            return axioms.AxiomReport(axioms.EXPECTED_FALSIFIED[agg.family],
+                                      axioms.VERDICT_SATISFIED, None, 1, seed, 1e-6)
+
+        monkeypatch.setattr(axioms, "_paper_replay", satisfied_replay)
+        code, out, err = run(["independence-suite", "--paper-witnesses-only"], capsys)
+        assert code == 1
+        assert out.endswith("expected pattern: DEVIATION\n")
+        assert err.splitlines() == [
+            f"deviation: family {family}, condition {condition}, falsified=False"
+            for family, condition in axioms.EXPECTED_FALSIFIED.items()
+        ]
 
     def test_paper_witnesses_only(self, capsys):
         code, out, _ = run(

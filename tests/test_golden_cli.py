@@ -3,12 +3,15 @@
 `golden_cli.json` maps each invocation, its arguments joined by single
 spaces, to the exit code and the SHA-256 of the stdout that `choquet.cli.main`
 produced for it.  Placeholders in braces name the input files that
-`_write_inputs` creates.  The fixture was recorded once, before the lattice
-and checker refactor, by running every invocation in-process through
-`main` on the files below and hashing the captured stdout; refactors must
-reproduce it byte for byte.  An intended change of output means recording
-the affected entries again by the same procedure and saying why in the
-change log.
+`_write_inputs` creates.  The fixture was first recorded before the lattice
+and checker refactor; refactors must reproduce it byte for byte.
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+
+records it again: it runs every invocation the fixture lists in-process
+through `main`, on the files below, and rewrites the fixture with each
+exit code and stdout digest.  An intended change of output means running
+it and saying in the change log which entries changed and why.
 
 The set covers the acceptance criterion-9 invocations, all six axioms in
 text and JSON for every family at 200 trials (falsified cases included),
@@ -20,7 +23,12 @@ recorded at.
 """
 
 import hashlib
+import io
 import json
+import os
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -28,7 +36,8 @@ import pytest
 from choquet.cli import main
 from choquet.io import dump_document
 
-GOLDEN = json.loads((Path(__file__).with_name("golden_cli.json")).read_text())
+GOLDEN_PATH = Path(__file__).with_name("golden_cli.json")
+GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
 INPUTS = {
     # the criterion-9 capacity
@@ -54,13 +63,25 @@ def _write_inputs(directory: Path) -> dict:
     return paths
 
 
-@pytest.mark.parametrize("invocation", sorted(GOLDEN))
-def test_golden_cli(invocation, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
-    paths = _write_inputs(tmp_path)
+def run(invocation: str, paths: dict) -> dict:
+    """The exit code and stdout digest of one invocation, run through main."""
     argv = [arg.format(**paths) for arg in invocation.split(" ")]
-    code = main(argv)
-    out = capsys.readouterr().out
-    expected = GOLDEN[invocation]
-    assert code == expected["exit"]
-    assert hashlib.sha256(out.encode()).hexdigest() == expected["stdout_sha256"]
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return {"exit": code, "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+
+
+@pytest.mark.parametrize("invocation", sorted(GOLDEN))
+def test_golden_cli(invocation, tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(invocation, _write_inputs(tmp_path)) == GOLDEN[invocation]
+
+
+if __name__ == "__main__":
+    os.environ["COLUMNS"] = "80"
+    with tempfile.TemporaryDirectory() as directory:
+        paths = _write_inputs(Path(directory))
+        recorded = {invocation: run(invocation, paths) for invocation in GOLDEN}
+    GOLDEN_PATH.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n")
+    print(f"recorded {len(recorded)} invocations in {GOLDEN_PATH}", file=sys.stderr)

@@ -90,6 +90,10 @@ class TestDocuments:
         with pytest.raises(FileFormatError):
             set_function_from_document({"n": "two", "by_mask": [0, 1, 1, 1]})
 
+    def test_by_subset_must_be_an_object(self):
+        with pytest.raises(FileFormatError, match="field 'by_subset' must be an object"):
+            set_function_from_document({"n": 1, "by_subset": [0.0, 1.0]})
+
     def test_non_numeric_value(self):
         with pytest.raises(FileFormatError):
             set_function_from_document({"n": 1, "by_mask": [0, "big"]})

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from choquet.errors import GroundSetTooLarge
+from choquet import oracle
+from choquet.errors import GroundSetTooLarge, NotAGame
 from choquet.generate import random_set_function, random_signed_capacity
-from choquet.integral import choquet
+from choquet.integral import EvaluationResult, choquet
 from choquet.oracle import (
     choquet_all_permutations,
     lovasz_affine_check,
@@ -59,6 +60,10 @@ class TestChoquetAllPermutations:
         with pytest.raises(GroundSetTooLarge):
             choquet_all_permutations(SignedCapacity(7, np.zeros(128)), [0] * 7)
 
+    def test_not_a_game(self):
+        with pytest.raises(NotAGame):
+            choquet_all_permutations(SetFunction(2, [1.0, 0.0, 0.0, 0.0]), [1.0, 2.0])
+
 
 class TestLovaszAffineCheck:
     def test_basis_game_cone(self):
@@ -76,6 +81,11 @@ class TestLovaszAffineCheck:
     def test_bound(self):
         with pytest.raises(GroundSetTooLarge):
             lovasz_affine_check(SetFunction(9, np.zeros(512)), list(range(1, 10)))
+
+    def test_a_non_affine_extension_is_reported(self, monkeypatch):
+        squares = lambda f, x: EvaluationResult(float(np.dot(x, x)), None)
+        monkeypatch.setattr(oracle, "lovasz_extension", squares)
+        assert not lovasz_affine_check(unanimity_game(2, [1]), [1, 2])
 
 
 def test_naive_equals_fast_exactly_on_integer_grids():

@@ -53,7 +53,7 @@ from choquet.integral import (
     lovasz_extension,
     sort_permutation,
 )
-from choquet.oracle import lovasz_affine_check
+from choquet.oracle import choquet_all_permutations, lovasz_affine_check, mobius_naive
 from choquet.io import (
     dump_document,
     format_document,
@@ -502,6 +502,23 @@ ARGUMENT_RULES = [
                  NOT_AN_INTEGER + "True", id="mask_from_elements-n-bool"),
     pytest.param(mask_from_elements, ([1], 2.5), UnsupportedGroundSet,
                  NOT_AN_INTEGER + "2.5", id="mask_from_elements-n-float"),
+    # The oracles apply the same rules; before, each converted its arguments itself.
+    pytest.param(choquet_all_permutations, (GAME2, ["1", True]), ValueError,
+                 NOT_A_COORDINATE + "'1'", id="choquet_all_permutations-x-str"),
+    pytest.param(choquet_all_permutations, (GAME2, [NAN, 1.0]), ValueError, NOT_FINITE + "nan",
+                 id="choquet_all_permutations-x-nan"),
+    pytest.param(choquet_all_permutations, (GAME2, ["x"]), DimensionMismatch,
+                 "expected a point of length 2, got 1", id="choquet_all_permutations-x-length"),
+    pytest.param(choquet_all_permutations, ("x", [1.0, 2.0]), ValueError,
+                 "expected a SetFunction, got str", id="choquet_all_permutations-v"),
+    pytest.param(mobius_naive, ("x",), ValueError, "expected a SetFunction, got str",
+                 id="mobius_naive-f"),
+    pytest.param(lovasz_affine_check, (GAME2, [1.9, 2.2]), ValueError,
+                 "order element must be an integer, got 1.9", id="lovasz_affine_check-order-float"),
+    pytest.param(lovasz_affine_check, (GAME2, 3), ValueError,
+                 "order must be a sequence of integers, got 3", id="lovasz_affine_check-order-scalar"),
+    pytest.param(lovasz_affine_check, (GAME2, [1, 2], 5, True), ValueError,
+                 "seed must be an integer, got True", id="lovasz_affine_check-seed-bool"),
 ]
 
 

@@ -17,6 +17,7 @@ from choquet.setfunction import (
     SetFunction,
     SignedCapacity,
     basis_decomposition,
+    as_mask,
     elements_from_mask,
     full_mask,
     mask_from_elements,
@@ -49,6 +50,11 @@ class TestMaskHelpers:
             mask_from_elements([0])
         with pytest.raises(ValueError):
             mask_from_elements([4], n=3)
+
+    @pytest.mark.parametrize("mask", [-1, 4])
+    def test_out_of_range_mask(self, mask):
+        with pytest.raises(ValueError, match=f"mask {mask} out of range for ground set of size 2"):
+            as_mask(mask, 2)
 
 
 class TestSetFunction:
@@ -98,6 +104,18 @@ class TestSetFunction:
         assert combo.value([1]) == 2.0
         assert combo.value([2, 3]) == -3.0
         assert combo.value([1, 2, 3]) == -1.0
+
+    @pytest.mark.parametrize("other", [SetFunction(2, [0.0] * 4), [0.0, 1.0]])
+    @pytest.mark.parametrize("op", [operator.add, operator.sub])
+    def test_combination_needs_a_set_function_on_the_same_ground_set(self, op, other):
+        with pytest.raises(ValueError, match="set functions live on different ground sets"):
+            op(SetFunction(1, [0.0, 1.0]), other)
+
+    def test_reprs(self):
+        assert repr(SignedCapacity(1, [0.0, 1.5])) == "SignedCapacity(n=1, values=[0.0, 1.5])"
+        m = MobiusRepresentation(1, [0.0, -2.0])
+        assert repr(m) == "MobiusRepresentation(n=1, coefficients=[0.0, -2.0])"
+        assert m[1] == -2.0
 
 
 class TestValidateSignedCapacity:
