@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, GroundSetTooLarge, UnsupportedGroundSet
+from .errors import GroundSetTooLarge, UnsupportedGroundSet
 from .integral import _chain_sums, _coerce_point, _finite, _row_dots, _row_sums
 from .integral import choquet  # noqa: F401  (unused; bench/test_bench.py traces this binding)
 from .names import (
@@ -118,7 +118,7 @@ class Aggregator:
 
     def evaluate(self, v: SignedCapacity, x: Sequence[float]) -> float:
         """The family at game v and point x; an overflow raises NonFiniteResult."""
-        f = self._bind(v)  # checks the dimension before the point
+        f = self._bind(v)  # checks the game before the point
         X = np.array([_coerce_point(x, self.n)])
         with np.errstate(over="ignore", invalid="ignore"):
             value = float(f(X)[0])
@@ -137,11 +137,12 @@ class Aggregator:
 
     def _bind(self, v: SignedCapacity) -> Callable[[np.ndarray], np.ndarray]:
         """The family at game v as a function of a (k, n) array of points,
-        with the work that depends on v alone (type and dimension checks,
+        with the work that depends on v alone (type and ground-set checks,
         Mobius transform) done once.  Rows that overflow come out non-finite."""
         _require_instance(v, SignedCapacity)
         if v.n != self.n:
-            raise DimensionMismatch(self.n, v.n)
+            raise ValueError(
+                f"expected a game on a ground set of size {self.n}, got one of size {v.n}")
         if self.family in (FAMILY_CHOQUET, FAMILY_VSTAR_PATCH):
             return partial(self._evaluate, v.values, None)
         m = _lattice_cumulation(v.values, operator.isub, "mobius_transform")

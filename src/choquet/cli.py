@@ -4,9 +4,10 @@ Commands: eval, mobius, check, independence-suite, random-capacity, and the
 ad-hoc oracle subcommand.  Values go to stdout, diagnostics to stderr, and
 every invocation is deterministic given its full flag set (seed included).
 The checkers, generators and oracles are imported by the commands that use
-them, so `eval` and `mobius` start without loading them.  A checker report
-and the independence matrix are printed as their `to_dict` (JSON) or
-`format_text` (text) gives them.
+them, so `eval` and `mobius` start without loading them.  Every command that
+prints a result hands `_show` its JSON document and its text, and `_show`
+prints the one that --format names; a checker report and the independence
+matrix give theirs by `to_dict` and `format_text`.
 
 Exit codes:
     0  success / axiom satisfied / matrix as expected
@@ -48,22 +49,12 @@ def _emit(doc: dict, out: Optional[str]) -> None:
         sys.stdout.write(io.format_document(doc))
 
 
-def _show(report, output_format: str) -> None:
-    """Print a checker report or the independence matrix in the chosen format."""
+def _show(doc: dict, text: str, output_format: str) -> None:
+    """Print a result to stdout: doc as JSON under --format json, else text."""
     if output_format == "json":
-        _emit(report.to_dict(), None)
+        _emit(doc, None)
     else:
-        print(report.format_text())
-
-
-def _parse_int_list(flag: str, text: str) -> list[int]:
-    elements = []
-    for part in text.split(","):
-        try:
-            elements.append(int(part))
-        except ValueError:
-            raise FileFormatError(f"{flag} {text!r}: {part!r} is not an integer") from None
-    return elements
+        print(text)
 
 
 def cmd_eval(args) -> int:
@@ -74,11 +65,8 @@ def cmd_eval(args) -> int:
     else:
         result = choquet(f, point)
     permutation = list(result.permutation_used.order)
-    if args.format == "json":
-        _emit({"value": result.value, "permutation": permutation}, None)
-    else:
-        print(repr(result.value))
-        print("permutation: " + ",".join(str(p) for p in permutation))
+    _show({"value": result.value, "permutation": permutation},
+          f"{result.value!r}\npermutation: {','.join(map(str, permutation))}", args.format)
     return 0
 
 
@@ -118,7 +106,7 @@ def cmd_check(args) -> int:
             raise FileFormatError(
                 f"--n {args.n} conflicts with the capacity file (n = {capacity.n})"
             )
-    elements = _parse_int_list("--subset", args.subset) if args.subset else None
+    elements = io._parse_int_list("--subset", args.subset) if args.subset else None
     n = _resolve_check_n(args, capacity, elements)
     agg = axioms.Aggregator(args.family, n)
 
@@ -136,7 +124,7 @@ def cmd_check(args) -> int:
     else:
         game_args = [generate.random_signed_capacity(n, args.seed)]
     report = axioms.CHECKERS[args.axiom](agg, *game_args, args.trials, args.seed, args.tolerance)
-    _show(report, args.format)
+    _show(report.to_dict(), report.format_text(), args.format)
     return 1 if report.falsified else 0
 
 
@@ -144,7 +132,7 @@ def cmd_independence_suite(args) -> int:
     from . import axioms
 
     summary = axioms.independence_suite(args.trials, args.seed, args.paper_witnesses_only)
-    _show(summary, args.format)
+    _show(summary.to_dict(), summary.format_text(), args.format)
     for cell in summary.deviations():
         print(f"deviation: family {cell.family}, condition {cell.condition}, "
               f"falsified={cell.falsified}", file=sys.stderr)
@@ -169,16 +157,12 @@ def cmd_oracle(args) -> int:
     if args.oracle_command == "choquet-perms":
         v = validate_signed_capacity(io.load_set_function(args.capacity))
         values = sorted(oracle.choquet_all_permutations(v, io.parse_point(args.point)))
-        if args.format == "json":
-            _emit({"values": values, "count": len(values)}, None)
-        else:
-            for value in values:
-                print(repr(value))
-            print(f"distinct: {len(values)}")
+        _show({"values": values, "count": len(values)},
+              "\n".join([*map(repr, values), f"distinct: {len(values)}"]), args.format)
         return 0
     # affine-check
     f = io.load_set_function(args.capacity)
-    order = _parse_int_list("--order", args.order)
+    order = io._parse_int_list("--order", args.order)
     ok = oracle.lovasz_affine_check(f, order, args.trials, args.seed)
     print("affine: " + ("true" if ok else "false"))
     return 0 if ok else 1

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteResult, NotAGame
 from .setfunction import (
-    MobiusRepresentation, SetFunction, _require_instance, _require_real, _subset_statistic,
+    MobiusRepresentation, SetFunction, _finite_float, _require_instance, _subset_statistic,
 )
 
 
@@ -59,10 +59,9 @@ class EvaluationResult:
 
 def _coerce_point(x: Sequence[float], n: Optional[int] = None) -> list[float]:
     """x as a list of finite floats, of length n if n is given: the package's one
-    conversion of a point.  Coordinates are floats, ints that are not bools
-    and numpy reals; anything else, or an x that is not iterable, raises
-    ValueError, and so does a non-finite coordinate.  A wrong length raises
-    DimensionMismatch."""
+    conversion of a point.  Each coordinate is converted by _finite_float, so
+    a coordinate that is not a finite real, or an x that is not iterable,
+    raises ValueError.  A wrong length raises DimensionMismatch."""
     try:
         coords = list(x)
     except TypeError:
@@ -70,20 +69,9 @@ def _coerce_point(x: Sequence[float], n: Optional[int] = None) -> list[float]:
     if n is not None and len(coords) != n:
         raise DimensionMismatch(n, len(coords))
     for i, c in enumerate(coords):
-        if type(c) is not float:
-            coords[i] = c = _coordinate(c)
-        if not isfinite(c):
-            raise ValueError(f"point has non-finite coordinate {c!r}")
+        if type(c) is not float or not isfinite(c):
+            coords[i] = _finite_float("point coordinate", c)
     return coords
-
-
-def _coordinate(c) -> float:
-    """A coordinate that is not a Python float, converted by the rule of _coerce_point."""
-    _require_real("point coordinate", c)
-    try:
-        return float(c)
-    except OverflowError:  # an int beyond the float range
-        raise ValueError("point has an integer coordinate beyond the float range") from None
 
 
 def sort_permutation(x: Sequence[float]) -> SortPermutation:

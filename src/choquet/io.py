@@ -15,14 +15,15 @@ repr and so round-trip at full double precision.
 from __future__ import annotations
 
 import json
-from math import isfinite
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
 from .errors import FileFormatError, UnsupportedGroundSet
-from .setfunction import MobiusRepresentation, SetFunction, _Fresh, _ground_set, elements_from_mask
+from .setfunction import (
+    MobiusRepresentation, SetFunction, _finite_float, _Fresh, _ground_set, elements_from_mask,
+)
 
 PathLike = Union[str, Path]
 
@@ -39,11 +40,7 @@ def parse_subset_key(key: str, n: int) -> int:
     if key == "":
         return 0
     mask = 0
-    for part in key.split(","):
-        try:
-            element = int(part)
-        except ValueError:
-            raise FileFormatError(f"subset key {key!r}: {part!r} is not an integer") from None
+    for element in _parse_int_list("subset key", key):
         if not 1 <= element <= n:
             raise FileFormatError(f"subset key {key!r}: element {element} outside 1..{n}")
         bit = 1 << (element - 1)
@@ -51,6 +48,18 @@ def parse_subset_key(key: str, n: int) -> int:
             raise FileFormatError(f"subset key {key!r}: element {element} repeated")
         mask |= bit
     return mask
+
+
+def _parse_int_list(label: str, text: str) -> list[int]:
+    """The integers of a comma-separated list; FileFormatError naming label and
+    text for a part that is not one."""
+    elements = []
+    for part in text.split(","):
+        try:
+            elements.append(int(part))
+        except ValueError:
+            raise FileFormatError(f"{label} {text!r}: {part!r} is not an integer") from None
+    return elements
 
 
 def parse_point(text: str) -> tuple[float, ...]:
@@ -81,7 +90,8 @@ def _values_from_document(doc: dict) -> tuple[int, np.ndarray]:
         raw = doc["by_mask"]
         if not isinstance(raw, list) or len(raw) != size:
             raise FileFormatError(f"field 'by_mask' must be an array of {size} numbers")
-        values = np.array([_as_float(e, f"by_mask[{i}]") for i, e in enumerate(raw)])
+        values = np.array([_finite_float(f"field by_mask[{i}]", e, FileFormatError)
+                           for i, e in enumerate(raw)])
     else:
         raw = doc["by_subset"]
         if not isinstance(raw, dict):
@@ -93,20 +103,8 @@ def _values_from_document(doc: dict) -> tuple[int, np.ndarray]:
             first = named.setdefault(mask, key)
             if first != key:
                 raise FileFormatError(f"subset key {key!r} names the same subset as {first!r}")
-            values[mask] = _as_float(entry, f"by_subset[{key!r}]")
+            values[mask] = _finite_float(f"field by_subset[{key!r}]", entry, FileFormatError)
     return n, values
-
-
-def _as_float(entry, field: str) -> float:
-    if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-        raise FileFormatError(f"field {field} must be a number, got {entry!r}")
-    try:
-        value = float(entry)
-    except OverflowError:  # an integer beyond the float range
-        value = float("inf")
-    if not isfinite(value):
-        raise FileFormatError(f"field {field} must be finite, got {value!r}")
-    return value
 
 
 def set_function_from_document(doc: dict) -> SetFunction:

@@ -38,7 +38,8 @@ SubsetLike = Union[int, Iterable[int]]
 
 # The argument rules of the package: every module checks integers, counts,
 # ground-set sizes, seeds, real numbers and the type of a set-function
-# argument with these six functions.
+# argument with these six functions, and converts a real number it takes in
+# with _finite_float.
 def _require_integer(name: str, value, error: type = ValueError) -> int:
     """value as a Python int if it is an int or a numpy integer, not a bool; else error."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -71,10 +72,24 @@ def _require_seed(seed) -> int:
     return seed
 
 
-def _require_real(name: str, value) -> None:
-    """ValueError unless value is a float, a numpy real or an int that is not a bool."""
+def _require_real(name: str, value, error: type = ValueError) -> None:
+    """error unless value is a float, a numpy real or an int that is not a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
+        raise error(f"{name} must be a real number, got {value!r}")
+
+
+def _finite_float(name: str, value, error: type = ValueError) -> float:
+    """value as a finite Python float under the rule of _require_real; else error.
+    An int beyond the float range counts as the infinity of its sign."""
+    if type(value) is not float:
+        _require_real(name, value, error)
+        try:
+            value = float(value)
+        except OverflowError:
+            value = inf if value > 0 else -inf
+    if not isfinite(value):
+        raise error(f"{name} must be finite, got {value!r}")
+    return value
 
 
 def _require_instance(value, cls: type) -> None:
@@ -254,13 +269,7 @@ class SetFunction:
         return self._combine(other, operator.sub, "set-function subtraction")
 
     def __mul__(self, scalar: float) -> "SetFunction":
-        _require_real("scale factor", scalar)
-        try:
-            scalar = float(scalar)
-        except OverflowError:  # an int beyond the float range
-            scalar = inf if scalar > 0 else -inf
-        if not isfinite(scalar):
-            raise ValueError(f"cannot scale a set function by the non-finite scalar {scalar!r}")
+        scalar = _finite_float("scale factor", scalar)
         with _overflow_raises("set-function scaling"):
             return SetFunction(self.n, _Fresh(self.values * scalar))
 

@@ -166,8 +166,11 @@ class TestEvaluateFamily:
             evaluate_family(agg, random_signed_capacity(3, 0), [1, 2])
 
     def test_game_on_another_ground_set(self):
-        with pytest.raises(DimensionMismatch):
-            Aggregator(FAMILY_MULTILINEAR, 3)._bind(random_signed_capacity(2, 0))
+        with pytest.raises(ValueError) as info:
+            evaluate_family(Aggregator(FAMILY_MULTILINEAR, 3), random_signed_capacity(2, 0),
+                            [1, 2, 3])
+        assert type(info.value) is ValueError
+        assert str(info.value) == "expected a game on a ground set of size 3, got one of size 2"
 
     def test_choquet_family_matches_integral(self):
         agg = Aggregator(FAMILY_CHOQUET, 4)

@@ -73,6 +73,13 @@ class TestEval:
         assert out == ""
         assert err.strip().splitlines()[-1].startswith("error:")
 
+    def test_value_that_is_not_a_real_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"n": 1, "by_mask": [0.0, true]}')
+        code, out, err = run(["eval", "--capacity", str(bad), "--point", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: field by_mask[1] must be a real number, got True\n"
+
     def test_ground_set_above_bound_exit_2(self, tmp_path, capsys):
         huge = tmp_path / "huge.json"
         huge.write_text('{"n": 40, "by_subset": {"1": 1.0}}')

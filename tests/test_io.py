@@ -102,6 +102,34 @@ class TestDocuments:
         with pytest.raises(FileFormatError):
             set_function_from_document({"n": 1, "by_subset": {"1": float("inf")}})
 
+    # A value follows the rule of a point coordinate, and the error names its field.
+    @pytest.mark.parametrize("form, field", [("by_mask", "by_mask[1]"),
+                                             ("by_subset", "by_subset['1']")])
+    @pytest.mark.parametrize("entry, message", [
+        ("true", "must be a real number, got True"),
+        ('"1"', "must be a real number, got '1'"),
+        ("null", "must be a real number, got None"),
+        ("1" + "0" * 400, "must be finite, got inf"),
+        ("-1" + "0" * 400, "must be finite, got -inf"),
+    ])
+    @pytest.mark.parametrize("build", [set_function_from_document, mobius_from_document])
+    def test_value_that_is_not_a_finite_real_names_its_field(self, build, form, field, entry,
+                                                              message):
+        values = f"[0.0, {entry}]" if form == "by_mask" else f'{{"1": {entry}}}'
+        doc = json.loads(f'{{"n": 1, "{form}": {values}}}')
+        with pytest.raises(FileFormatError) as info:
+            build(doc)
+        assert str(info.value) == f"field {field} {message}"
+
+    def test_numpy_reals_accepted_as_values(self):
+        f = set_function_from_document({"n": 1, "by_mask": [np.float32(0.5), np.int64(2)]})
+        assert f.values.tolist() == [0.5, 2.0]
+        f = set_function_from_document({"n": 1, "by_subset": {"1": np.float64(-3.0)}})
+        assert f.values.tolist() == [0.0, -3.0]
+        with pytest.raises(FileFormatError) as info:
+            set_function_from_document({"n": 1, "by_mask": [0.0, np.True_]})
+        assert str(info.value) == "field by_mask[1] must be a real number, got np.True_"
+
     def test_n_above_bound_rejected_before_sizing(self):
         # 2**40 doubles would be 8 TiB: the bound must be checked first
         doc = {"n": 40, "by_subset": {"1": 1.0}}

@@ -1,6 +1,7 @@
 """Overflow, flag validation and fuzzing: every input ends in a finite value
 or a ChoquetError with its documented exit code, never a traceback."""
 
+import ast
 import inspect
 import io as text_io
 import json
@@ -346,7 +347,7 @@ MOBIUS2 = MobiusRepresentation(2, [0.0, 1.0, 0.5, 0.5])
 F1 = SetFunction(1, [0.0, 1.0])
 NOT_AN_INTEGER = "ground-set size must be an integer, got "
 BELOW_ONE = "ground-set size must be >= 1, got "
-NOT_FINITE = "point has non-finite coordinate "
+NOT_FINITE = "point coordinate must be finite, got "
 NOT_A_COORDINATE = "point coordinate must be a real number, got "
 NOT_A_SCALE_FACTOR = "scale factor must be a real number, got "
 
@@ -445,7 +446,7 @@ ARGUMENT_RULES = [
     pytest.param(choquet_mobius, (MOBIUS2, 3.0), ValueError,
                  "point must be a sequence of real numbers, got 3.0", id="choquet_mobius-x-scalar"),
     pytest.param(sort_permutation, ([10**400, 1],), ValueError,
-                 "point has an integer coordinate beyond the float range",
+                 "point coordinate must be finite, got inf",
                  id="sort_permutation-x-int-beyond-float"),
     pytest.param(check_comonotonic_additivity, (AGG2, "x", 5), ValueError,
                  "expected a SignedCapacity, got str", id="check_comonotonic_additivity-game"),
@@ -482,8 +483,11 @@ ARGUMENT_RULES = [
     pytest.param(operator.mul, ([3.0], F1), ValueError, NOT_A_SCALE_FACTOR + "[3.0]",
                  id="SetFunction.__rmul__-scalar-list"),
     pytest.param(operator.mul, (F1, 10**400), ValueError,
-                 "cannot scale a set function by the non-finite scalar inf",
+                 "scale factor must be finite, got inf",
                  id="SetFunction.__mul__-scalar-int-beyond-float"),
+    pytest.param(operator.mul, (F1, -10**400), ValueError,
+                 "scale factor must be finite, got -inf",
+                 id="SetFunction.__mul__-scalar-negative-int-beyond-float"),
     # The oracle's trial count follows the count rule.
     pytest.param(lovasz_affine_check, (GAME2, [1, 2], 0), ValueError,
                  "trials must be >= 1, got 0", id="lovasz_affine_check-trials-zero"),
@@ -552,6 +556,30 @@ def test_every_ruled_parameter_of_a_public_entry_point_has_a_row():
             if words and not any((name, word) in named for word in words):
                 missing.append(f"{name}-{parameter}")
     assert missing == []
+
+
+def _conversion_steps(tree: ast.AST):
+    """The conversion steps that have one home each, as found in tree: an
+    `except OverflowError` (float() of an int beyond the float range) and a
+    `.split(",")` call (a comma-separated list)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None and any(
+                isinstance(name, ast.Name) and name.id == "OverflowError"
+                for name in ast.walk(node.type)):
+            yield "except OverflowError"
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "split" and len(node.args) == 1
+              and isinstance(node.args[0], ast.Constant) and node.args[0].value == ","):
+            yield 'split(",")'
+
+
+def test_each_conversion_step_lives_in_one_module():
+    # _finite_float turns an outside number into a float; io parses comma lists.
+    homes = {"except OverflowError": set(), 'split(",")': set()}
+    for path in Path(package.__file__).parent.glob("*.py"):
+        for step in _conversion_steps(ast.parse(path.read_text())):
+            homes[step].add(path.stem)
+    assert homes == {"except OverflowError": {"setfunction"}, 'split(",")': {"io"}}
 
 
 TRIALS_BELOW_ONE = "error: trials must be >= 1, got "
