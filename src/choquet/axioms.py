@@ -116,18 +116,6 @@ class Aggregator:
                 f"the {FAMILY_VSTAR_PATCH} family is defined on a ground set of size 3, got {self.n}"
             )
 
-    def evaluate(self, v: SignedCapacity, x: Sequence[float]) -> float:
-        """The family at game v and point x; an overflow raises NonFiniteResult."""
-        f = self._bind(v)  # checks the game before the point
-        X = np.array([_coerce_point(x, self.n)])
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = float(f(X)[0])
-        return _finite(value, self._operation)
-
-    def basis_evaluate(self, subset: SubsetLike, x: Sequence[float]) -> float:
-        """Evaluate the family at the unanimity game of the given subset."""
-        return self.evaluate(unanimity_game(self.n, subset), x)
-
     @property
     def _operation(self) -> str:
         """The operation a NonFiniteResult of this family names."""
@@ -189,8 +177,15 @@ def _vstar_patch(X: np.ndarray) -> np.ndarray:
 
 
 def evaluate_family(agg: Aggregator, v: SignedCapacity, x: Sequence[float]) -> float:
-    """Evaluate one of the four families at a game and a point."""
-    return agg.evaluate(v, x)
+    """The family of agg at game v and point x; an overflow raises NonFiniteResult.
+    The family at the unanimity game of a subset S is
+    evaluate_family(agg, unanimity_game(agg.n, S), x)."""
+    _require_instance(agg, Aggregator)
+    f = agg._bind(v)  # checks the game before the point
+    X = np.array([_coerce_point(x, agg.n)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(f(X)[0])
+    return _finite(value, agg._operation)
 
 
 @dataclass(frozen=True)
@@ -599,6 +594,7 @@ def check_comonotonic_additivity(
 
     Trial 0 uses the degenerate pair (base, 0), which reduces to f(0) = 0.
     """
+    _require_instance(agg, Aggregator)  # before the width below reads agg.n
     def draw(numbers, words):
         base, x, y = _comonotonic_pairs(_doubles(words), agg.n)
         first = numbers == 0
@@ -624,6 +620,7 @@ def check_positive_homogeneity(
 
     Trial 0 uses r = 1.
     """
+    _require_instance(agg, Aggregator)  # before the width below reads agg.n
     def draw(numbers, words):
         u = _doubles(words)
         r = np.exp(_uniform(u[:, agg.n], *_LOG_R))
@@ -649,6 +646,7 @@ def check_comonotonic_affinity(
 
     Trials 0 and 1 pin the endpoint cases lam = 0 and lam = 1.
     """
+    _require_instance(agg, Aggregator)  # before the width below reads agg.n
     def draw(numbers, words):
         u = _doubles(words)
         _, x, y = _comonotonic_pairs(u, agg.n)
@@ -663,10 +661,12 @@ def check_comonotonic_affinity(
                         {"capacity": v}, agg.n + _PAIR_WORDS + 1, draw, sides)
 
 
-def _basis_game(n: int, subset: SubsetLike) -> tuple[SignedCapacity, list[int]]:
-    """The unanimity game of subset on [n] and the subset's elements in ascending order."""
-    mask = as_mask(subset, n)
-    return unanimity_game(n, mask), list(elements_from_mask(mask))
+def _basis_game(agg: Aggregator, subset: SubsetLike) -> tuple[SignedCapacity, list[int]]:
+    """The unanimity game of subset on agg's ground set and the subset's
+    elements in ascending order; ValueError unless agg is an Aggregator."""
+    _require_instance(agg, Aggregator)
+    mask = as_mask(subset, agg.n)
+    return unanimity_game(agg.n, mask), list(elements_from_mask(mask))
 
 
 def check_interval_scale_covariance(
@@ -682,7 +682,7 @@ def check_interval_scale_covariance(
     two-element ground set this is the counterexample that separates the
     multilinear family).
     """
-    game, members = _basis_game(agg.n, subset)
+    game, members = _basis_game(agg, subset)
 
     def draw(numbers, words):
         u = _doubles(words)
@@ -721,7 +721,7 @@ def check_zero_on_basis(
     integral violates the raw statement, since a negative coordinate outside
     the zeroed one can carry the minimum).  Trial 0 uses x = 0.
     """
-    game, members = _basis_game(agg.n, subset)
+    game, members = _basis_game(agg, subset)
 
     def draw(numbers, words):
         x = _uniform(_doubles(words[:, :agg.n]), 0.0, 1.0)
@@ -757,6 +757,7 @@ def check_linearity_in_capacity(
     patched capacity of the vstar family at x = (0, 2, 1), the sample that
     separates that family.  Bounded at n <= 10.
     """
+    _require_instance(agg, Aggregator)
     if agg.n > _MAX_N_LINEARITY:
         raise GroundSetTooLarge(agg.n, _MAX_N_LINEARITY)
     size = 1 << agg.n
@@ -878,7 +879,7 @@ def _paper_replay(agg: Aggregator, seed: int) -> AxiomReport:
     if agg.family == FAMILY_VSTAR_PATCH:
         return check_linearity_in_capacity(agg, 1, seed)  # its trial 0
     inputs = {"x": np.array([[0.0, 2.0]]), "zeroed_element": np.array([1])}
-    game, members = _basis_game(agg.n, [1, 2])
+    game, members = _basis_game(agg, [1, 2])
     return _run_checker(AXIOM_ZERO_ON_BASIS, agg, game, 1, seed, FALSIFY_TOLERANCE,
                         {"subset": members}, 0, lambda numbers, words: inputs, _zero_sides)
 

@@ -13,7 +13,8 @@ Exit codes:
     0  success / axiom satisfied / matrix as expected
     1  axiom falsified / independence matrix deviates
     2  unparseable input, a file that cannot be read or written, unknown
-       name, invalid parameter, or overflow
+       name, invalid parameter, overflow, or a stdout closed before the
+       output was written
     3  point length does not match the ground set
     4  the capacity file is not a game (empty set value nonzero)
 """
@@ -21,6 +22,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -43,7 +45,7 @@ GENERATORS = {
 
 
 def _emit(doc: dict, out: Optional[str]) -> None:
-    if out:
+    if out is not None:
         io.dump_document(doc, out)
     else:
         sys.stdout.write(io.format_document(doc))
@@ -94,19 +96,19 @@ def _resolve_check_n(args, capacity, elements) -> int:
 def cmd_check(args) -> int:
     from . import axioms, generate
 
-    if args.subset and args.axiom not in names.SUBSET_AXIOMS:
+    if args.subset is not None and args.axiom not in names.SUBSET_AXIOMS:
         raise FileFormatError(
             f"--subset applies only to the {' and '.join(names.SUBSET_AXIOMS)} axioms, "
             f"not to {args.axiom}"
         )
     capacity = None
-    if args.capacity:
+    if args.capacity is not None:
         capacity = validate_signed_capacity(io.load_set_function(args.capacity))
         if args.n is not None and args.n != capacity.n:
             raise FileFormatError(
                 f"--n {args.n} conflicts with the capacity file (n = {capacity.n})"
             )
-    elements = io._parse_int_list("--subset", args.subset) if args.subset else None
+    elements = None if args.subset is None else io._parse_int_list("--subset", args.subset)
     n = _resolve_check_n(args, capacity, elements)
     agg = axioms.Aggregator(args.family, n)
 
@@ -256,7 +258,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # argparse already printed the diagnostic
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here if not in a write
+        return code
+    except BrokenPipeError as exc:
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        if sys.stdout is sys.__stdout__:  # so the interpreter's final flush succeeds
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return 2
     except DimensionMismatch as exc:
         print(f"error: point dimension: {exc}", file=sys.stderr)
         return 3

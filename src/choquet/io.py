@@ -63,12 +63,14 @@ def _parse_int_list(label: str, text: str) -> list[int]:
 
 
 def parse_point(text: str) -> tuple[float, ...]:
-    """Parse a comma-separated point literal like "4,0,2"."""
-    parts = text.split(",")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise FileFormatError(f"point {text!r} is not a comma-separated list of decimals") from None
+    """Parse a comma-separated point literal like "4,0,2"; FileFormatError
+    for anything else, text that is not a str included."""
+    if isinstance(text, str):
+        try:
+            return tuple(float(p) for p in text.split(","))
+        except ValueError:
+            pass
+    raise FileFormatError(f"point {text!r} is not a comma-separated list of decimals")
 
 
 def _values_from_document(doc: dict) -> tuple[int, np.ndarray]:
@@ -147,7 +149,7 @@ def load_mobius(path: PathLike) -> MobiusRepresentation:
 def _load_json(path: PathLike) -> dict:
     try:
         text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, TypeError) as exc:  # TypeError: not a str or PathLike
         raise FileFormatError(f"cannot read {path}: {exc}") from None
     try:
         return json.loads(text)
@@ -162,7 +164,7 @@ def dump_document(doc: dict, path: PathLike) -> None:
     text = format_document(doc)
     try:
         Path(path).write_text(text)
-    except OSError as exc:
+    except (OSError, TypeError) as exc:  # TypeError: not a str or PathLike
         raise FileFormatError(f"cannot write {path}: {exc}") from None
 
 

@@ -37,9 +37,9 @@ SubsetLike = Union[int, Iterable[int]]
 
 
 # The argument rules of the package: every module checks integers, counts,
-# ground-set sizes, seeds, real numbers and the type of a set-function
-# argument with these six functions, and converts a real number it takes in
-# with _finite_float.
+# ground-set sizes, seeds, subset masks, real numbers and the class of an
+# argument with these seven functions, and converts a real number it takes
+# in (a coordinate, a scale factor, a set-function value) with _finite_float.
 def _require_integer(name: str, value, error: type = ValueError) -> int:
     """value as a Python int if it is an int or a numpy integer, not a bool; else error."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -72,6 +72,18 @@ def _require_seed(seed) -> int:
     return seed
 
 
+def _require_mask(mask, n: int | None = None) -> int:
+    """mask as a Python int >= 0 under the rule of _require_integer, and below
+    2**n when the ground-set size n is given; else ValueError."""
+    if type(mask) is not int:
+        mask = _require_integer("subset mask", mask)
+    if n is not None and not 0 <= mask < (1 << n):
+        raise ValueError(f"mask {mask} out of range for ground set of size {n}")
+    if mask < 0:
+        raise ValueError(f"subset mask must be >= 0, got {mask}")
+    return mask
+
+
 def _require_real(name: str, value, error: type = ValueError) -> None:
     """error unless value is a float, a numpy real or an int that is not a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
@@ -95,7 +107,8 @@ def _finite_float(name: str, value, error: type = ValueError) -> float:
 def _require_instance(value, cls: type) -> None:
     """ValueError unless value is a cls (or a subclass)."""
     if not isinstance(value, cls):
-        raise ValueError(f"expected a {cls.__name__}, got {type(value).__name__}")
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise ValueError(f"expected {article} {cls.__name__}, got {type(value).__name__}")
 
 
 def full_mask(n: int) -> int:
@@ -106,12 +119,17 @@ def full_mask(n: int) -> int:
 def mask_from_elements(elements: Iterable[int], n: int | None = None) -> int:
     """Bitmask of a collection of 1-based elements.
 
-    Duplicates are tolerated (set semantics).  Raises ValueError for an
-    element that is not an integer or lies outside 1..n; n, if given, is a
-    ground-set size.
+    Duplicates are tolerated (set semantics).  Raises ValueError for
+    elements that are not iterable and for an element that is not an integer
+    or lies outside 1..n; n, if given, is a ground-set size.
     """
     if n is not None:
         n = _ground_set(n)
+    try:
+        elements = iter(elements)
+    except TypeError:
+        raise ValueError(
+            f"subset elements must be a sequence of integers, got {elements!r}") from None
     mask = 0
     for e in elements:
         e = _require_integer("subset element", e)
@@ -123,17 +141,16 @@ def mask_from_elements(elements: Iterable[int], n: int | None = None) -> int:
 
 
 def elements_from_mask(mask: int) -> tuple[int, ...]:
-    """Ascending 1-based elements of a subset bitmask."""
+    """Ascending 1-based elements of a subset bitmask (a mask by _require_mask)."""
+    if not (type(mask) is int and mask >= 0):  # subset_key calls this once per mask
+        mask = _require_mask(mask)
     return tuple(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
 def as_mask(subset: SubsetLike, n: int) -> int:
     """Coerce a subset given as a bitmask or an element iterable."""
     if isinstance(subset, (int, np.integer)) or not hasattr(subset, "__iter__"):
-        mask = _require_integer("subset mask", subset)
-        if mask < 0 or mask >= (1 << n):
-            raise ValueError(f"mask {mask} out of range for ground set of size {n}")
-        return mask
+        return _require_mask(subset, n)
     return mask_from_elements(subset, n)
 
 
@@ -155,19 +172,28 @@ class _Fresh:
 
 def _validated_values(n: int, values) -> np.ndarray:
     """Read-only float copy of the 2**n values on [n] (the array itself when
-    they come as _Fresh); raises ValueError otherwise."""
+    they come as _Fresh); raises ValueError otherwise.
+
+    Each value is a real number by the rule of _finite_float, named `value
+    at mask i`.  A float or integer array is checked as a whole; anything
+    else (a list, a bool or complex array) value by value.
+    """
     if isinstance(values, _Fresh):
         arr = np.asarray(values.array, dtype=float)
+    elif isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
+        arr = values.astype(float)
     else:
-        arr = np.array(values, dtype=float, copy=True)
+        arr = np.array(values, dtype=object)  # each value as the caller gave it
     size = 1 << n
     if arr.shape != (size,):
         raise ValueError(
             f"expected {size} values for a set function on [{n}], got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)):
+    if arr.dtype == object:
+        arr = np.array([_finite_float(f"value at mask {i}", e) for i, e in enumerate(arr)])
+    elif not np.isfinite(arr).all():
         bad = int(np.flatnonzero(~np.isfinite(arr))[0])
-        raise ValueError(f"non-finite value {float(arr[bad])!r} at mask {bad}")
+        _finite_float(f"value at mask {bad}", float(arr[bad]))  # raises the rule's error
     arr.setflags(write=False)
     return arr
 
@@ -253,11 +279,10 @@ class SetFunction:
         object.__setattr__(self, "values", _validated_values(self.n, self.values))
 
     def value(self, subset: SubsetLike) -> float:
-        """Value on a subset given as a mask or an element iterable."""
+        """Value on a subset given as a mask or an element iterable; f[subset] is the same."""
         return float(self.values[as_mask(subset, self.n)])
 
-    def __getitem__(self, mask: int) -> float:
-        return float(self.values[mask])
+    __getitem__ = value
 
     # Pointwise linear combinations stay in the space of set functions.
     # The game property v(empty) = 0 survives them; monotonicity does not,
@@ -278,7 +303,8 @@ class SetFunction:
     def _combine(self, other: "SetFunction", op, operation: str) -> "SetFunction":
         """op of the values of two set functions on one ground set; an overflow
         raises NonFiniteResult naming the operation."""
-        if not isinstance(other, SetFunction) or other.n != self.n:
+        _require_instance(other, SetFunction)
+        if other.n != self.n:
             raise ValueError("set functions live on different ground sets")
         with _overflow_raises(operation):
             return SetFunction(self.n, _Fresh(op(self.values, other.values)))
@@ -350,8 +376,9 @@ class MobiusRepresentation:
         object.__setattr__(self, "n", _ground_set(self.n))
         object.__setattr__(self, "coefficients", _validated_values(self.n, self.coefficients))
 
-    def __getitem__(self, mask: int) -> float:
-        return float(self.coefficients[mask])
+    def __getitem__(self, subset: SubsetLike) -> float:
+        """Coefficient on a subset given as a mask or an element iterable."""
+        return float(self.coefficients[as_mask(subset, self.n)])
 
     def __repr__(self) -> str:
         return f"MobiusRepresentation(n={self.n}, coefficients={self.coefficients.tolist()})"
@@ -402,6 +429,11 @@ def basis_decomposition(v: SignedCapacity) -> list[tuple[int, float]]:
     Returns (mask, coefficient) pairs for the exactly-nonzero Mobius
     coefficients, in ascending mask order.  Rebuilding the weighted sum of
     unanimity games (equivalently, applying zeta_transform) reproduces v.
+    v is any SetFunction that is a game; NotAGame unless v(empty) = 0
+    exactly, since the empty set has no unanimity game.
     """
+    _require_instance(v, SetFunction)
+    if v.values[0] != 0.0:
+        raise NotAGame(v.values[0])
     m = mobius_transform(v)
     return [(mask, float(c)) for mask, c in enumerate(m.coefficients) if c != 0.0]

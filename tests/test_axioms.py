@@ -40,43 +40,48 @@ def replay_witness(report):
     w = report.witness
     ins = w.inputs
     family = ins["family"]
+
+    def basis_evaluate(agg, subset, x):
+        return evaluate_family(agg, unanimity_game(agg.n, subset), x)
+
     if report.axiom == AXIOM_COMONOTONIC_ADDITIVITY:
         n = len(ins["x"])
         agg = Aggregator(family, n)
         v = SignedCapacity(n, ins["capacity"])
         x, y = np.array(ins["x"]), np.array(ins["y"])
-        return agg.evaluate(v, x + y), agg.evaluate(v, x) + agg.evaluate(v, y)
+        lhs = evaluate_family(agg, v, x + y)
+        return lhs, evaluate_family(agg, v, x) + evaluate_family(agg, v, y)
     if report.axiom == AXIOM_POSITIVE_HOMOGENEITY:
         n = len(ins["x"])
         agg = Aggregator(family, n)
         v = SignedCapacity(n, ins["capacity"])
         x, r = np.array(ins["x"]), ins["r"]
-        return agg.evaluate(v, r * x), r * agg.evaluate(v, x)
+        return evaluate_family(agg, v, r * x), r * evaluate_family(agg, v, x)
     if report.axiom == AXIOM_COMONOTONIC_AFFINITY:
         n = len(ins["x"])
         agg = Aggregator(family, n)
         v = SignedCapacity(n, ins["capacity"])
         x, y, lam = np.array(ins["x"]), np.array(ins["x_prime"]), ins["lambda"]
-        lhs = agg.evaluate(v, lam * x + (1 - lam) * y)
-        return lhs, lam * agg.evaluate(v, x) + (1 - lam) * agg.evaluate(v, y)
+        lhs = evaluate_family(agg, v, lam * x + (1 - lam) * y)
+        return lhs, lam * evaluate_family(agg, v, x) + (1 - lam) * evaluate_family(agg, v, y)
     if report.axiom == AXIOM_INTERVAL_SCALE:
         n = len(ins["x"])
         agg = Aggregator(family, n)
         x, r, s = np.array(ins["x"]), ins["r"], ins["s"]
-        lhs = agg.basis_evaluate(ins["subset"], r * x + s)
-        return lhs, r * agg.basis_evaluate(ins["subset"], x) + s
+        lhs = basis_evaluate(agg, ins["subset"], r * x + s)
+        return lhs, r * basis_evaluate(agg, ins["subset"], x) + s
     if report.axiom == AXIOM_ZERO_ON_BASIS:
         n = len(ins["x"])
         agg = Aggregator(family, n)
-        return agg.basis_evaluate(ins["subset"], ins["x"]), 0.0
+        return basis_evaluate(agg, ins["subset"], ins["x"]), 0.0
     if report.axiom == AXIOM_LINEARITY_IN_CAPACITY:
         n = len(ins["x"])
         agg = Aggregator(family, n)
         v = SignedCapacity(n, ins["capacity"])
         m = mobius_transform(v)
-        lhs = agg.evaluate(v, ins["x"])
+        lhs = evaluate_family(agg, v, ins["x"])
         rhs = sum(
-            float(m.coefficients[t]) * agg.basis_evaluate(t, ins["x"])
+            float(m.coefficients[t]) * basis_evaluate(agg, t, ins["x"])
             for t in range(1, 1 << n)
             if m.coefficients[t] != 0.0
         )
@@ -243,7 +248,7 @@ class TestMultilinearFalsifications:
 class TestWeightedMeanFalsifications:
     def test_zero_on_basis_witness(self):
         agg = Aggregator(FAMILY_WEIGHTED_MEAN, 2)
-        assert agg.basis_evaluate([1, 2], [0, 2]) == 1.0
+        assert evaluate_family(agg, unanimity_game(2, [1, 2]), [0, 2]) == 1.0
         report = check_zero_on_basis(agg, [1, 2], 200, seed=0)
         assert report.falsified
         assert abs(report.witness.lhs) > 1e-6

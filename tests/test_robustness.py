@@ -58,10 +58,13 @@ from choquet.oracle import choquet_all_permutations, lovasz_affine_check, mobius
 from choquet.io import (
     dump_document,
     format_document,
+    load_mobius,
     load_set_function,
     mobius_from_document,
+    parse_point,
     set_function_from_document,
     set_function_to_document,
+    subset_key,
 )
 from choquet.setfunction import (
     Capacity,
@@ -70,6 +73,7 @@ from choquet.setfunction import (
     SignedCapacity,
     as_mask,
     basis_decomposition,
+    elements_from_mask,
     full_mask,
     mask_from_elements,
     mobius_transform,
@@ -133,7 +137,7 @@ class TestOverflowIsAnError:
     def test_non_finite_input_message_shows_plain_float(self):
         with pytest.raises(ValueError) as info:
             SetFunction(1, [0.0, float("inf")])
-        assert str(info.value) == "non-finite value inf at mask 1"
+        assert str(info.value) == "value at mask 1 must be finite, got inf"
 
 
 class TestOverflowInTheCli:
@@ -192,6 +196,24 @@ class TestFilesThatCannotBeReadOrWritten:
         assert_error_exit(code, stdout, err)
         assert err.startswith(f"error: cannot write {tmp_path}")
 
+    # An empty flag value names a path (the current directory), not a missing flag.
+    @pytest.mark.parametrize("args", [
+        ["random-capacity", "--n", "2", "--kind", "signed", "--out", ""],
+        ["mobius", "--capacity", "{game}", "--out", ""],
+    ], ids=["random-capacity", "mobius"])
+    def test_empty_out_cannot_be_written(self, tmp_path, args):
+        game = tmp_path / "game.json"
+        dump_document({"n": 2, "by_mask": [0.0, 1.0, 1.0, 2.0]}, game)
+        code, stdout, err = run([arg.format(game=game) for arg in args])
+        assert_error_exit(code, stdout, err)
+        assert err.startswith("error: cannot write : ")
+
+    def test_empty_capacity_cannot_be_read(self):
+        code, stdout, err = run(["check", "--axiom", "comonotonic-additivity", "--n", "2",
+                                 "--capacity", ""])
+        assert_error_exit(code, stdout, err)
+        assert err.startswith("error: cannot read : ")
+
     @pytest.mark.parametrize("content", [
         b"[" * 100_000,  # deeper than the decoder's recursion limit
         b'{"n": 1, "by_mask": [0.0, \xff]}',  # not UTF-8
@@ -206,13 +228,68 @@ class TestFilesThatCannotBeReadOrWritten:
         assert str(path) in err
 
 
+class _ClosedStdout(text_io.StringIO):
+    """A stdout whose reader has gone: a write (or, with `on="flush"`, the
+    flush) raises BrokenPipeError."""
+
+    def __init__(self, on="write"):
+        super().__init__()
+        self.on = on
+
+    def write(self, text):
+        if self.on == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+    def flush(self):
+        if self.on == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedStdout:
+    """A stdout closed before the output is written is an input error (exit
+    2, one error line), not a falsification (exit 1) and not a traceback."""
+
+    @pytest.mark.parametrize("on", ["write", "flush"])
+    @pytest.mark.parametrize("args", [
+        ["random-capacity", "--n", "3", "--kind", "signed"],
+        ["check", "--axiom", "zero-on-basis", "--family", "weighted-mean", "--subset", "1,2",
+         "--trials", "5"],
+    ], ids=["random-capacity", "check-falsified"])
+    def test_in_process(self, args, on):
+        err = text_io.StringIO()
+        with redirect_stdout(_ClosedStdout(on)), redirect_stderr(err):
+            code = main(args)
+        assert code == 2
+        assert err.getvalue() == "error: cannot write to stdout: [Errno 32] Broken pipe\n"
+
+    def test_pipe_closed_by_the_reader(self):
+        # n = 14 writes about 700 KB, more than a pipe holds, so the reader
+        # closes the pipe while the writer still has output to write.  The
+        # child's stdout is buffered, as by default: an unbuffered text
+        # stdout (PYTHONUNBUFFERED) drops what a short write left over
+        # without an error.
+        env = dict(os.environ, PYTHONPATH=str(REPO_SRC))
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "choquet", "random-capacity", "--n", "14", "--kind", "signed"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert "Traceback" not in err
+        assert err == "error: cannot write to stdout: [Errno 32] Broken pipe\n"
+
+
 class TestCheckSubsetFlag:
     @pytest.mark.parametrize(
         "axiom",
         ["comonotonic-additivity", "positive-homogeneity", "comonotonic-affinity",
          "linearity-in-capacity"],
     )
-    @pytest.mark.parametrize("subset", ["1,3", "1"])
+    @pytest.mark.parametrize("subset", ["1,3", "1", ""])
     def test_rejected_for_axioms_without_a_subset(self, axiom, subset):
         code, out, err = run(["check", "--axiom", axiom, "--n", "2", "--subset", subset])
         assert_error_exit(code, out, err)
@@ -233,6 +310,12 @@ class TestCheckSubsetFlag:
         code, out, err = run(["check", "--axiom", "zero-on-basis", "--subset", "1,x"])
         assert_error_exit(code, out, err)
         assert "'x' is not an integer" in err
+
+    @pytest.mark.parametrize("axiom", ["interval-scale", "zero-on-basis"])
+    def test_empty_subset_is_given_and_not_an_integer(self, axiom):
+        code, out, err = run(["check", "--axiom", axiom, "--n", "2", "--subset", ""])
+        assert_error_exit(code, out, err)
+        assert err == "error: --subset '': '' is not an integer\n"
 
     def test_subset_fixes_the_ground_set(self):
         code, out, _ = run(["check", "--axiom", "interval-scale", "--subset", "2",
@@ -350,14 +433,17 @@ BELOW_ONE = "ground-set size must be >= 1, got "
 NOT_FINITE = "point coordinate must be finite, got "
 NOT_A_COORDINATE = "point coordinate must be a real number, got "
 NOT_A_SCALE_FACTOR = "scale factor must be a real number, got "
+NOT_AN_AGGREGATOR = "expected an Aggregator, got "
+TOLERANCE = "tolerance must be finite and >= 0, got "
 
 # Entry point, its arguments (one of them bad), the exception class and the
 # start of its message.  Ground-set sizes, subset elements and masks, and
 # seeds are Python or numpy integers, not bools, and so are trial counts,
-# which are >= 1; points are sequences of finite coordinates, each a float,
-# a numpy real or an int that is not a bool, and a scale factor is one such
-# real; and a game, set function or Mobius representation is an instance of
-# its class.
+# which are >= 1; masks are >= 0; points are sequences of finite
+# coordinates, each a float, a numpy real or an int that is not a bool, and
+# a scale factor, a tolerance and each value of a set function are one such
+# real; a game, set function, Mobius representation or aggregator is an
+# instance of its class; point text is a str, and a path a str or PathLike.
 ARGUMENT_RULES = [
     pytest.param(SetFunction, (True, [0.0, 1.0]), UnsupportedGroundSet, NOT_AN_INTEGER + "True",
                  id="SetFunction-n-bool"),
@@ -523,6 +609,122 @@ ARGUMENT_RULES = [
                  "order must be a sequence of integers, got 3", id="lovasz_affine_check-order-scalar"),
     pytest.param(lovasz_affine_check, (GAME2, [1, 2], 5, True), ValueError,
                  "seed must be an integer, got True", id="lovasz_affine_check-seed-bool"),
+    # A mask is an integer >= 0, and below 2**n on a ground set of size n.
+    pytest.param(elements_from_mask, (-1,), ValueError, "subset mask must be >= 0, got -1",
+                 id="elements_from_mask-mask-negative"),
+    pytest.param(elements_from_mask, (2.5,), ValueError,
+                 "subset mask must be an integer, got 2.5", id="elements_from_mask-mask-float"),
+    pytest.param(subset_key, (-3,), ValueError, "subset mask must be >= 0, got -3",
+                 id="subset_key-mask-negative"),
+    pytest.param(subset_key, (True,), ValueError, "subset mask must be an integer, got True",
+                 id="subset_key-mask-bool"),
+    pytest.param(operator.getitem, (GAME2, -1), ValueError,
+                 "mask -1 out of range for ground set of size 2",
+                 id="SetFunction.__getitem__-mask-negative"),
+    pytest.param(operator.getitem, (GAME2, 4), ValueError,
+                 "mask 4 out of range for ground set of size 2",
+                 id="SetFunction.__getitem__-mask-too-large"),
+    pytest.param(operator.getitem, (GAME2, 1.0), ValueError,
+                 "subset mask must be an integer, got 1.0",
+                 id="SetFunction.__getitem__-mask-float"),
+    pytest.param(operator.getitem, (GAME2, True), ValueError,
+                 "subset mask must be an integer, got True",
+                 id="SetFunction.__getitem__-mask-bool"),
+    pytest.param(operator.getitem, (MOBIUS2, 4), ValueError,
+                 "mask 4 out of range for ground set of size 2",
+                 id="MobiusRepresentation.__getitem__-mask-too-large"),
+    pytest.param(mask_from_elements, (3, 2), ValueError,
+                 "subset elements must be a sequence of integers, got 3",
+                 id="mask_from_elements-elements-scalar"),
+    # The values of a set function are finite reals, each by the rule of a coordinate.
+    pytest.param(SetFunction, (2, ["0", "1", "1", "2"]), ValueError,
+                 "value at mask 0 must be a real number, got '0'", id="SetFunction-values-str"),
+    pytest.param(SetFunction, (2, [0, True, 1, 2]), ValueError,
+                 "value at mask 1 must be a real number, got True", id="SetFunction-values-bool"),
+    pytest.param(SetFunction, (2, [0, 1, 1, 2**1100]), ValueError,
+                 "value at mask 3 must be finite, got inf",
+                 id="SetFunction-values-int-beyond-float"),
+    pytest.param(SetFunction, (2, [0, 1, 1, -2**1100]), ValueError,
+                 "value at mask 3 must be finite, got -inf",
+                 id="SetFunction-values-negative-int-beyond-float"),
+    pytest.param(SignedCapacity, (2, [None, 1, 1, 2]), ValueError,
+                 "value at mask 0 must be a real number, got None",
+                 id="SignedCapacity-values-none"),
+    pytest.param(SignedCapacity, (1, np.array([False, True])), ValueError,
+                 "value at mask 0 must be a real number, got False",
+                 id="SignedCapacity-values-bool-array"),
+    pytest.param(Capacity, (1, np.array([0, 1j])), ValueError,
+                 "value at mask 0 must be a real number, got 0j",
+                 id="Capacity-values-complex-array"),
+    pytest.param(Capacity, (1, np.array([0.0, NAN])), ValueError,
+                 "value at mask 1 must be finite, got nan", id="Capacity-values-nan-array"),
+    pytest.param(MobiusRepresentation, (1, [0.0, "1"]), ValueError,
+                 "value at mask 1 must be a real number, got '1'",
+                 id="MobiusRepresentation-coefficients-str"),
+    pytest.param(SetFunction, (2, [0.0, 1.0, 2.0]), ValueError,
+                 "expected 4 values for a set function on [2], got shape (3,)",
+                 id="SetFunction-values-length"),
+    # An aggregator is an Aggregator of a known family.
+    pytest.param(Aggregator, ("mean", 2), ValueError, "unknown family 'mean'; expected one of ",
+                 id="Aggregator-family-unknown"),
+    pytest.param(evaluate_family, ("x", GAME2, [1.0, 2.0]), ValueError,
+                 NOT_AN_AGGREGATOR + "str", id="evaluate_family-agg"),
+    pytest.param(check_comonotonic_additivity, ("x", GAME2), ValueError,
+                 NOT_AN_AGGREGATOR + "str", id="check_comonotonic_additivity-agg"),
+    pytest.param(check_positive_homogeneity, (None, GAME2), ValueError,
+                 NOT_AN_AGGREGATOR + "NoneType", id="check_positive_homogeneity-agg"),
+    pytest.param(check_comonotonic_affinity, (2, GAME2), ValueError,
+                 NOT_AN_AGGREGATOR + "int", id="check_comonotonic_affinity-agg"),
+    pytest.param(check_interval_scale_covariance, ("x", [1]), ValueError,
+                 NOT_AN_AGGREGATOR + "str", id="check_interval_scale_covariance-agg"),
+    pytest.param(check_zero_on_basis, ("x", [1]), ValueError,
+                 NOT_AN_AGGREGATOR + "str", id="check_zero_on_basis-agg"),
+    pytest.param(check_linearity_in_capacity, ("x",), ValueError,
+                 NOT_AN_AGGREGATOR + "str", id="check_linearity_in_capacity-agg"),
+    # Trials are counts, in every checker and in the suite.
+    pytest.param(check_comonotonic_additivity, (AGG2, GAME2, 0), ValueError,
+                 "trials must be >= 1, got 0", id="check_comonotonic_additivity-trials"),
+    pytest.param(check_positive_homogeneity, (AGG2, GAME2, 2.5), ValueError,
+                 "trials must be an integer, got 2.5", id="check_positive_homogeneity-trials"),
+    pytest.param(check_comonotonic_affinity, (AGG2, GAME2, True), ValueError,
+                 "trials must be an integer, got True", id="check_comonotonic_affinity-trials"),
+    pytest.param(check_interval_scale_covariance, (AGG3, [1], -2), ValueError,
+                 "trials must be >= 1, got -2", id="check_interval_scale_covariance-trials"),
+    pytest.param(check_zero_on_basis, (AGG3, [1], "5"), ValueError,
+                 "trials must be an integer, got '5'", id="check_zero_on_basis-trials"),
+    pytest.param(check_linearity_in_capacity, (AGG2, 0), ValueError,
+                 "trials must be >= 1, got 0", id="check_linearity_in_capacity-trials"),
+    pytest.param(independence_suite, (np.float64(5.0),), ValueError,
+                 "trials must be an integer, got np.float64(5.0)", id="independence_suite-trials"),
+    # A tolerance is a real number, finite and >= 0.
+    pytest.param(check_comonotonic_additivity, (AGG2, GAME2, 5, 0, -1e-9), ValueError,
+                 TOLERANCE + "-1e-09", id="check_comonotonic_additivity-tolerance"),
+    pytest.param(check_positive_homogeneity, (AGG2, GAME2, 5, 0, NAN), ValueError,
+                 TOLERANCE + "nan", id="check_positive_homogeneity-tolerance"),
+    pytest.param(check_comonotonic_affinity, (AGG2, GAME2, 5, 0, INF), ValueError,
+                 TOLERANCE + "inf", id="check_comonotonic_affinity-tolerance"),
+    pytest.param(check_interval_scale_covariance, (AGG3, [1], 5, 0, "0"), ValueError,
+                 "tolerance must be a real number, got '0'",
+                 id="check_interval_scale_covariance-tolerance"),
+    pytest.param(check_zero_on_basis, (AGG3, [1], 5, 0, True), ValueError,
+                 "tolerance must be a real number, got True", id="check_zero_on_basis-tolerance"),
+    pytest.param(check_linearity_in_capacity, (AGG2, 5, 0, 10**400), ValueError,
+                 TOLERANCE + str(10**400), id="check_linearity_in_capacity-tolerance"),
+    pytest.param(independence_suite, (5, 0, 1), ValueError,
+                 "paper_witnesses_only must be a bool, got 1",
+                 id="independence_suite-paper_witnesses_only"),
+    # Point text is a str, and a path a str or an os.PathLike.
+    pytest.param(parse_point, (3,), FileFormatError,
+                 "point 3 is not a comma-separated list of decimals", id="parse_point-text-int"),
+    pytest.param(parse_point, (b"1,2",), FileFormatError,
+                 "point b'1,2' is not a comma-separated list of decimals",
+                 id="parse_point-text-bytes"),
+    pytest.param(load_set_function, (3,), FileFormatError, "cannot read 3: ",
+                 id="load_set_function-path-int"),
+    pytest.param(load_mobius, (None,), FileFormatError, "cannot read None: ",
+                 id="load_mobius-path-none"),
+    pytest.param(dump_document, ({"n": 1}, 3), FileFormatError, "cannot write 3: ",
+                 id="dump_document-path-int"),
 ]
 
 
@@ -534,17 +736,26 @@ def test_bad_argument_raises_its_rule(entry, args, error, start):
     assert str(info.value).startswith(start), str(info.value)
 
 
-# Parameters whose arguments the rules above check, each with the words a
-# row id may name it by: the checkers' rows call their parameter v a game.
-RULED_PARAMETERS = {"n": ("n",), "seed": ("seed",), "subset": ("subset",), "x": ("x",),
-                    "y": ("y",), "v": ("v", "game"), "f": ("f",), "m": ("m",)}
-# Records of a finished run: the checkers build them from checked arguments.
-RECORDS = {"AxiomReport", "IndependenceSummary"}
+# Every parameter name of a public entry point, each with the words a row id
+# may name it by: the checkers' rows call their parameter v a game.  A name
+# missing here has no rule the table above tests.
+RULED_PARAMETERS = {
+    "n": ("n",), "seed": ("seed",), "subset": ("subset",), "x": ("x",), "y": ("y",),
+    "v": ("v", "game"), "f": ("f",), "m": ("m",), "agg": ("agg",),
+    "coefficients": ("coefficients",), "elements": ("elements",), "family": ("family",),
+    "mask": ("mask",), "paper_witnesses_only": ("paper_witnesses_only",), "path": ("path",),
+    "text": ("text",), "tolerance": ("tolerance",), "trials": ("trials",),
+    "values": ("values",),
+}
+# Records of a finished run or a computed result: the package builds them
+# from checked arguments.
+RECORDS = {"AxiomReport", "IndependenceSummary", "Witness", "SortPermutation",
+           "EvaluationResult"}
 
 
-def test_every_ruled_parameter_of_a_public_entry_point_has_a_row():
-    named = {tuple(row.id.split("-")[:2]) for row in ARGUMENT_RULES}  # (entry, parameter)
-    missing = []
+def _public_parameters():
+    """(entry name, parameter name) of every parameter of a public callable
+    that is not a record or an exception class."""
     for name in package.__all__:
         entry = getattr(package, name)
         if not callable(entry) or name in RECORDS:
@@ -552,9 +763,15 @@ def test_every_ruled_parameter_of_a_public_entry_point_has_a_row():
         if isinstance(entry, type) and issubclass(entry, BaseException):
             continue
         for parameter in inspect.signature(entry).parameters:
-            words = RULED_PARAMETERS.get(parameter, ())
-            if words and not any((name, word) in named for word in words):
-                missing.append(f"{name}-{parameter}")
+            yield name, parameter
+
+
+def test_every_parameter_of_a_public_entry_point_has_a_rule_and_a_row():
+    named = {tuple(row.id.split("-")[:2]) for row in ARGUMENT_RULES}  # (entry, parameter)
+    unruled = sorted({p for _, p in _public_parameters() if p not in RULED_PARAMETERS})
+    assert unruled == []
+    missing = [f"{name}-{p}" for name, p in _public_parameters()
+               if not any((name, word) in named for word in RULED_PARAMETERS[p])]
     assert missing == []
 
 

@@ -56,6 +56,10 @@ class TestMaskHelpers:
         with pytest.raises(ValueError, match=f"mask {mask} out of range for ground set of size 2"):
             as_mask(mask, 2)
 
+    def test_elements_from_a_numpy_mask(self):
+        assert elements_from_mask(np.int64(5)) == (1, 3)
+        assert elements_from_mask(np.uint8(0)) == ()
+
 
 class TestSetFunction:
     def test_wrong_length_rejected(self):
@@ -105,11 +109,35 @@ class TestSetFunction:
         assert combo.value([2, 3]) == -3.0
         assert combo.value([1, 2, 3]) == -1.0
 
-    @pytest.mark.parametrize("other", [SetFunction(2, [0.0] * 4), [0.0, 1.0]])
+    # The class rule comes before the ground-set rule.
+    @pytest.mark.parametrize("other, message", [
+        (SetFunction(2, [0.0] * 4), "set functions live on different ground sets"),
+        ([0.0, 1.0], "expected a SetFunction, got list"),
+        (1, "expected a SetFunction, got int"),
+        ("x", "expected a SetFunction, got str"),
+    ], ids=["other0", "other1", "int", "str"])
     @pytest.mark.parametrize("op", [operator.add, operator.sub])
-    def test_combination_needs_a_set_function_on_the_same_ground_set(self, op, other):
-        with pytest.raises(ValueError, match="set functions live on different ground sets"):
+    def test_combination_needs_a_set_function_on_the_same_ground_set(self, op, other, message):
+        with pytest.raises(ValueError) as info:
             op(SetFunction(1, [0.0, 1.0]), other)
+        assert str(info.value) == message
+
+    def test_indexing_is_value(self):
+        f = SetFunction(2, [0.0, 1.0, 0.5, 2.0])
+        assert SetFunction.__getitem__ is SetFunction.value
+        assert [f[mask] for mask in range(4)] == [0.0, 1.0, 0.5, 2.0]
+        assert f[[1, 2]] == f[np.int64(3)] == f.value({1, 2}) == 2.0
+        m = MobiusRepresentation(2, [0.0, 1.0, 0.5, 0.5])
+        assert m[[2]] == m[2] == 0.5
+
+    @pytest.mark.parametrize("values", [
+        np.array([0, 1, -1, 2]), np.array([0, 1, -1, 2], dtype=np.int8),
+        np.array([0.0, 1.0, -1.0, 2.0], dtype=np.float32), [0, 1.0, np.int64(-1), np.float64(2)],
+    ], ids=["int-array", "int8-array", "float32-array", "mixed-list"])
+    def test_real_values_are_accepted(self, values):
+        f = SetFunction(2, values)
+        assert f.values.dtype == np.float64
+        assert f.values.tolist() == [0.0, 1.0, -1.0, 2.0]
 
     def test_reprs(self):
         assert repr(SignedCapacity(1, [0.0, 1.5])) == "SignedCapacity(n=1, values=[0.0, 1.5])"
@@ -217,6 +245,18 @@ class TestBasisDecomposition:
 
     def test_zero_game(self):
         assert basis_decomposition(SignedCapacity(3, np.zeros(8))) == []
+
+    def test_plain_set_function_game(self):
+        combo = 2 * unanimity_game(3, [1]) - 3 * unanimity_game(3, [2, 3])
+        assert type(combo) is SetFunction
+        assert basis_decomposition(combo) == [(0b001, 2.0), (0b110, -3.0)]
+
+    def test_non_game_has_no_expansion(self):
+        # Its Mobius coefficient on the empty set would need unanimity_game(1, 0).
+        with pytest.raises(NotAGame) as info:
+            basis_decomposition(SetFunction(1, [1.0, 2.0]))
+        assert str(info.value) == (
+            "set function is not a game: value on the empty set is 1.0, expected exactly 0")
 
     def test_reconstruction(self):
         rng = np.random.default_rng(11)
