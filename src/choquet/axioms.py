@@ -89,6 +89,11 @@ _BLOCK_VALUES = 1 << 16
 # at widths 43-64 and 2.7-3.8 times more at 264.
 _NARROW_WIDTH = 48
 
+# Each chunk of trial words is this many times the one before (16, 1024,
+# 65536, ... trials, each at most the rows that fit under _BLOCK_VALUES), so
+# a satisfied run of 1000 trials takes two chunks where 1024 rows fit.
+_CHUNK_GROWTH = 64
+
 # The one capacity the vstar-patch family treats specially (ground set of
 # size 3; masks 5 and 6 are {1,3} and {2,3}).
 _VSTAR_VALUES = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.5, 1.0])
@@ -428,11 +433,12 @@ def _suite_shared(key: tuple, make: Callable[[], np.ndarray]) -> np.ndarray:
 
 def _trial_words(seed: int, trials: int, width: int):
     """The first `width` raw 64-bit words of every trial's stream in trial
-    order, one row each, lazily in chunks of 16, 32, 64, ... trials.  A
-    chunk pays a fixed cost of numpy calls for its seed hash and its words
-    (about 40-80 us each on a 2-vCPU Xeon), so the one-trial blocks of large
-    ground sets share chunks, and the checker calls of one independence
-    suite share the chunks themselves (_suite_shared).
+    order, one row each, lazily in chunks of 16, 1024, 65536, ... trials
+    (_CHUNK_GROWTH).  A chunk pays a fixed cost of numpy calls for its seed
+    hash and its words (about 40-80 us each on a 2-vCPU Xeon), so a
+    satisfied run of 1000 trials takes two chunks, the one-trial blocks of
+    large ground sets share chunks, and the checker calls of one
+    independence suite share the chunks themselves (_suite_shared).
 
     Every chunk's streams are seeded by _seed_words.  Rows of up to
     _NARROW_WIDTH words are computed by _jump_words, whose largest temporary
@@ -451,7 +457,7 @@ def _trial_words(seed: int, trials: int, width: int):
     while start < trials:
         stop = min(trials, start + min(size, rows))
         yield _suite_shared((seed, start, stop, width), partial(words, start, stop))
-        start, size = stop, 2 * size
+        start, size = stop, _CHUNK_GROWTH * size
 
 
 def _doubles(words: np.ndarray) -> np.ndarray:

@@ -44,11 +44,28 @@ GENERATORS = {
 }
 
 
+def _write(text: str) -> None:
+    """Write text to stdout in full.  A stdout with a byte buffer gets the
+    encoded text through it, each write resumed where the last one stopped:
+    an unbuffered text stdout (PYTHONUNBUFFERED) takes a short write as
+    whole and drops the rest without an error.  A stream without one (a
+    StringIO) takes the text."""
+    stdout = sys.stdout
+    buffer = getattr(stdout, "buffer", None)
+    if buffer is None:
+        stdout.write(text)
+        return
+    stdout.flush()
+    data = memoryview(text.encode(stdout.encoding, stdout.errors))
+    while data:
+        data = data[buffer.write(data):]
+
+
 def _emit(doc: dict, out: Optional[str]) -> None:
     if out is not None:
         io.dump_document(doc, out)
     else:
-        sys.stdout.write(io.format_document(doc))
+        _write(io.format_document(doc))
 
 
 def _show(doc: dict, text: str, output_format: str) -> None:
@@ -56,7 +73,7 @@ def _show(doc: dict, text: str, output_format: str) -> None:
     if output_format == "json":
         _emit(doc, None)
     else:
-        print(text)
+        _write(text + "\n")
 
 
 def cmd_eval(args) -> int:
@@ -166,7 +183,7 @@ def cmd_oracle(args) -> int:
     f = io.load_set_function(args.capacity)
     order = io._parse_int_list("--order", args.order)
     ok = oracle.lovasz_affine_check(f, order, args.trials, args.seed)
-    print("affine: " + ("true" if ok else "false"))
+    _write("affine: " + ("true" if ok else "false") + "\n")
     return 0 if ok else 1
 
 

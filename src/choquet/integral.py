@@ -23,9 +23,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteResult, NotAGame
+from .errors import DimensionMismatch, NonFiniteResult
 from .setfunction import (
-    MobiusRepresentation, SetFunction, _finite_float, _require_instance, _subset_statistic,
+    MobiusRepresentation, SetFunction, _finite_float, _require_game, _require_instance,
+    _subset_statistic,
 )
 
 
@@ -161,8 +162,7 @@ def choquet(v: SetFunction, x: Sequence[float]) -> EvaluationResult:
     if the point length differs from v.n.
     """
     _require_instance(v, SetFunction)
-    if v.values[0] != 0.0:
-        raise NotAGame(v.values[0])
+    _require_game(v)
     coords = _coerce_point(x, v.n)
     perm = _sort(coords)
     return EvaluationResult(_finite(_chain_sum(v.values, coords, perm), "choquet"), perm)

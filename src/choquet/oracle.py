@@ -16,11 +16,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GroundSetTooLarge, NotAGame
+from .errors import GroundSetTooLarge
 from .integral import _coerce_point, lovasz_extension
 from .setfunction import (
-    MobiusRepresentation, SetFunction, _require_count, _require_instance, _require_integer,
-    _require_seed,
+    MobiusRepresentation, SetFunction, _require_count, _require_game, _require_instance,
+    _require_integer, _require_seed,
 )
 
 MAX_N_NAIVE_MOBIUS = 12
@@ -67,8 +67,7 @@ def choquet_all_permutations(v: SetFunction, x: Sequence[float]) -> set[float]:
     _require_instance(v, SetFunction)
     if v.n > MAX_N_ALL_PERMUTATIONS:
         raise GroundSetTooLarge(v.n, MAX_N_ALL_PERMUTATIONS)
-    if v.values[0] != 0.0:
-        raise NotAGame(v.values[0])
+    _require_game(v)
     n = v.n
     coords = [Fraction(c) for c in _coerce_point(x, n)]
     exact_values = [Fraction(val) for val in v.values.tolist()]

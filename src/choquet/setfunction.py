@@ -111,6 +111,12 @@ def _require_instance(value, cls: type) -> None:
         raise ValueError(f"expected {article} {cls.__name__}, got {type(value).__name__}")
 
 
+def _require_game(f) -> None:
+    """NotAGame unless the set function f is a game: f(empty) = 0 exactly."""
+    if f.values[0] != 0.0:
+        raise NotAGame(f.values[0])
+
+
 def full_mask(n: int) -> int:
     """Bitmask of the full ground set [n]."""
     return (1 << _ground_set(n)) - 1
@@ -318,8 +324,7 @@ class SignedCapacity(SetFunction):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.values[0] != 0.0:
-            raise NotAGame(self.values[0])
+        _require_game(self)
 
 
 class Capacity(SignedCapacity):
@@ -433,7 +438,6 @@ def basis_decomposition(v: SignedCapacity) -> list[tuple[int, float]]:
     exactly, since the empty set has no unanimity game.
     """
     _require_instance(v, SetFunction)
-    if v.values[0] != 0.0:
-        raise NotAGame(v.values[0])
+    _require_game(v)
     m = mobius_transform(v)
     return [(mask, float(c)) for mask, c in enumerate(m.coefficients) if c != 0.0]

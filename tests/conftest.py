@@ -28,8 +28,9 @@ def _openblas_runtime() -> tuple[str, str]:
 
 
 def pytest_report_header(config):
-    """The BLAS setup, which the pinned bits of the golden files depend on;
-    read only, nothing is set."""
+    """The BLAS setup, which the pinned bits of the golden files depend on,
+    and the Python settings that change what the tests observe; read only,
+    nothing is set."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     kernel, threads = _openblas_runtime()
     return [
@@ -38,6 +39,10 @@ def pytest_report_header(config):
         f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}, "
         f"OPENBLAS_CORETYPE={os.environ.get('OPENBLAS_CORETYPE', 'unset')}, "
         f"OpenBLAS runtime kernel {kernel}, threads {threads}",
+        # An unbuffered stdout takes short writes as whole; without bytecode
+        # writes every import compiles its module.
+        f"PYTHONUNBUFFERED={os.environ.get('PYTHONUNBUFFERED', 'unset')}, "
+        f"PYTHONDONTWRITEBYTECODE={os.environ.get('PYTHONDONTWRITEBYTECODE', 'unset')}",
     ]
 
 

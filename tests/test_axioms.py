@@ -462,6 +462,18 @@ class TestBlockRunner:
         self.run({}, trials, n, blocks)
         assert blocks == expected
 
+    @pytest.mark.parametrize("trial, drawn", [(15, 16), (16, 1040), (1040, 1040 + 16384), (1100, 1040 + 16384)])
+    def test_a_falsified_run_draws_at_most_the_stated_bound(self, trial, drawn):
+        # A falsified run evaluates at most 16 trials, or under 65 times the
+        # trials it reports, whichever is more (README): it ends with the
+        # block it falsifies in, at most the rest of its chunk of 16, 1024 or
+        # 65536 trials.  At n = 2 a block holds at most 16384 rows.
+        blocks = []
+        report = self.run({trial: (1.0, 0.0)}, 70000, 2, blocks)
+        assert report.falsified and report.samples_run == trial + 1
+        assert sum(blocks) == drawn
+        assert sum(blocks) <= 16 or sum(blocks) < 65 * report.samples_run
+
     def test_falsifying_row_in_the_second_block_of_a_chunk(self):
         report = self.run({11: (1.0, 0.0), 12: (np.inf, np.inf)}, 40, 13)
         assert report.falsified and report.samples_run == 12

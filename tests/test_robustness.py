@@ -246,6 +246,21 @@ class _ClosedStdout(text_io.StringIO):
             raise BrokenPipeError(32, "Broken pipe")
 
 
+class _ShortWrites(text_io.RawIOBase):
+    """A raw stream that takes at most 7 bytes a write."""
+
+    def __init__(self):
+        super().__init__()
+        self.data = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.data += bytes(b[:7])
+        return min(7, len(b))
+
+
 class TestClosedStdout:
     """A stdout closed before the output is written is an input error (exit
     2, one error line), not a falsification (exit 1) and not a traceback."""
@@ -266,11 +281,31 @@ class TestClosedStdout:
     def test_pipe_closed_by_the_reader(self):
         # n = 14 writes about 700 KB, more than a pipe holds, so the reader
         # closes the pipe while the writer still has output to write.  The
-        # child's stdout is buffered, as by default: an unbuffered text
-        # stdout (PYTHONUNBUFFERED) drops what a short write left over
-        # without an error.
+        # child's stdout is buffered, as by default.
+        self.assert_pipe_closed_by_the_reader(unbuffered=False)
+
+    def test_pipe_closed_by_the_reader_of_an_unbuffered_stdout(self):
+        # An unbuffered text stdout (PYTHONUNBUFFERED) takes a short write
+        # as whole; the output still goes out in full or ends in the error.
+        self.assert_pipe_closed_by_the_reader(unbuffered=True)
+
+    def test_short_writes_are_resumed(self):
+        # A text stdout over a raw stream that takes 7 bytes a write, as an
+        # unbuffered stdout over a pipe takes what the pipe has room for.
+        raw = _ShortWrites()
+        stdout = text_io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
+        args = ["random-capacity", "--n", "3", "--kind", "signed"]
+        with redirect_stdout(stdout):
+            assert main(args) == 0
+        code, out, err = run(args)
+        assert (code, err) == (0, "") and raw.data.decode() == out
+
+    @staticmethod
+    def assert_pipe_closed_by_the_reader(unbuffered):
         env = dict(os.environ, PYTHONPATH=str(REPO_SRC))
         env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         proc = subprocess.Popen(
             [sys.executable, "-m", "choquet", "random-capacity", "--n", "14", "--kind", "signed"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)

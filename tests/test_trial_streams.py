@@ -53,13 +53,16 @@ def test_both_producers_give_the_default_rng_words(seed):
 def test_trial_words_are_default_rng_words_on_both_routes(width):
     # Narrow rows are computed by _jump_words, wide ones by setting a PCG64
     # to each state; seed 2**32 is hashed by SeedSequence.  113 trials come
-    # in chunks of 16, 32, 64 and 1 trials: the one-row chunk takes no numpy
-    # scalar arithmetic, whose overflow warnings the test configuration
-    # makes errors.
-    for seed in (0, 13, 2**32 - 1, 2**32):
-        chunks = list(axioms_module._trial_words(seed, 113, width))
-        assert [len(words) for words in chunks] == [16, 32, 64, 1]
-        assert np.array_equal(np.concatenate(chunks), raw_words(seed, range(113), width)), seed
+    # in chunks of 16 and 97 trials.  1041 trials come in chunks of 16, 1024
+    # and 1 trials where 1024 rows fit under the cap: the one-row chunk
+    # takes no numpy scalar arithmetic, whose overflow warnings the test
+    # configuration makes errors.
+    runs = [(113, [16, 97])] + ([(1041, [16, 1024, 1])] if width in (1, 2, 49) else [])
+    for trials, sizes in runs:
+        for seed in (0, 13, 2**32 - 1, 2**32):
+            chunks = list(axioms_module._trial_words(seed, trials, width))
+            assert [len(words) for words in chunks] == sizes
+            assert np.array_equal(np.concatenate(chunks), raw_words(seed, range(trials), width)), seed
 
 
 @pytest.mark.parametrize("seed", [0, 13, 2**32 - 1, 2**32, 2**40 + 3])
@@ -97,7 +100,7 @@ def test_negative_seed_is_rejected_as_by_default_rng():
 
 def test_one_row_blocks_share_their_state_computations(monkeypatch):
     # From n = 16 every block is one trial; the words still come in chunks
-    # of 16, 32, 64, ... trials.
+    # of 16, 1024, 65536, ... trials.
     calls = []
     jump_words = axioms_module._jump_words
 
@@ -108,14 +111,14 @@ def test_one_row_blocks_share_their_state_computations(monkeypatch):
     monkeypatch.setattr(axioms_module, "_jump_words", counted)
     report = check_positive_homogeneity(Aggregator("choquet", 16), random_signed_capacity(16, 0), 100, 0)
     assert report.samples_run == 100
-    assert calls == [16, 32, 52]
+    assert calls == [16, 84]
     calls.clear()
     assert sum(len(words) for words in axioms_module._trial_words(0, 5000, 4)) == 5000
     # 2048 rows of width 4 fill a chunk.
-    assert calls == [16, 32, 64, 128, 256, 512, 1024, 2048, 920]
+    assert calls == [16, 1024, 2048, 1912]
     # A chunk holds at most _BLOCK_VALUES values while it is made: the
     # largest temporary of _jump_words holds 8 per word.  Past the first
-    # 4080 trials the narrowest rows take the largest chunks.
+    # 1040 trials the narrowest rows take the largest chunks.
     for width, per_word, rows in ((2, 8, 4096), (3, 8, 2730), (27, 8, 303),
                                   (264, 1, 248), (1034, 1, 63)):
         sizes = [len(words) for words in axioms_module._trial_words(0, 10000, width)]
@@ -204,14 +207,13 @@ def test_a_suite_hashes_each_trial_chunk_once(monkeypatch):
 
     monkeypatch.setattr(axioms_module, "_seed_words", counted)
     independence_suite(1000, 3)
-    # Every width of the suite (3 to 11 words) fills chunks of 16, 32, ...
+    # Every width of the suite (3 to 11 words) fills chunks of 16 and 1024
     # trials; the paper replays draw one trial.
-    assert sorted(calls) == [(3, 0, 1), (3, 0, 16), (3, 16, 48), (3, 48, 112), (3, 112, 240),
-                             (3, 240, 496), (3, 496, 1000)]
+    assert sorted(calls) == [(3, 0, 1), (3, 0, 16), (3, 16, 1000)]
     calls.clear()
     check_zero_on_basis(Aggregator("weighted-mean", 2), 1, 1000, 3)  # outside a suite nothing is kept
     check_zero_on_basis(Aggregator("weighted-mean", 2), 1, 1000, 3)
-    assert len(calls) == 12
+    assert calls == [(3, 0, 16), (3, 16, 1000)] * 2
 
 
 def test_the_suite_words_live_for_one_suite_call(monkeypatch):
