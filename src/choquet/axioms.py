@@ -7,7 +7,8 @@ matter how trials are scheduled) and returns an AxiomReport.  A sample
 falsifies only when the two sides differ by more than FALSIFY_TOLERANCE,
 well above floating noise; the counterexample discrepancies are O(1).
 
-The three families besides the integral itself:
+Each family is one entry of _FAMILY_PARTS.  The three besides the
+integral itself, each with its suite row and paper witness there:
 
 * weighted-mean: Mobius-weighted arithmetic means over subsets.  Linear in
   the capacity and covariant under interval scaling, but a basis evaluation
@@ -37,22 +38,10 @@ from .errors import GroundSetTooLarge, UnsupportedGroundSet
 from .integral import _chain_sums, _coerce_point, _finite, _row_dots, _row_sums
 from .integral import choquet  # noqa: F401  (unused; bench/test_bench.py traces this binding)
 from .names import (
-    AXIOM_COMONOTONIC_ADDITIVITY,
-    AXIOM_COMONOTONIC_AFFINITY,
-    AXIOM_INTERVAL_SCALE,
-    AXIOM_LINEARITY_IN_CAPACITY,
-    AXIOM_POSITIVE_HOMOGENEITY,
-    AXIOM_ZERO_ON_BASIS,
-    AXIOMS,
-    DEFAULT_SEED,
-    DEFAULT_TRIALS,
-    FALSIFY_TOLERANCE,
-    FAMILIES,
-    FAMILY_CHOQUET,
-    FAMILY_MULTILINEAR,
-    FAMILY_VSTAR_PATCH,
-    FAMILY_WEIGHTED_MEAN,
-    SUBSET_AXIOMS,
+    AXIOM_COMONOTONIC_ADDITIVITY, AXIOM_COMONOTONIC_AFFINITY, AXIOM_INTERVAL_SCALE,
+    AXIOM_LINEARITY_IN_CAPACITY, AXIOM_POSITIVE_HOMOGENEITY, AXIOM_ZERO_ON_BASIS, AXIOMS,
+    DEFAULT_SEED, DEFAULT_TRIALS, FALSIFY_TOLERANCE, FAMILIES, FAMILY_CHOQUET, FAMILY_MULTILINEAR,
+    FAMILY_VSTAR_PATCH, FAMILY_WEIGHTED_MEAN, SUBSET_AXIOMS,
 )
 from .setfunction import (
     Capacity,
@@ -61,6 +50,7 @@ from .setfunction import (
     SubsetLike,
     _ground_set,
     _lattice_cumulation,
+    _require_game_on,
     _require_count,
     _require_instance,
     _require_real,
@@ -107,78 +97,32 @@ def vstar_capacity() -> Capacity:
 
 @dataclass(frozen=True)
 class Aggregator:
-    """A capacity-parameterized evaluation rule on points of length n."""
+    """A capacity-parameterized evaluation rule on points of length n, with
+    the parts of its family from _FAMILY_PARTS."""
 
     family: str
     n: int
+    _parts: _Family = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         object.__setattr__(self, "n", _ground_set(self.n))
-        if self.family == FAMILY_VSTAR_PATCH and self.n != 3:
-            raise UnsupportedGroundSet(
-                f"the {FAMILY_VSTAR_PATCH} family is defined on a ground set of size 3, got {self.n}"
-            )
-
-    @property
-    def _operation(self) -> str:
-        """The operation a NonFiniteResult of this family names."""
-        if self.family in (FAMILY_CHOQUET, FAMILY_VSTAR_PATCH):
-            return "choquet"
-        return f"{self.family} family"
+        parts = _FAMILY_PARTS[self.family]
+        if parts.ground_set not in (None, self.n):
+            raise UnsupportedGroundSet(f"the {self.family} family is defined on a ground set "
+                                       f"of size {parts.ground_set}, got {self.n}")
+        object.__setattr__(self, "_parts", parts)
 
     def _bind(self, v: SignedCapacity) -> Callable[[np.ndarray], np.ndarray]:
         """The family at game v as a function of a (k, n) array of points,
         with the work that depends on v alone (type and ground-set checks,
         Mobius transform) done once.  Rows that overflow come out non-finite."""
-        _require_instance(v, SignedCapacity)
-        if v.n != self.n:
-            raise ValueError(
-                f"expected a game on a ground set of size {self.n}, got one of size {v.n}")
-        if self.family in (FAMILY_CHOQUET, FAMILY_VSTAR_PATCH):
-            return partial(self._evaluate, v.values, None)
-        m = _lattice_cumulation(v.values, operator.isub, "mobius_transform")
-        return partial(self._evaluate, v.values, m)
-
-    def _evaluate(self, values: np.ndarray, m: Optional[np.ndarray], X: np.ndarray) -> np.ndarray:
-        """The family on the rows of X at one game (values and Mobius
-        coefficients m of shape (2**n,)) or at one game per row ((k, 2**n)
-        each); m is needed by the weighted-mean and multilinear families only.
-        Call it with over/invalid ignored: rows that overflow come out non-finite."""
-        if self.family == FAMILY_WEIGHTED_MEAN:
-            return _row_dots(m[..., 1:], self._basis_values(X))
-        if self.family == FAMILY_MULTILINEAR:
-            return _row_dots(m, _subset_statistic(np.multiply, 1.0, X))
-        out = _chain_sums(values, X)
-        if self.family == FAMILY_VSTAR_PATCH:
-            out = np.where(np.all(values == _VSTAR_VALUES, axis=-1), _vstar_patch(X), out)
-        return out
-
-    def _basis_values(self, X: np.ndarray) -> np.ndarray:
-        """The family at the unanimity game of every nonempty mask (column
-        mask - 1) on the rows of X: the mean of x over the mask for the
-        weighted-mean family, the product for multilinear and the minimum for
-        the others (no unanimity game is the capacity vstar-patch overrides).
-
-        Evaluating the bound unanimity games gives the same values up to the
-        sign of a zero: their Mobius coefficients are 0 or 1, and the chain
-        sum of a unanimity game adds signed zeros to the one nonzero term.
-        """
-        if self.family == FAMILY_WEIGHTED_MEAN:
-            sizes = _subset_statistic(np.add, 0.0, np.ones(self.n))[1:]  # |S| per mask
-            return _subset_statistic(np.add, 0.0, X)[:, 1:] / sizes
-        if self.family == FAMILY_MULTILINEAR:
-            return _subset_statistic(np.multiply, 1.0, X)[:, 1:]
-        return _subset_statistic(np.minimum, np.inf, X)[:, 1:]
-
-
-def _vstar_patch(X: np.ndarray) -> np.ndarray:
-    """The vstar-patch family on the one capacity it overrides: the mean of
-    the first two coordinates (halved first, so it cannot overflow), capped
-    at the third."""
-    mean = X[:, 0] / 2.0 + X[:, 1] / 2.0
-    return np.where(X[:, 2] < mean, X[:, 2], mean)
+        _require_game_on(v, self.n)
+        m = None
+        if self._parts.mobius:
+            m = _lattice_cumulation(v.values, operator.isub, "mobius_transform")
+        return partial(self._parts.evaluate, v.values, m)
 
 
 def evaluate_family(agg: Aggregator, v: SignedCapacity, x: Sequence[float]) -> float:
@@ -190,7 +134,7 @@ def evaluate_family(agg: Aggregator, v: SignedCapacity, x: Sequence[float]) -> f
     X = np.array([_coerce_point(x, agg.n)])
     with np.errstate(over="ignore", invalid="ignore"):
         value = float(f(X)[0])
-    return _finite(value, agg._operation)
+    return _finite(value, agg._parts.operation)
 
 
 @dataclass(frozen=True)
@@ -236,11 +180,6 @@ class AxiomReport:
         return "\n".join([f"axiom: {self.axiom}", f"verdict: {self.verdict}",
                           f"samples_run: {self.samples_run}", f"seed: {self.seed}",
                           f"tolerance: {self.tolerance!r}", *witness])
-
-
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """The generator of one trial's stream, which _trial_words reproduces."""
-    return np.random.default_rng([int(seed), int(trial)])
 
 
 # Trial t of a checker called with seed s draws from the stream of
@@ -528,8 +467,8 @@ def _run_checker(
             within = np.abs(lhs - rhs) <= tolerance  # False where a side is non-finite
         if not within.all():
             row = int(np.argmin(within))
-            left = _finite(float(lhs[row]), agg._operation)
-            right = _finite(float(rhs[row]), agg._operation)
+            left = _finite(float(lhs[row]), agg._parts.operation)
+            right = _finite(float(rhs[row]), agg._parts.operation)
             plain = {"family": agg.family}
             plain.update((k, v.values.tolist() if isinstance(v, SetFunction) else v)
                          for k, v in fixed.items())
@@ -733,7 +672,7 @@ def check_zero_on_basis(
         x = _uniform(_doubles(words[:, :agg.n]), 0.0, 1.0)
         index = _bounded_integers(words[:, agg.n], len(members))
         for row in np.flatnonzero(index < 0):  # replay a rejected draw on the trial's own stream
-            rng = _trial_rng(seed, numbers[row])
+            rng = np.random.default_rng([int(seed), int(numbers[row])])
             rng.random(agg.n)
             index[row] = rng.integers(len(members))
         zeroed = np.array(members)[index]
@@ -757,8 +696,8 @@ def check_linearity_in_capacity(
     Games are drawn as random_signed_capacity draws them (values uniform on
     [-1, 1], v(empty) = 0), then x on [-5, 5]^n.  The sum runs left to
     right over the nonempty masks in ascending order, by _row_sums (every
-    game has Mobius coefficient 0 on the empty set), with f_{v_T} from
-    Aggregator._basis_values; each block of games is Mobius-transformed
+    game has Mobius coefficient 0 on the empty set), with f_{v_T} from the
+    family's basis statistic; each block of games is Mobius-transformed
     once for both sides.  On a ground set of size 3, trial 0 evaluates the
     patched capacity of the vstar family at x = (0, 2, 1), the sample that
     separates that family.  Bounded at n <= 10.
@@ -781,7 +720,7 @@ def check_linearity_in_capacity(
     def sides(_, inputs):
         V, X = inputs["capacity"], inputs["x"]
         m = _lattice_cumulation(V, operator.isub, "mobius_transform")
-        return agg._evaluate(V, m, X), _row_sums(m[:, 1:] * agg._basis_values(X))
+        return agg._parts.evaluate(V, m, X), _row_sums(m[:, 1:] * agg._parts.basis(X))
 
     return _run_checker(AXIOM_LINEARITY_IN_CAPACITY, agg, None, trials, seed, tolerance,
                         {}, size + agg.n, draw, sides)
@@ -800,20 +739,87 @@ CHECKERS = {
 
 
 # ---------------------------------------------------------------------------
-# Independence of the three capacity-class conditions
+# The families, and the independence of the three capacity-class conditions
 # ---------------------------------------------------------------------------
 
-# The one condition each family is expected to falsify.  The matrix lists
-# the families and the conditions in this order, which puts the expected
-# falsifications on the diagonal.
-EXPECTED_FALSIFIED = {
-    FAMILY_WEIGHTED_MEAN: AXIOM_ZERO_ON_BASIS,
-    FAMILY_MULTILINEAR: AXIOM_INTERVAL_SCALE,
-    FAMILY_VSTAR_PATCH: AXIOM_LINEARITY_IN_CAPACITY,
+def _minima(X: np.ndarray) -> np.ndarray:
+    """The minimum of each row of X over every nonempty mask (column mask - 1)."""
+    return _subset_statistic(np.minimum, np.inf, X)[:, 1:]
+
+
+def _means(X: np.ndarray) -> np.ndarray:
+    """The mean of each row of X over every nonempty mask (column mask - 1)."""
+    sizes = _subset_statistic(np.add, 0.0, np.ones(X.shape[1]))[1:]  # |S| per mask
+    return _subset_statistic(np.add, 0.0, X)[:, 1:] / sizes
+
+
+def _vstar_patch(values: np.ndarray, m: Optional[np.ndarray], X: np.ndarray) -> np.ndarray:
+    """The integral, except at vstar: there the mean of the first two
+    coordinates (halved first, so it cannot overflow), capped at the third."""
+    mean = X[:, 0] / 2.0 + X[:, 1] / 2.0
+    patch = np.where(X[:, 2] < mean, X[:, 2], mean)
+    return np.where(np.all(values == _VSTAR_VALUES, axis=-1), patch, _chain_sums(values, X))
+
+
+def _zero_witness(agg: Aggregator, seed: int) -> AxiomReport:
+    """The zero-on-basis sample x = (0, 2), element 1 zeroed, on {1, 2}."""
+    inputs = {"x": np.array([[0.0, 2.0]]), "zeroed_element": np.array([1])}
+    game, members = _basis_game(agg, [1, 2])
+    return _run_checker(AXIOM_ZERO_ON_BASIS, agg, game, 1, seed, FALSIFY_TOLERANCE,
+                        {"subset": members}, 0, lambda numbers, words: inputs, _zero_sides)
+
+
+@dataclass(frozen=True)
+class _Family:
+    """The parts of one family.  evaluate(values, m, X) is the family on the
+    rows of X at one game (values and Mobius coefficients m of shape
+    (2**n,), m None unless mobius) or at one game per row ((k, 2**n) each);
+    with over/invalid ignored, rows that overflow come out non-finite.
+    basis(X) is the family at the unanimity game of every nonempty mask
+    (column mask - 1), as one subset statistic: evaluating those games gives
+    it up to the sign of a zero, as their Mobius coefficients are 0 or 1 and
+    their chain sums add signed zeros to the one nonzero term.  A
+    counterexample family has the ground-set size of its suite row, the
+    condition it falsifies and replay(agg, seed), the hand-checked sample
+    that falsifies it, as a one-trial report."""
+
+    operation: str  # what a NonFiniteResult of the family names
+    mobius: bool
+    evaluate: Callable[[np.ndarray, Optional[np.ndarray], np.ndarray], np.ndarray]
+    basis: Callable[[np.ndarray], np.ndarray]
+    ground_set: Optional[int] = None  # the one size the family is defined on
+    suite_n: Optional[int] = None
+    falsifies: Optional[str] = None
+    replay: Optional[Callable[[Aggregator, int], AxiomReport]] = None
+
+
+# The independence matrix lists the counterexample families in this order,
+# and the conditions they falsify in the same order, which puts the expected
+# falsifications on the diagonal.  The multilinear and vstar-patch replays
+# are their checkers' trial 0.  No unanimity game is vstar, so vstar-patch
+# has the integral's basis.
+_FAMILY_PARTS = {
+    FAMILY_CHOQUET: _Family("choquet", False, lambda values, m, X: _chain_sums(values, X), _minima),
+    FAMILY_WEIGHTED_MEAN: _Family(
+        f"{FAMILY_WEIGHTED_MEAN} family", True,
+        lambda values, m, X: _row_dots(m[..., 1:], _means(X)), _means,
+        suite_n=2, falsifies=AXIOM_ZERO_ON_BASIS, replay=_zero_witness),
+    FAMILY_MULTILINEAR: _Family(
+        f"{FAMILY_MULTILINEAR} family", True,
+        lambda values, m, X: _row_dots(m, _subset_statistic(np.multiply, 1.0, X)),
+        lambda X: _subset_statistic(np.multiply, 1.0, X)[:, 1:],
+        suite_n=2, falsifies=AXIOM_INTERVAL_SCALE,
+        replay=lambda agg, seed: check_interval_scale_covariance(agg, [1, 2], 1, seed)),
+    FAMILY_VSTAR_PATCH: _Family(
+        "choquet", False, _vstar_patch, _minima, ground_set=3,
+        suite_n=3, falsifies=AXIOM_LINEARITY_IN_CAPACITY,
+        replay=lambda agg, seed: check_linearity_in_capacity(agg, 1, seed)),
 }
+
+EXPECTED_FALSIFIED = {family: parts.falsifies for family, parts in _FAMILY_PARTS.items()
+                      if parts.falsifies}
 INDEPENDENCE_FAMILIES = tuple(EXPECTED_FALSIFIED)
 INDEPENDENCE_CONDITIONS = tuple(EXPECTED_FALSIFIED.values())
-_FAMILY_SUITE_N = {FAMILY_WEIGHTED_MEAN: 2, FAMILY_MULTILINEAR: 2, FAMILY_VSTAR_PATCH: 3}
 
 
 @dataclass(frozen=True)
@@ -877,19 +883,6 @@ class IndependenceSummary:
         return "\n".join(lines)
 
 
-def _paper_replay(agg: Aggregator, seed: int) -> AxiomReport:
-    """The hand-checked falsifying sample of the family's expected-fail cell
-    as a one-trial report."""
-    if agg.family == FAMILY_MULTILINEAR:
-        return check_interval_scale_covariance(agg, [1, 2], 1, seed)  # its trial 0
-    if agg.family == FAMILY_VSTAR_PATCH:
-        return check_linearity_in_capacity(agg, 1, seed)  # its trial 0
-    inputs = {"x": np.array([[0.0, 2.0]]), "zeroed_element": np.array([1])}
-    game, members = _basis_game(agg, [1, 2])
-    return _run_checker(AXIOM_ZERO_ON_BASIS, agg, game, 1, seed, FALSIFY_TOLERANCE,
-                        {"subset": members}, 0, lambda numbers, words: inputs, _zero_sides)
-
-
 def _run_condition(agg: Aggregator, condition: str, trials: int, seed: int):
     """All checker reports backing one cell (one per nonempty subset where relevant)."""
     check = CHECKERS[condition]
@@ -920,9 +913,10 @@ def independence_suite(
     token = _SUITE_WORDS.set(shared)
     try:
         for family in INDEPENDENCE_FAMILIES:
-            agg = Aggregator(family, _FAMILY_SUITE_N[family])
+            parts = _FAMILY_PARTS[family]
+            agg = Aggregator(family, parts.suite_n)
             for condition in INDEPENDENCE_CONDITIONS:
-                reports = [_paper_replay(agg, seed)] if EXPECTED_FALSIFIED[family] == condition else []
+                reports = [parts.replay(agg, seed)] if parts.falsifies == condition else []
                 if not paper_witnesses_only:
                     reports += _run_condition(agg, condition, trials, seed)
                 witness = next((r.witness for r in reports if r.falsified), None)

@@ -40,6 +40,7 @@ SubsetLike = Union[int, Iterable[int]]
 # ground-set sizes, seeds, subset masks, real numbers and the class of an
 # argument with these seven functions, and converts a real number it takes
 # in (a coordinate, a scale factor, a set-function value) with _finite_float.
+# _require_game and _require_game_on, below, check a game.
 def _require_integer(name: str, value, error: type = ValueError) -> int:
     """value as a Python int if it is an int or a numpy integer, not a bool; else error."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -115,6 +116,13 @@ def _require_game(f) -> None:
     """NotAGame unless the set function f is a game: f(empty) = 0 exactly."""
     if f.values[0] != 0.0:
         raise NotAGame(f.values[0])
+
+
+def _require_game_on(v, n: int) -> None:
+    """ValueError unless v is a SignedCapacity on a ground set of size n."""
+    _require_instance(v, SignedCapacity)
+    if v.n != n:
+        raise ValueError(f"expected a game on a ground set of size {n}, got one of size {v.n}")
 
 
 def full_mask(n: int) -> int:

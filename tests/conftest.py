@@ -57,3 +57,12 @@ def assert_close(a: float, b: float, rel: float = 1e-9, abs_tol: float = 1e-12) 
     gap = abs(a - b)
     bound = max(abs_tol, rel * max(abs(a), abs(b)))
     assert gap <= bound, f"{a!r} != {b!r} (gap {gap:.3e} > bound {bound:.3e})"
+
+
+def family_sizes(sizes):
+    """(family, n) for every entry of the family table, at each of sizes or
+    at the family's fixed ground set, in table order."""
+    from choquet.axioms import _FAMILY_PARTS
+
+    return list(dict.fromkeys(
+        (family, parts.ground_set or n) for family, parts in _FAMILY_PARTS.items() for n in sizes))

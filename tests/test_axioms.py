@@ -1,7 +1,9 @@
 """Axiom checkers, counterexample families and the independence matrix."""
 
+import ast
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +35,13 @@ from choquet.axioms import (
 from choquet.errors import DimensionMismatch, NonFiniteResult, UnsupportedGroundSet
 from choquet.generate import random_signed_capacity
 from choquet.integral import choquet
+from choquet.names import FAMILIES
 from choquet.setfunction import SignedCapacity, mobius_transform, unanimity_game
+
+from conftest import family_sizes
+
+FAMILY_PARTS = axioms_module._FAMILY_PARTS
+
 
 def replay_witness(report):
     """Recompute both sides of a falsified report from its recorded inputs."""
@@ -111,28 +119,21 @@ class TestEvaluateFamily:
         for x in np.random.default_rng(2).uniform(-5, 5, (2000, 3)).tolist():
             assert evaluate_family(agg, vstar_capacity(), x) == min((x[0] + x[1]) / 2.0, x[2])
 
-    @pytest.mark.parametrize(
-        "family, n",
-        [(FAMILY_CHOQUET, 1), (FAMILY_CHOQUET, 5), (FAMILY_WEIGHTED_MEAN, 4),
-         (FAMILY_MULTILINEAR, 4), (FAMILY_VSTAR_PATCH, 3)],
-    )
+    @pytest.mark.parametrize("family, n", family_sizes((1, 4, 5)))
     def test_basis_values_are_the_bound_unanimity_games(self, family, n):
         agg = Aggregator(family, n)
         rng = np.random.default_rng(n)
         X = rng.integers(-300, 301, (50, n)) / 100
         X[rng.random(X.shape) < 0.2] = -0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            basis = agg._basis_values(X)
+            basis = agg._parts.basis(X)
             for t in range(1, 1 << n):
                 assert np.array_equal(basis[:, t - 1], agg._bind(unanimity_game(n, t))(X))
 
-    @pytest.mark.parametrize(
-        "family, n", [(FAMILY_CHOQUET, n) for n in range(1, 13)] + [(FAMILY_VSTAR_PATCH, 3)]
-    )
-    def test_one_point_equals_the_batched_route_exactly(self, family, n):
-        """On two-decimal points with ties and signed zeros the bound route
-        equals integral.choquet bit for bit, so checker verdicts rest on the
-        public integral's values."""
+    @pytest.mark.parametrize("family, n", family_sizes((1, 4, 6)))
+    def test_batched_route_equals_evaluate_family_exactly(self, family, n):
+        """On two-decimal points with ties and signed zeros, evaluate_family
+        at one point equals the batched route's row bit for bit."""
         rng = np.random.default_rng(n)
         points = rng.integers(-300, 301, (60, n)) / 100
         points[rng.random(points.shape) < 0.2] = -0.0
@@ -140,6 +141,25 @@ class TestEvaluateFamily:
         agg = Aggregator(family, n)
         v = random_signed_capacity(n, rng)
         batched = agg._bind(v)(points)
+        for x, value in zip(points, batched):
+            expected = evaluate_family(agg, v, x)
+            assert value == expected and np.signbit(value) == np.signbit(expected), (x, value, expected)
+
+    @pytest.mark.parametrize(
+        "family, n",
+        [(f, n) for f, n in family_sizes(range(1, 13)) if FAMILY_PARTS[f].operation == "choquet"],
+    )
+    def test_one_point_equals_the_batched_route_exactly(self, family, n):
+        """On two-decimal points with ties and signed zeros the bound route
+        of a family that reports as choquet equals integral.choquet bit for
+        bit (away from vstar), so checker verdicts rest on the public
+        integral's values."""
+        rng = np.random.default_rng(n)
+        points = rng.integers(-300, 301, (60, n)) / 100
+        points[rng.random(points.shape) < 0.2] = -0.0
+        points[rng.random(points.shape) < 0.2] = 0.0
+        v = random_signed_capacity(n, rng)
+        batched = Aggregator(family, n)._bind(v)(points)
         for x, value in zip(points, batched):
             expected = choquet(v, x).value
             assert value == expected and np.signbit(value) == np.signbit(expected), (x, value, expected)
@@ -153,8 +173,19 @@ class TestEvaluateFamily:
             assert evaluate_family(agg, v, x) == choquet(v, x).value
 
     def test_vstar_patch_needs_three_elements(self):
-        with pytest.raises(UnsupportedGroundSet):
+        with pytest.raises(UnsupportedGroundSet) as info:
             Aggregator(FAMILY_VSTAR_PATCH, 2)
+        assert str(info.value) == "the vstar-patch family is defined on a ground set of size 3, got 2"
+
+    @pytest.mark.parametrize("family", [f for f, parts in FAMILY_PARTS.items() if parts.ground_set])
+    def test_a_fixed_ground_set_is_the_only_one(self, family):
+        size = FAMILY_PARTS[family].ground_set
+        assert Aggregator(family, size).n == size
+        for n in {1, size - 1, size + 1} - {0, size}:
+            with pytest.raises(UnsupportedGroundSet) as info:
+                Aggregator(family, n)
+            assert str(info.value) == (
+                f"the {family} family is defined on a ground set of size {size}, got {n}")
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
@@ -495,3 +526,25 @@ class TestBlockRunner:
     def test_rows_within_tolerance_satisfy(self):
         report = self.run({4: (1.0, 1.0 + 1e-7)})
         assert not report.falsified and report.samples_run == 7
+
+
+def test_family_names_appear_only_in_the_family_table():
+    """No code of axioms outside _FAMILY_PARTS names a family (imports
+    aside), so no method can branch on one."""
+    tree = ast.parse(Path(axioms_module.__file__).read_text())
+    tables = [node for node in tree.body if isinstance(node, ast.Assign)
+              and [getattr(t, "id", None) for t in node.targets] == ["_FAMILY_PARTS"]]
+    assert len(tables) == 1
+    inside = {id(node) for node in ast.walk(tables[0])}
+
+    def names_a_family(node):
+        if isinstance(node, ast.Name):
+            return node.id.startswith("FAMILY_")
+        if isinstance(node, ast.Attribute):
+            return node.attr.startswith("FAMILY_")
+        return isinstance(node, ast.Constant) and node.value in FAMILIES
+
+    named = [(node.lineno, ast.unparse(node)) for node in ast.walk(tree)
+             if id(node) not in inside and names_a_family(node)]
+    assert named == []
+    assert tuple(FAMILY_PARTS) == FAMILIES

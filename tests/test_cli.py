@@ -276,13 +276,17 @@ class TestIndependenceSuite:
             assert err == "error: expected non-negative integer\n"
 
     def test_deviation_exits_1_with_one_line_per_cell(self, monkeypatch, capsys):
+        from dataclasses import replace
+
         from choquet import axioms
 
         def satisfied_replay(agg, seed):
             return axioms.AxiomReport(axioms.EXPECTED_FALSIFIED[agg.family],
                                       axioms.VERDICT_SATISFIED, None, 1, seed, 1e-6)
 
-        monkeypatch.setattr(axioms, "_paper_replay", satisfied_replay)
+        for family in axioms.INDEPENDENCE_FAMILIES:
+            parts = replace(axioms._FAMILY_PARTS[family], replay=satisfied_replay)
+            monkeypatch.setitem(axioms._FAMILY_PARTS, family, parts)
         code, out, err = run(["independence-suite", "--paper-witnesses-only"], capsys)
         assert code == 1
         assert out.endswith("expected pattern: DEVIATION\n")

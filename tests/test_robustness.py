@@ -38,6 +38,7 @@ from choquet.errors import (
     FileFormatError,
     GroundSetTooLarge,
     NonFiniteResult,
+    NotAGame,
     UnsupportedGroundSet,
 )
 from choquet.generate import (
@@ -54,7 +55,9 @@ from choquet.integral import (
     lovasz_extension,
     sort_permutation,
 )
-from choquet.oracle import choquet_all_permutations, lovasz_affine_check, mobius_naive
+from choquet.oracle import (
+    choquet_all_permutations, evaluate_family_exact, lovasz_affine_check, mobius_naive,
+)
 from choquet.io import (
     dump_document,
     format_document,
@@ -644,6 +647,23 @@ ARGUMENT_RULES = [
                  "order must be a sequence of integers, got 3", id="lovasz_affine_check-order-scalar"),
     pytest.param(lovasz_affine_check, (GAME2, [1, 2], 5, True), ValueError,
                  "seed must be an integer, got True", id="lovasz_affine_check-seed-bool"),
+    pytest.param(evaluate_family_exact, ("x", GAME2, [1.0, 2.0]), ValueError,
+                 NOT_AN_AGGREGATOR + "str", id="evaluate_family_exact-agg"),
+    pytest.param(evaluate_family_exact, (AGG2, MOBIUS2, [1.0, 2.0]), ValueError,
+                 "expected a SignedCapacity, got MobiusRepresentation",
+                 id="evaluate_family_exact-game"),
+    pytest.param(evaluate_family_exact, (AGG2, GAME2, [NAN, 1.0]), ValueError, NOT_FINITE + "nan",
+                 id="evaluate_family_exact-x"),
+    pytest.param(evaluate_family, (AGG3, GAME2, [1.0, 2.0, 3.0]), ValueError,
+                 "expected a game on a ground set of size 3, got one of size 2",
+                 id="evaluate_family-game-ground-set"),
+    pytest.param(evaluate_family_exact, (AGG3, GAME2, [1.0, 2.0, 3.0]), ValueError,
+                 "expected a game on a ground set of size 3, got one of size 2",
+                 id="evaluate_family_exact-game-ground-set"),
+    # A game vanishes on the empty set.
+    pytest.param(choquet, (SetFunction(2, [1.0, 0.0, 0.0, 0.0]), [1.0, 2.0]), NotAGame,
+                 "set function is not a game: value on the empty set is 1.0, expected exactly 0",
+                 id="choquet-v-not-a-game"),
     # A mask is an integer >= 0, and below 2**n on a ground set of size n.
     pytest.param(elements_from_mask, (-1,), ValueError, "subset mask must be >= 0, got -1",
                  id="elements_from_mask-mask-negative"),
@@ -808,6 +828,21 @@ def test_every_parameter_of_a_public_entry_point_has_a_rule_and_a_row():
     missing = [f"{name}-{p}" for name, p in _public_parameters()
                if not any((name, word) in named for word in RULED_PARAMETERS[p])]
     assert missing == []
+
+
+def test_every_example_message_of_the_readme_rule_table_is_a_rows_message():
+    """The README's "Argument types" table gives one example message per
+    rule; each is the message of a row above (one ending in "..." its
+    start), and the bullet stays within 25 lines."""
+    readme = (REPO_SRC.parent / "README.md").read_text()
+    bullet = "* **Argument types.**" + readme.split("* **Argument types.**", 1)[1].split("\n* **")[0]
+    assert len(bullet.rstrip().splitlines()) <= 25
+    examples = [re.findall(r"`([^`]*)`", line.rsplit("|", 2)[1])[-1]
+                for line in bullet.splitlines() if line.lstrip().startswith("| `")]
+    starts = {row.values[3] for row in ARGUMENT_RULES}
+    assert len(examples) >= 10
+    unmatched = [e for e in examples if e not in starts and e.removesuffix("...") not in starts]
+    assert unmatched == []
 
 
 def _conversion_steps(tree: ast.AST):

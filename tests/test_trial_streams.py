@@ -95,7 +95,8 @@ def test_negative_seed_is_rejected_as_by_default_rng():
     with pytest.raises(ValueError, match="expected non-negative integer"):
         check_positive_homogeneity(Aggregator("choquet", 2), random_signed_capacity(2, 0), 5, -1)
     with pytest.raises(ValueError, match="expected non-negative integer"):
-        axioms_module._paper_replay(Aggregator("weighted-mean", 2), -1)  # width 0
+        agg = Aggregator("weighted-mean", 2)
+        agg._parts.replay(agg, -1)  # width 0
 
 
 def test_one_row_blocks_share_their_state_computations(monkeypatch):
@@ -188,10 +189,10 @@ def test_suite_cells_are_the_reports_of_its_checker_calls():
     trials, seed = 300, 7
     summary = independence_suite(trials, seed)
     for cell in summary.cells:
-        agg = Aggregator(cell.family, axioms_module._FAMILY_SUITE_N[cell.family])
+        agg = Aggregator(cell.family, axioms_module._FAMILY_PARTS[cell.family].suite_n)
         reports = axioms_module._run_condition(agg, cell.condition, trials, seed)  # outside a suite
         if axioms_module.EXPECTED_FALSIFIED[cell.family] == cell.condition:
-            reports.insert(0, axioms_module._paper_replay(agg, seed))
+            reports.insert(0, agg._parts.replay(agg, seed))
         witness = next((r.witness for r in reports if r.falsified), None)
         assert cell.samples_run == sum(r.samples_run for r in reports)
         assert (cell.witness and cell.witness.to_dict()) == (witness and witness.to_dict())
