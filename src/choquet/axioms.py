@@ -433,31 +433,34 @@ def _require_tolerance(tolerance) -> float:
 
 def _run_checker(
     axiom: str, agg: Aggregator, game: Optional[SignedCapacity],
-    trials: int, seed: int, tolerance: float, fixed: dict, width: int, draw, sides,
+    trials: int, seed: int, tolerance: float, fixed: dict,
+    width: Callable[[int], int], draw, sides,
 ) -> AxiomReport:
     """Draw the trials in blocks with draw(numbers, words) -> inputs and
     evaluate them with sides(f, inputs) -> (lhs, rhs), until the sides differ.
     The blocks are the chunks of _trial_words, split at the _BLOCK_VALUES cap.
 
-    f = agg._bind(game) (None without a game), which checks that game is a
-    SignedCapacity, is computed once, after trials and tolerance are
-    checked, and then the seed (by _require_seed); all three are reported as
-    Python numbers.  For a block of trial numbers, words holds the first
-    `width` raw words of each trial's stream, and inputs maps each witness
-    key that varies by trial to an array with one row per trial.  The two
-    sides are arrays with one row per trial, computed with over/invalid
-    ignored.  The first row that is over the tolerance or non-finite
-    decides: over the tolerance ends the run with a witness whose inputs are
-    the family, the fixed entries (a game as the list of its values) and
-    that row of every input (arrays converted to lists and numbers),
-    non-finite raises NonFiniteResult naming agg's operation.  Otherwise
+    agg is checked first, then trials and tolerance.  f = agg._bind(game)
+    (None without a game), which checks that game is a SignedCapacity, is
+    computed once, and then the seed is checked (by _require_seed); trials,
+    tolerance and seed are reported as Python numbers.  For a block of trial
+    numbers, words holds the first width(agg.n) raw words of each trial's
+    stream, and inputs maps each witness key that varies by trial to an
+    array with one row per trial.  The two sides are arrays with one row per
+    trial, computed with over/invalid ignored.  The first row that is over
+    the tolerance or non-finite decides: its witness's inputs are the
+    family, the fixed entries (a game as the list of its values) and that
+    row of every input (arrays converted to lists and numbers).  The run
+    ends with that witness if its discrepancy is finite (then so are both
+    sides); otherwise NonFiniteResult names agg's operation.  Otherwise
     every trial runs and the report is satisfied.
     """
+    _require_instance(agg, Aggregator)
     trials, tolerance = _require_count("trials", trials), _require_tolerance(tolerance)
     f = None if game is None else agg._bind(game)
     seed = _require_seed(seed)
     cap = max(1, _BLOCK_VALUES >> agg.n)
-    blocks = (chunk[i:i + cap] for chunk in _trial_words(seed, trials, width)
+    blocks = (chunk[i:i + cap] for chunk in _trial_words(seed, trials, width(agg.n))
               for i in range(0, len(chunk), cap))
     start = 0
     for words in blocks:
@@ -467,13 +470,12 @@ def _run_checker(
             within = np.abs(lhs - rhs) <= tolerance  # False where a side is non-finite
         if not within.all():
             row = int(np.argmin(within))
-            left = _finite(float(lhs[row]), agg._parts.operation)
-            right = _finite(float(rhs[row]), agg._parts.operation)
             plain = {"family": agg.family}
             plain.update((k, v.values.tolist() if isinstance(v, SetFunction) else v)
                          for k, v in fixed.items())
             plain.update((k, v[row].tolist()) for k, v in inputs.items())
-            witness = Witness(plain, left, right)
+            witness = Witness(plain, float(lhs[row]), float(rhs[row]))
+            _finite(witness.discrepancy, agg._parts.operation)
             return AxiomReport(axiom, VERDICT_FALSIFIED, witness, start + row + 1, seed, tolerance)
         start += len(words)
     return AxiomReport(axiom, VERDICT_SATISFIED, None, trials, seed, tolerance)
@@ -539,7 +541,6 @@ def check_comonotonic_additivity(
 
     Trial 0 uses the degenerate pair (base, 0), which reduces to f(0) = 0.
     """
-    _require_instance(agg, Aggregator)  # before the width below reads agg.n
     def draw(numbers, words):
         base, x, y = _comonotonic_pairs(_doubles(words), agg.n)
         first = numbers == 0
@@ -551,7 +552,7 @@ def check_comonotonic_additivity(
         return f(X + Y), f(X) + f(Y)
 
     return _run_checker(AXIOM_COMONOTONIC_ADDITIVITY, agg, v, trials, seed, tolerance,
-                        {"capacity": v}, agg.n + _PAIR_WORDS, draw, sides)
+                        {"capacity": v}, lambda n: n + _PAIR_WORDS, draw, sides)
 
 
 def check_positive_homogeneity(
@@ -565,7 +566,6 @@ def check_positive_homogeneity(
 
     Trial 0 uses r = 1.
     """
-    _require_instance(agg, Aggregator)  # before the width below reads agg.n
     def draw(numbers, words):
         u = _doubles(words)
         r = np.exp(_uniform(u[:, agg.n], *_LOG_R))
@@ -577,7 +577,7 @@ def check_positive_homogeneity(
         return f(r[:, None] * X), r * f(X)
 
     return _run_checker(AXIOM_POSITIVE_HOMOGENEITY, agg, v, trials, seed, tolerance,
-                        {"capacity": v}, agg.n + 1, draw, sides)
+                        {"capacity": v}, lambda n: n + 1, draw, sides)
 
 
 def check_comonotonic_affinity(
@@ -591,7 +591,6 @@ def check_comonotonic_affinity(
 
     Trials 0 and 1 pin the endpoint cases lam = 0 and lam = 1.
     """
-    _require_instance(agg, Aggregator)  # before the width below reads agg.n
     def draw(numbers, words):
         u = _doubles(words)
         _, x, y = _comonotonic_pairs(u, agg.n)
@@ -603,7 +602,7 @@ def check_comonotonic_affinity(
         return f(lam[:, None] * X + (1.0 - lam[:, None]) * Y), lam * f(X) + (1.0 - lam) * f(Y)
 
     return _run_checker(AXIOM_COMONOTONIC_AFFINITY, agg, v, trials, seed, tolerance,
-                        {"capacity": v}, agg.n + _PAIR_WORDS + 1, draw, sides)
+                        {"capacity": v}, lambda n: n + _PAIR_WORDS + 1, draw, sides)
 
 
 def _basis_game(agg: Aggregator, subset: SubsetLike) -> tuple[SignedCapacity, list[int]]:
@@ -643,7 +642,7 @@ def check_interval_scale_covariance(
         return f(r[:, None] * X + s[:, None]), r * f(X) + s
 
     return _run_checker(AXIOM_INTERVAL_SCALE, agg, game, trials, seed, tolerance,
-                        {"subset": members}, agg.n + 2, draw, sides)
+                        {"subset": members}, lambda n: n + 2, draw, sides)
 
 
 def _zero_sides(f, inputs):
@@ -682,7 +681,7 @@ def check_zero_on_basis(
         return {"x": x, "zeroed_element": zeroed}
 
     return _run_checker(AXIOM_ZERO_ON_BASIS, agg, game, trials, seed, tolerance,
-                        {"subset": members}, agg.n + 1, draw, _zero_sides)
+                        {"subset": members}, lambda n: n + 1, draw, _zero_sides)
 
 
 def check_linearity_in_capacity(
@@ -723,7 +722,7 @@ def check_linearity_in_capacity(
         return agg._parts.evaluate(V, m, X), _row_sums(m[:, 1:] * agg._parts.basis(X))
 
     return _run_checker(AXIOM_LINEARITY_IN_CAPACITY, agg, None, trials, seed, tolerance,
-                        {}, size + agg.n, draw, sides)
+                        {}, lambda n: size + n, draw, sides)
 
 
 # The checker of each axiom: after agg, the first three take a game, the
@@ -766,7 +765,7 @@ def _zero_witness(agg: Aggregator, seed: int) -> AxiomReport:
     inputs = {"x": np.array([[0.0, 2.0]]), "zeroed_element": np.array([1])}
     game, members = _basis_game(agg, [1, 2])
     return _run_checker(AXIOM_ZERO_ON_BASIS, agg, game, 1, seed, FALSIFY_TOLERANCE,
-                        {"subset": members}, 0, lambda numbers, words: inputs, _zero_sides)
+                        {"subset": members}, lambda n: 0, lambda numbers, words: inputs, _zero_sides)
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import prod
+from math import isfinite, prod
 from typing import Sequence
 
 import numpy as np
 
 from .axioms import Aggregator
-from .errors import GroundSetTooLarge
+from .errors import GroundSetTooLarge, NonFiniteResult
 from .integral import _coerce_point, lovasz_extension
 from .names import FAMILY_CHOQUET, FAMILY_MULTILINEAR, FAMILY_VSTAR_PATCH, FAMILY_WEIGHTED_MEAN
 from .setfunction import (
@@ -34,6 +34,10 @@ MAX_N_EXACT_FAMILY = 8
 
 _REL_TOL = 1e-9
 _ABS_TOL = 1e-12
+
+# The least magnitude that float() rounds beyond the largest float: halfway
+# from it to 2**1024, where the tie goes to the even 2**1024.
+_FLOAT_OVERFLOW = 2**1024 - 2**970
 
 
 def _signed_subset_sums(values: list) -> list:
@@ -56,12 +60,16 @@ def mobius_naive(f: SetFunction) -> MobiusRepresentation:
     """Mobius coefficients by direct signed summation over subset pairs.
 
     Literal O(3**n) double loop; shares no arithmetic with the fast
-    transform.  Bounded at n <= 12.
+    transform.  A coefficient beyond the float range raises
+    NonFiniteResult.  Bounded at n <= 12.
     """
     _require_instance(f, SetFunction)
     if f.n > MAX_N_NAIVE_MOBIUS:
         raise GroundSetTooLarge(f.n, MAX_N_NAIVE_MOBIUS)
-    return MobiusRepresentation(f.n, np.array(_signed_subset_sums(f.values.tolist()), dtype=float))
+    coefficients = _signed_subset_sums(f.values.tolist())
+    if not all(map(isfinite, coefficients)):
+        raise NonFiniteResult("mobius_naive")
+    return MobiusRepresentation(f.n, np.array(coefficients, dtype=float))
 
 
 def _chain_sum(values: list[Fraction], coords: list[Fraction], order: Sequence[int]) -> Fraction:
@@ -81,7 +89,8 @@ def choquet_all_permutations(v: SetFunction, x: Sequence[float]) -> set[float]:
     Evaluates the chain sum in exact rational arithmetic (floats are exact
     rationals), so two permutations produce the same set element iff their
     sums are mathematically equal: a singleton certifies that the integral
-    does not depend on how ties are broken.  Bounded at n <= 6.
+    does not depend on how ties are broken.  A value beyond the float range
+    raises NonFiniteResult.  Bounded at n <= 6.
     """
     _require_instance(v, SetFunction)
     if v.n > MAX_N_ALL_PERMUTATIONS:
@@ -95,6 +104,8 @@ def choquet_all_permutations(v: SetFunction, x: Sequence[float]) -> set[float]:
         _chain_sum(exact_values, coords, order) for order in permutations(range(n))
         if all(coords[order[i]] <= coords[order[i + 1]] for i in range(n - 1))
     }
+    if any(abs(r) >= _FLOAT_OVERFLOW for r in results):
+        raise NonFiniteResult("choquet_all_permutations")
     return {float(r) for r in results}
 
 

@@ -485,7 +485,8 @@ class TestBlockRunner:
         agg = Aggregator(FAMILY_CHOQUET, n)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return axioms_module._run_checker("stub", agg, None, trials, 0, 1e-6, {}, 0, draw, sides)
+            return axioms_module._run_checker("stub", agg, None, trials, 0, 1e-6, {}, lambda n: 0,
+                                              draw, sides)
 
     @pytest.mark.parametrize("trials, n, expected", [(7, 2, [7]), (40, 13, [8] * 5)])
     def test_blocks_are_the_word_chunks_split_at_the_cap(self, trials, n, expected):

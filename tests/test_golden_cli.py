@@ -4,14 +4,9 @@
 spaces, to the exit code and the SHA-256 of the stdout that `choquet.cli.main`
 produced for it.  Placeholders in braces name the input files that
 `_write_inputs` creates.  The fixture was first recorded before the lattice
-and checker refactor; refactors must reproduce it byte for byte.
-
-    PYTHONPATH=src python tests/test_golden_cli.py
-
-records it again: it runs every invocation the fixture lists in-process
-through `main`, on the files below, and rewrites the fixture with each
-exit code and stdout digest.  An intended change of output means running
-it and saying in the change log which entries changed and why.
+and checker refactor; refactors must reproduce it byte for byte.  record()
+runs every invocation the fixture lists in-process through `main`, on the
+files below, and returns each exit code and stdout digest.
 
 The set covers the acceptance criterion-9 invocations, all six axioms in
 text and JSON for every family at 200 trials (falsified cases included),
@@ -26,10 +21,10 @@ import hashlib
 import io
 import json
 import os
-import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
@@ -67,21 +62,17 @@ def run(invocation: str, paths: dict) -> dict:
     """The exit code and stdout digest of one invocation, run through main."""
     argv = [arg.format(**paths) for arg in invocation.split(" ")]
     out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+    with patch.dict(os.environ, COLUMNS="80"), redirect_stdout(out), redirect_stderr(io.StringIO()):
         code = main(argv)
     return {"exit": code, "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
 
 
-@pytest.mark.parametrize("invocation", sorted(GOLDEN))
-def test_golden_cli(invocation, tmp_path, monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
-    assert run(invocation, _write_inputs(tmp_path)) == GOLDEN[invocation]
-
-
-if __name__ == "__main__":
-    os.environ["COLUMNS"] = "80"
+def record() -> dict:
     with tempfile.TemporaryDirectory() as directory:
         paths = _write_inputs(Path(directory))
-        recorded = {invocation: run(invocation, paths) for invocation in GOLDEN}
-    GOLDEN_PATH.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n")
-    print(f"recorded {len(recorded)} invocations in {GOLDEN_PATH}", file=sys.stderr)
+        return {invocation: run(invocation, paths) for invocation in GOLDEN}
+
+
+@pytest.mark.parametrize("invocation", sorted(GOLDEN))
+def test_golden_cli(invocation, tmp_path):
+    assert run(invocation, _write_inputs(tmp_path)) == GOLDEN[invocation]

@@ -8,13 +8,11 @@ n), some coordinates set to -0.0 and +0.0, one point of equal coordinates
 and one of signed zeros only.
 
 The fixture was recorded once, with the per-bit lattice recursion in
-`_subset_statistic`, by running `PYTHONPATH=src python
-tests/test_golden_mobius.py`; a change to how the subset minima are built
-must reproduce it bit for bit.
+`_subset_statistic`; a change to how the subset minima are built must
+reproduce it bit for bit.
 """
 
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +52,10 @@ def case(n: int, seed: int) -> dict:
 CASES = [(n, seed) for n in SIZES for seed in SEEDS]
 
 
+def record() -> dict:
+    return {f"{n}/{seed}": case(n, seed) for n, seed in CASES}
+
+
 @pytest.mark.parametrize("n, seed", CASES)
 def test_choquet_mobius_reproduces_the_golden_bits(n, seed):
     golden = json.loads(GOLDEN_PATH.read_text())[f"{n}/{seed}"]
@@ -65,8 +67,3 @@ def test_choquet_mobius_reproduces_the_golden_bits(n, seed):
 def test_the_fixture_holds_every_case():
     assert sorted(json.loads(GOLDEN_PATH.read_text())) == sorted(f"{n}/{s}" for n, s in CASES)
 
-
-if __name__ == "__main__":
-    golden = {f"{n}/{seed}": case(n, seed) for n, seed in CASES}
-    GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
-    sys.stdout.write(f"wrote {len(golden)} cases to {GOLDEN_PATH}\n")

@@ -1,5 +1,6 @@
 """Brute-force oracles and their agreement with the fast paths."""
 
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +8,11 @@ import pytest
 
 from choquet import axioms, oracle
 from choquet.axioms import (
+    AXIOM_COMONOTONIC_ADDITIVITY,
+    AXIOM_COMONOTONIC_AFFINITY,
     AXIOM_INTERVAL_SCALE,
     AXIOM_LINEARITY_IN_CAPACITY,
+    AXIOM_POSITIVE_HOMOGENEITY,
     AXIOM_ZERO_ON_BASIS,
     EXPECTED_FALSIFIED,
     FALSIFY_TOLERANCE,
@@ -16,7 +20,7 @@ from choquet.axioms import (
     independence_suite,
     vstar_capacity,
 )
-from choquet.errors import GroundSetTooLarge, NotAGame
+from choquet.errors import GroundSetTooLarge, NonFiniteResult, NotAGame
 from choquet.generate import random_set_function, random_signed_capacity
 from choquet.integral import EvaluationResult, choquet
 from choquet.names import FAMILY_MULTILINEAR, FAMILY_VSTAR_PATCH, FAMILY_WEIGHTED_MEAN
@@ -77,6 +81,14 @@ class TestChoquetAllPermutations:
     def test_not_a_game(self):
         with pytest.raises(NotAGame):
             choquet_all_permutations(SetFunction(2, [1.0, 0.0, 0.0, 0.0]), [1.0, 2.0])
+
+    def test_sums_at_the_edge_of_the_float_range(self):
+        # The sums are max + x1 * 2**970: a quarter and a half of the gap
+        # from the largest float to 2**1024, rounded down and up.
+        v = SignedCapacity(2, [0.0, 0.0, sys.float_info.max / 2, 2.0**1023])
+        assert choquet_all_permutations(v, [0.5, 2.0]) == {sys.float_info.max}
+        with pytest.raises(NonFiniteResult, match="choquet_all_permutations"):
+            choquet_all_permutations(v, [1.0, 2.0])
 
 
 class TestLovaszAffineCheck:
@@ -153,24 +165,35 @@ def test_affine_on_sampled_cones_n6():
 
 
 def exact_sides(condition, inputs):
-    """Both sides of a witness of one of the suite's conditions, every family
-    value exact at the float points its checker evaluated."""
-    x, subset = inputs["x"], inputs.get("subset")
+    """Both sides of a witness of one of the conditions, every family value
+    exact at the float points its checker evaluated."""
+    x, subset = np.array(inputs["x"]), inputs.get("subset")
     agg = Aggregator(inputs["family"], len(x))
 
     def basis(t, point):
         return evaluate_family_exact(agg, unanimity_game(agg.n, t), point)
 
+    def family(point):
+        return evaluate_family_exact(agg, SignedCapacity(agg.n, inputs["capacity"]), point)
+
+    if condition == AXIOM_COMONOTONIC_ADDITIVITY:
+        y = np.array(inputs["y"])
+        return family(x + y), family(x) + family(y)
+    if condition == AXIOM_POSITIVE_HOMOGENEITY:
+        r = inputs["r"]
+        return family(r * x), Fraction(r) * family(x)
+    if condition == AXIOM_COMONOTONIC_AFFINITY:
+        y, lam = np.array(inputs["x_prime"]), inputs["lambda"]
+        rhs = Fraction(lam) * family(x) + (1 - Fraction(lam)) * family(y)
+        return family(lam * x + (1.0 - lam) * y), rhs
     if condition == AXIOM_ZERO_ON_BASIS:
         return basis(subset, x), Fraction(0)
     if condition == AXIOM_INTERVAL_SCALE:
         r, s = inputs["r"], inputs["s"]
-        lhs = basis(subset, (r * np.array(x) + s).tolist())
-        return lhs, Fraction(r) * basis(subset, x) + Fraction(s)
+        return basis(subset, r * x + s), Fraction(r) * basis(subset, x) + Fraction(s)
     assert condition == AXIOM_LINEARITY_IN_CAPACITY
-    v = SignedCapacity(agg.n, inputs["capacity"])
     m = oracle._signed_subset_sums([Fraction(c) for c in inputs["capacity"]])
-    return evaluate_family_exact(agg, v, x), sum(m[t] * basis(t, x) for t in range(1, 1 << agg.n))
+    return family(x), sum(m[t] * basis(t, x) for t in range(1, 1 << agg.n))
 
 
 class TestEvaluateFamilyExact:
@@ -208,6 +231,19 @@ class TestEvaluateFamilyExact:
             for witness in [cell.witness] + [r.witness for r in reports if r.falsified]:
                 lhs, rhs = exact_sides(cell.condition, witness.inputs)
                 assert abs(lhs - rhs) > FALSIFY_TOLERANCE, (cell.family, witness)
+
+    def test_golden_witnesses_at_the_falsify_tolerance_are_exact(self):
+        """Every falsified report of the golden call table at tolerance 1e-6
+        within the exact evaluator's bound."""
+        from test_golden_reports import GROUPS, calls, report
+
+        reports = [report(*call) for group in GROUPS if group[1] <= oracle.MAX_N_EXACT_FAMILY
+                   for _, call in calls(*group) if call[-1] == FALSIFY_TOLERANCE]
+        falsified = [r for r in reports if r.falsified]
+        for r in falsified:
+            lhs, rhs = exact_sides(r.axiom, r.witness.inputs)
+            assert abs(lhs - rhs) > FALSIFY_TOLERANCE, r.witness
+        assert len(falsified) == 225  # as the fixture is recorded
 
     def test_vstar_is_overridden_exactly(self):
         agg = Aggregator(FAMILY_VSTAR_PATCH, 3)

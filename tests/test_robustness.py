@@ -92,6 +92,9 @@ REPO_SRC = Path(__file__).resolve().parents[1] / "src"
 OVERFLOW_GAME = [0.0, 1e308, 1e308, 1.7e308]
 # Finite values whose Mobius coefficient on {1, 2} overflows.
 OVERFLOW_MOBIUS = [0.0, -1.7e308, -1.7e308, 1.7e308]
+# A game whose multilinear additivity check at seed 37 falsifies at trial 2
+# with the finite sides -1.6e308 and 1.22e308, whose difference overflows.
+OVERFLOW_DISCREPANCY = [0.0, 0.0, 0.0, 1.2851314763509246e+307]
 
 
 def run(args):
@@ -133,6 +136,14 @@ class TestOverflowIsAnError:
         with pytest.raises(NonFiniteResult, match="zeta_transform"):
             zeta_transform(MobiusRepresentation(2, [0.0, 1e308, 1e308, 1e308]))
 
+    def test_mobius_naive(self):
+        with pytest.raises(NonFiniteResult, match="mobius_naive"):
+            mobius_naive(SetFunction(2, OVERFLOW_MOBIUS))
+
+    def test_choquet_all_permutations(self):
+        with pytest.raises(NonFiniteResult, match="choquet_all_permutations"):
+            choquet_all_permutations(SignedCapacity(2, OVERFLOW_GAME), [3.0, 3.0])
+
     def test_large_finite_values_still_evaluate(self):
         v = SignedCapacity(2, OVERFLOW_GAME)
         assert choquet(v, [0.5, 0.5]).value == 0.5 * 1.7e308
@@ -167,6 +178,26 @@ class TestOverflowInTheCli:
         code, out, err = run(["mobius", "--invert", "--capacity", overflow_files[0]])
         assert_error_exit(code, out, err)
         assert "zeta_transform" in err
+
+    @pytest.mark.parametrize("args, operation", [
+        (["mobius", "--capacity", "{mobius}"], "mobius_naive"),
+        (["choquet-perms", "--capacity", "{game}", "--point", "3,3"], "choquet_all_permutations"),
+    ])
+    def test_oracle_overflow_exit_2(self, overflow_files, args, operation):
+        game, mobius = overflow_files
+        code, out, err = run(["oracle"] + [a.format(game=game, mobius=mobius) for a in args])
+        assert_error_exit(code, out, err)
+        assert err == f"error: {operation} overflowed: the result is not a finite float\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_check_discrepancy_overflow_exit_2(self, tmp_path, fmt):
+        path = tmp_path / "big.json"
+        dump_document({"n": 2, "by_mask": OVERFLOW_DISCREPANCY}, path)
+        code, out, err = run(["check", "--axiom", "comonotonic-additivity", "--family",
+                              "multilinear", "--capacity", str(path), "--trials", "5",
+                              "--seed", "37", "--format", fmt])
+        assert_error_exit(code, out, err)
+        assert err == "error: multilinear family overflowed: the result is not a finite float\n"
 
     def test_mobius_overflow_stderr_has_only_the_error_line(self, overflow_files):
         # in a fresh interpreter, where no test setting turns warnings into errors
@@ -438,6 +469,12 @@ class TestOverflowInCheckers:
             with pytest.raises(NonFiniteResult, match=operation) as info:
                 check(Aggregator(family, 2), SignedCapacity(2, OVERFLOW_GAME), 50, 0)
         assert info.value.operation == operation
+
+    def test_discrepancy_beyond_the_float_range(self):
+        agg, v = Aggregator("multilinear", 2), SignedCapacity(2, OVERFLOW_DISCREPANCY)
+        with pytest.raises(NonFiniteResult) as info:
+            check_comonotonic_additivity(agg, v, 5, 37)
+        assert info.value.operation == "multilinear family"
 
 
 class TestLinearityBound:
