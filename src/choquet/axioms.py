@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import GroundSetTooLarge, UnsupportedGroundSet
-from .integral import _chain_sums, _coerce_point, _finite, _row_dots, _row_sums
+from .integral import _chain_sums, _coerce_point, _row_dots, _row_sums
 from .integral import choquet  # noqa: F401  (unused; bench/test_bench.py traces this binding)
 from .names import (
     AXIOM_COMONOTONIC_ADDITIVITY, AXIOM_COMONOTONIC_AFFINITY, AXIOM_INTERVAL_SCALE,
@@ -48,6 +48,7 @@ from .setfunction import (
     SetFunction,
     SignedCapacity,
     SubsetLike,
+    _finite,
     _ground_set,
     _lattice_cumulation,
     _require_game_on,
@@ -211,16 +212,13 @@ def _hash_constants(constant: int, multiplier: int, steps: int) -> np.ndarray:
 
 _POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)  # 4 entropy words, then 12 mixes
 _ENTROPY_HASH = tuple(_POOL_HASH[:, :4])
-# SeedSequence mixes pool word s into the other three in ascending order,
-# with pool hash steps 4 + 3s, 4 + 3s + 1 and 4 + 3s + 2.  _seed_words
-# holds the pool rotated so that round s mixes row s into rows s+1..s+3,
-# which are the words (s+1) % 4, (s+2) % 4 and (s+3) % 4; these are their
-# hash steps.
-_CROSS_HASH = [
-    tuple(_POOL_HASH[:, [4 + 3 * s + d - (d > s) for d in ((s + j) % 4 for j in (1, 2, 3))]])
-    for s in range(4)
-]
+# SeedSequence mixes pool word s into the other three words in ascending
+# order, with pool hash steps 4 + 3s, 4 + 3s + 1 and 4 + 3s + 2: per s, the
+# rows of the other words and those hash constants.
+_MIX_ROUNDS = [(np.array([d for d in range(4) if d != s], dtype=np.intp),
+                tuple(_POOL_HASH[:, 4 + 3 * s:7 + 3 * s])) for s in range(4)]
 _STATE_HASH = tuple(_hash_constants(0x8B51F9DD, 0x58F38DED, 8))  # generate_state's 8 words
+_STATE_ROWS = np.array([0, 1, 2, 3, 0, 1, 2, 3], dtype=np.intp)  # the pool words it hashes
 
 
 def _hash(words: np.ndarray, constants: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -242,21 +240,19 @@ def _seed_words(seed: int, trials: np.ndarray) -> np.ndarray:
         return np.array([
             np.random.SeedSequence([seed, int(t)]).generate_state(4, np.uint64) for t in trials
         ]).T
-    pool = np.zeros((7, len(trials)), dtype=np.uint32)  # rows 4..6 repeat words 0..2
+    pool = np.zeros((4, len(trials)), dtype=np.uint32)
     pool[0] = seed
     pool[1] = trials
-    pool[:4] = _hash(pool[:4], _ENTROPY_HASH)
-    for s, constants in enumerate(_CROSS_HASH):
-        if s:
-            pool[s + 3] = pool[s - 1]  # word s - 1 as round s - 1 left it
+    pool = _hash(pool, _ENTROPY_HASH)
+    for s, (others, constants) in enumerate(_MIX_ROUNDS):
         mixed = _hash(pool[s], constants)
         mixed *= _MIX_RIGHT
-        targets = pool[s + 1:s + 4]
+        targets = pool.take(others, axis=0)
         targets *= _MIX_LEFT
         targets -= mixed
         targets ^= targets >> 16
-    # Rows 3..6 now hold words 3, 0, 1, 2; generate_state cycles over them.
-    words = _hash(pool[[4, 5, 6, 3, 4, 5, 6, 3]], _STATE_HASH).astype(np.uint64)
+        pool[others] = targets
+    words = _hash(pool.take(_STATE_ROWS, axis=0), _STATE_HASH).astype(np.uint64)
     return words[0::2] | words[1::2] << 32  # little-endian word pairs
 
 

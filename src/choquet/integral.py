@@ -23,9 +23,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteResult
+from .errors import DimensionMismatch
 from .setfunction import (
-    MobiusRepresentation, SetFunction, _finite_float, _require_game, _require_instance,
+    MobiusRepresentation, SetFunction, _finite, _finite_float, _require_game, _require_instance,
     _subset_statistic,
 )
 
@@ -99,12 +99,6 @@ def _permutation(indices: list[int]) -> SortPermutation:
         mask |= 1 << indices[i]
         chain[i] = mask
     return SortPermutation(tuple(i + 1 for i in indices), tuple(chain))
-
-
-def _finite(value: float, operation: str) -> float:
-    if not isfinite(value):
-        raise NonFiniteResult(operation)
-    return value
 
 
 def _chain_sum(values: np.ndarray, coords: list[float], perm: SortPermutation) -> float:

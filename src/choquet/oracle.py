@@ -5,15 +5,15 @@ of the fast code: the transform is a double loop over subset pairs, and the
 permutation sweep and the family evaluators run in exact rational arithmetic
 so that mathematically equal values compare equal regardless of summation
 order.  Ground-set sizes are capped because the point is verification, not
-performance.  Arguments are checked by the package's argument rules, which
-compute nothing.
+performance.  Arguments are checked by the package's argument rules and
+coefficients by its overflow rule, none of which computes a value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import isfinite, prod
+from math import prod
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +23,7 @@ from .errors import GroundSetTooLarge, NonFiniteResult
 from .integral import _coerce_point, lovasz_extension
 from .names import FAMILY_CHOQUET, FAMILY_MULTILINEAR, FAMILY_VSTAR_PATCH, FAMILY_WEIGHTED_MEAN
 from .setfunction import (
-    MobiusRepresentation, SetFunction, SignedCapacity, _require_count, _require_game,
+    MobiusRepresentation, SetFunction, SignedCapacity, _finite, _require_count, _require_game,
     _require_game_on, _require_instance, _require_integer, _require_seed,
 )
 
@@ -66,10 +66,8 @@ def mobius_naive(f: SetFunction) -> MobiusRepresentation:
     _require_instance(f, SetFunction)
     if f.n > MAX_N_NAIVE_MOBIUS:
         raise GroundSetTooLarge(f.n, MAX_N_NAIVE_MOBIUS)
-    coefficients = _signed_subset_sums(f.values.tolist())
-    if not all(map(isfinite, coefficients)):
-        raise NonFiniteResult("mobius_naive")
-    return MobiusRepresentation(f.n, np.array(coefficients, dtype=float))
+    coefficients = np.array(_signed_subset_sums(f.values.tolist()), dtype=float)
+    return MobiusRepresentation(f.n, _finite(coefficients, "mobius_naive"))
 
 
 def _chain_sum(values: list[Fraction], coords: list[Fraction], order: Sequence[int]) -> Fraction:

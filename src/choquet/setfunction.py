@@ -224,13 +224,9 @@ def _lattice_passes(arr: np.ndarray):
     bit for bit.
     """
     rows = arr.shape[:-1]
-    # blocks[..., 0, :] and blocks[..., 1, :] as index tuples built once:
-    # an Ellipsis index costs more on every pass.
-    lo = (slice(None),) * arr.ndim + (0,)
-    hi = lo[:-1] + (1,)
     for i in range(arr.shape[-1].bit_length() - 1):
         blocks = arr.reshape(rows + (-1, 2, 1 << i))
-        yield i, blocks[lo], blocks[hi]
+        yield i, blocks[..., 0, :], blocks[..., 1, :]
 
 
 def _subset_statistic(op, identity: float, coords) -> np.ndarray:
@@ -257,11 +253,14 @@ def _subset_statistic(op, identity: float, coords) -> np.ndarray:
     return out
 
 
-def _overflow_raises(operation: str) -> np.errstate:
-    """A context in which a float overflow raises NonFiniteResult naming the operation."""
-    def fail(kind, flag):
-        raise NonFiniteResult(operation)
-    return np.errstate(over="call", call=fail)
+def _finite(result, operation: str):
+    """result, a float or a float array, if every value in it is finite; else
+    NonFiniteResult naming the operation.  The package's one overflow rule:
+    an operation on finite values computes with over/invalid ignored and
+    passes its result here, since an overflow leaves an inf or a nan in it."""
+    if isfinite(result) if type(result) is float else np.isfinite(result).all():
+        return result
+    raise NonFiniteResult(operation)
 
 
 def _lattice_cumulation(values, op, operation: str) -> np.ndarray:
@@ -269,10 +268,10 @@ def _lattice_cumulation(values, op, operation: str) -> np.ndarray:
     in-place operator op(hi, lo) on every pass; an overflow raises
     NonFiniteResult naming the operation."""
     out = np.array(values, dtype=float)
-    with _overflow_raises(operation):
+    with np.errstate(over="ignore", invalid="ignore"):
         for _, lo, hi in _lattice_passes(out):
             op(hi, lo)
-    return out
+    return _finite(out, operation)
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,8 +308,8 @@ class SetFunction:
 
     def __mul__(self, scalar: float) -> "SetFunction":
         scalar = _finite_float("scale factor", scalar)
-        with _overflow_raises("set-function scaling"):
-            return SetFunction(self.n, _Fresh(self.values * scalar))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return SetFunction(self.n, _Fresh(_finite(self.values * scalar, "set-function scaling")))
 
     __rmul__ = __mul__
 
@@ -320,8 +319,8 @@ class SetFunction:
         _require_instance(other, SetFunction)
         if other.n != self.n:
             raise ValueError("set functions live on different ground sets")
-        with _overflow_raises(operation):
-            return SetFunction(self.n, _Fresh(op(self.values, other.values)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return SetFunction(self.n, _Fresh(_finite(op(self.values, other.values), operation)))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self.n}, values={self.values.tolist()})"

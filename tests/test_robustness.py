@@ -128,13 +128,21 @@ class TestOverflowIsAnError:
         with pytest.raises(NonFiniteResult, match="choquet_mobius"):
             choquet_mobius(MobiusRepresentation(2, coefficients), [10.0, 10.0])
 
-    def test_mobius_transform(self):
+    @pytest.mark.parametrize("values", [
+        OVERFLOW_MOBIUS,
+        [-1.7e308, 1.7e308, -1.7e308, 1.7e308],  # m(3) is inf - inf
+    ], ids=["inf", "nan"])
+    def test_mobius_transform(self, values):
         with pytest.raises(NonFiniteResult, match="mobius_transform"):
-            mobius_transform(SetFunction(2, OVERFLOW_MOBIUS))
+            mobius_transform(SetFunction(2, values))
 
-    def test_zeta_transform(self):
+    @pytest.mark.parametrize("coefficients", [
+        [0.0, 1e308, 1e308, 1e308],
+        [1.7e308, 1.7e308, -1.7e308, -1.7e308],  # v(3) is -inf + inf
+    ], ids=["inf", "nan"])
+    def test_zeta_transform(self, coefficients):
         with pytest.raises(NonFiniteResult, match="zeta_transform"):
-            zeta_transform(MobiusRepresentation(2, [0.0, 1e308, 1e308, 1e308]))
+            zeta_transform(MobiusRepresentation(2, coefficients))
 
     def test_mobius_naive(self):
         with pytest.raises(NonFiniteResult, match="mobius_naive"):
@@ -904,6 +912,27 @@ def test_each_conversion_step_lives_in_one_module():
         for step in _conversion_steps(ast.parse(path.read_text())):
             homes[step].add(path.stem)
     assert homes == {"except OverflowError": {"setfunction"}, 'split(",")': {"io"}}
+
+
+def test_every_overflow_is_found_by_checking_the_result():
+    # setfunction._finite raises NonFiniteResult for every computed result;
+    # the exact oracle sweep compares Fractions with the float range.  No
+    # numpy error callback raises it.
+    raisers, callbacks = set(), []
+    for path in Path(package.__file__).parent.glob("*.py"):
+        for function in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "NonFiniteResult":
+                    raisers.add(f"{path.stem}.{function.name}")
+                elif name == "errstate" and any(k.arg == "call" for k in node.keywords):
+                    callbacks.append(f"{path.stem}.{function.name}")
+    assert raisers == {"setfunction._finite", "oracle.choquet_all_permutations"}
+    assert callbacks == []
 
 
 TRIALS_BELOW_ONE = "error: trials must be >= 1, got "

@@ -42,6 +42,8 @@ def raw_words(seed: int, trials, width: int) -> np.ndarray:
 @pytest.mark.parametrize("seed", SEEDS)
 def test_both_producers_give_the_default_rng_words(seed):
     seed_words = axioms_module._seed_words(seed, TRIALS)
+    assert np.array_equal(seed_words, np.array(
+        [np.random.SeedSequence([seed, t]).generate_state(4, np.uint64) for t in TRIALS]).T)
     width = axioms_module._NARROW_WIDTH
     words = axioms_module._jump_words(seed_words, width)
     assert np.array_equal(words, raw_words(seed, TRIALS.tolist(), width))
