@@ -169,13 +169,16 @@ def as_mask(subset: SubsetLike, n: int) -> int:
 
 
 class _Fresh:
-    """A float array that the package has just built and holds nowhere else.
+    """A float array that the package has just built, holds nowhere else and
+    has already found finite: it passed through _finite, or its producer
+    cannot make anything else (uniform draws, sums of them, 0.0 and 1.0,
+    values read by _finite_float).
 
     Passed as the values of a set-function class, it is kept as it is (and
-    made read-only) instead of being copied.  A copy doubles the memory one
-    construction needs, and at n = 20 the freed 8 MB copies, left in the
-    heap among other objects, made the process's peak size differ from
-    run to run.
+    made read-only) instead of being copied, and not checked for finiteness
+    a second time.  A copy doubles the memory one construction needs, and
+    at n = 20 the freed 8 MB copies, left in the heap among other objects,
+    made the process's peak size differ from run to run.
     """
 
     __slots__ = ("array",)
@@ -190,9 +193,11 @@ def _validated_values(n: int, values) -> np.ndarray:
 
     Each value is a real number by the rule of _finite_float, named `value
     at mask i`.  A float or integer array is checked as a whole; anything
-    else (a list, a bool or complex array) value by value.
+    else (a list, a bool or complex array) value by value.  A _Fresh array
+    is known finite and only its shape is checked.
     """
-    if isinstance(values, _Fresh):
+    fresh = isinstance(values, _Fresh)
+    if fresh:
         arr = np.asarray(values.array, dtype=float)
     elif isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
         arr = values.astype(float)
@@ -205,28 +210,44 @@ def _validated_values(n: int, values) -> np.ndarray:
         )
     if arr.dtype == object:
         arr = np.array([_finite_float(f"value at mask {i}", e) for i, e in enumerate(arr)])
-    elif not np.isfinite(arr).all():
+    elif not fresh and not np.isfinite(arr).all():
         bad = int(np.flatnonzero(~np.isfinite(arr))[0])
         _finite_float(f"value at mask {bad}", float(arr[bad]))  # raises the rule's error
     arr.setflags(write=False)
     return arr
 
 
+# Bits below this one yield one strided view per offset instead of one
+# blocked view: a blocked view's rows of 2**i = 1..4 entries make numpy run
+# one short inner loop per row, a strided view one long loop per call.  From
+# bit 3 on, 2**i strided calls cost more than the blocked one.
+_STRIDED_BITS = 3
+
+
 def _lattice_passes(arr: np.ndarray):
     """The in-place subset-lattice recursion over a mask-indexed array.
 
     arr is one array of 2**n values or, along a leading axis, one per row.
-    For each bit i in ascending order, yields i and two views of arr: the
-    entries at masks without bit i, and the entries at the same masks with
-    bit i added, both shaped (2**n / 2**(i+1), 2**i) per row and in
-    ascending mask order.  The two views are disjoint, so updating the
-    second from the first within one pass reproduces the scalar recursion
-    bit for bit.
+    For each bit i in ascending order, yields views of arr as tuples
+    (i, o, lo, hi): lo holds entries at masks without bit i, and hi the
+    entries at the same masks with bit i added, both shaped (blocks, width)
+    per row in ascending mask order, position (b, j) holding mask
+    (b << (i + 1)) + o + j.  From bit _STRIDED_BITS on, one tuple per bit
+    covers every mask: o = 0 and width 2**i.  Below it, bit i yields one
+    tuple per offset o < 2**i, each the masks congruent to o modulo
+    2**(i + 1), with width 1.  Within a bit, the views are disjoint and no
+    lo entry is an hi entry, so updating every hi from its lo, in any
+    order of the tuples, reproduces the scalar recursion bit for bit.
     """
     rows = arr.shape[:-1]
     for i in range(arr.shape[-1].bit_length() - 1):
-        blocks = arr.reshape(rows + (-1, 2, 1 << i))
-        yield i, blocks[..., 0, :], blocks[..., 1, :]
+        step = 2 << i
+        if i < _STRIDED_BITS:
+            for o in range(1 << i):
+                yield i, o, arr[..., o::step, None], arr[..., o + (1 << i)::step, None]
+        else:
+            blocks = arr.reshape(rows + (-1, 2, 1 << i))
+            yield i, 0, blocks[..., 0, :], blocks[..., 1, :]
 
 
 def _subset_statistic(op, identity: float, coords) -> np.ndarray:
@@ -269,7 +290,7 @@ def _lattice_cumulation(values, op, operation: str) -> np.ndarray:
     NonFiniteResult naming the operation."""
     out = np.array(values, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _, lo, hi in _lattice_passes(out):
+        for _, _, lo, hi in _lattice_passes(out):
             op(hi, lo)
     return _finite(out, operation)
 
@@ -346,14 +367,21 @@ class Capacity(SignedCapacity):
 
 def _first_covering_violation(values):
     """First covering pair with v(S) > v(S + {i}), scanning bits then masks."""
-    for i, lo, hi in _lattice_passes(values):
+    witness = None  # (bit, least violating mask S in that bit's views so far)
+    for i, o, lo, hi in _lattice_passes(values):
+        if witness is not None and witness[0] < i:
+            break
         bad = lo > hi
         if bad.any():
-            block, offset = np.argwhere(bad)[0]
-            s_mask = (int(block) << (i + 1)) + int(offset)
-            t_mask = s_mask | (1 << i)
-            return s_mask, t_mask, float(values[s_mask]), float(values[t_mask])
-    return None
+            block, j = np.argwhere(bad)[0]
+            s_mask = (int(block) << (i + 1)) + o + int(j)
+            if witness is None or s_mask < witness[1]:
+                witness = i, s_mask
+    if witness is None:
+        return None
+    i, s_mask = witness
+    t_mask = s_mask | (1 << i)
+    return s_mask, t_mask, float(values[s_mask]), float(values[t_mask])
 
 
 def validate_signed_capacity(f: SetFunction) -> SignedCapacity:

@@ -1,6 +1,7 @@
 """Random generators: bit-exact lock on the monotone generator, storage bound."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,15 +39,17 @@ def reference_normalized(n, seed):
             return values / values[-1]
 
 
-@pytest.mark.parametrize("n", range(1, 13))
-@pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+@pytest.mark.parametrize(
+    "seed, n", [(seed, n) for seed in (0, 1, 7, 12345) for n in range(1, 13)] + [(0, 13), (1, 14)]
+)
 def test_monotone_generator_matches_per_mask_reference(n, seed):
     expected = reference_random_capacity(n, np.random.default_rng(seed))
     assert random_capacity(n, seed).values.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("n", range(1, 13))
-@pytest.mark.parametrize("seed", [0, 3, 99])
+@pytest.mark.parametrize(
+    "seed, n", [(seed, n) for seed in (0, 3, 99) for n in range(1, 13)] + [(3, 13)]
+)
 def test_normalized_generator_matches_per_mask_reference(n, seed):
     expected = reference_normalized(n, seed)
     assert random_normalized_capacity(n, seed).values.tobytes() == expected.tobytes()
@@ -72,6 +75,23 @@ DIGESTS = {
 def test_monotone_generator_recorded_digests(n, seed):
     values = random_capacity(n, seed).values
     assert hashlib.sha256(values.tobytes()).hexdigest() == DIGESTS[(n, seed)]
+
+
+def test_monotone_generator_peak_memory():
+    # numpy reports its array memory to tracemalloc.  The layer-by-layer
+    # construction holds the values, the increments, the int8 table of
+    # subset sizes and one size layer's index and value arrays (at most
+    # C(16, 8) / 2**16 = 20 % of the masks each) at once.
+    array_bytes = 8 << 16
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        capacity = random_capacity(16, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capacity.n == 16
+    assert peak - before <= 3.4 * array_bytes
 
 
 GENERATORS = [random_set_function, random_signed_capacity, random_capacity,

@@ -935,6 +935,65 @@ def test_every_overflow_is_found_by_checking_the_result():
     assert callbacks == []
 
 
+# The functions whose _Fresh arrays are finite by construction: uniform draws
+# on bounded intervals, maxima and sums of at most n + 1 of them, the same
+# divided by their largest positive value, 0.0 and 1.0, and values that
+# _finite_float has read.
+FINITE_BY_CONSTRUCTION = {
+    "generate.random_set_function",
+    "generate.random_signed_capacity",
+    "generate.random_capacity",
+    "generate.random_normalized_capacity",
+    "setfunction.unanimity_game",
+    "io.set_function_from_document",
+    "io.mobius_from_document",
+}
+
+
+def test_every_fresh_array_is_known_finite():
+    # _validated_values does not check a _Fresh array for finiteness, so
+    # each one is a _finite(...) result, a local name bound only to calls of
+    # a function that returns one, or built by a function listed above.
+    def is_finite_call(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_finite"
+
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in Path(package.__file__).parent.glob("*.py")}
+    returns_finite = {
+        node.name for tree in trees.values() for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and all(is_finite_call(r.value) for r in ast.walk(node) if isinstance(r, ast.Return))
+    }
+    by_construction, unchecked = set(), []
+    for module, tree in trees.items():
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            name = f"{module}.{function.name}"
+            for call in ast.walk(function):
+                if not (isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_Fresh"):
+                    continue
+                (argument,) = call.args
+                sources = [argument]
+                if isinstance(argument, ast.Name):  # every binding a plain assignment
+                    stores = [node for node in ast.walk(function) if isinstance(node, ast.Name)
+                              and node.id == argument.id and isinstance(node.ctx, ast.Store)]
+                    sources = [node.value for node in ast.walk(function) if isinstance(node, ast.Assign)
+                               and [ast.unparse(t) for t in node.targets] == [argument.id]]
+                    if len(sources) != len(stores):
+                        sources = []
+                if sources and all(is_finite_call(s) or (isinstance(s, ast.Call)
+                                                         and getattr(s.func, "id", None) in returns_finite)
+                                   for s in sources):
+                    continue
+                if name in FINITE_BY_CONSTRUCTION:
+                    by_construction.add(name)
+                else:
+                    unchecked.append(f"{name}: _Fresh({ast.unparse(argument)})")
+    assert unchecked == []
+    assert by_construction == FINITE_BY_CONSTRUCTION  # each entry still builds a _Fresh array
+
+
 TRIALS_BELOW_ONE = "error: trials must be >= 1, got "
 N_BELOW_ONE = "error: ground-set size must be >= 1, got "
 

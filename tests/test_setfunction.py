@@ -28,6 +28,7 @@ from choquet.setfunction import (
     zeta_transform,
     _Fresh,
     _lattice_cumulation,
+    _lattice_passes,
     _subset_statistic,
 )
 
@@ -491,3 +492,69 @@ def test_a_set_function_built_by_the_package_is_not_copied_again(build):
         tracemalloc.stop()
     assert built.n == 16
     assert peak - before < 1.5 * array_bytes
+
+
+def _first_violation_by_scan(values):
+    """Brute force: the first covering pair with v(S) > v(S + {i}), bits
+    ascending, then masks ascending."""
+    n = len(values).bit_length() - 1
+    for i in range(n):
+        for s in range(1 << n):
+            t = s | (1 << i)
+            if s != t and values[s] > values[t]:
+                return s, t, float(values[s]), float(values[t])
+    return None
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_not_monotone_names_the_first_covering_violation_in_scan_order(n):
+    # Values drawn from a few levels, so ties are common, with both signed
+    # zeros (equal, so never a violation).  Half the cases are first made
+    # monotone along the bits below a random bit b (a running maximum over
+    # those bits), so their first violation is at bit b or above, at masks
+    # whose bits below b vary: the views of one bit each hold some of them.
+    rng = np.random.default_rng([n, 29])
+    levels = np.array([-0.5, -0.0, 0.0, 0.5, 1.0])
+    bits = set()
+    for case in range(40):
+        values = rng.choice(levels, 1 << n)
+        values[0] = rng.choice(levels[1:3])
+        if case % 2:
+            for j in range(rng.integers(0, n)):
+                for mask in range(1 << n):
+                    if mask >> j & 1:
+                        values[mask] = max(values[mask], values[mask ^ (1 << j)])
+        expected = _first_violation_by_scan(values)
+        if expected is None:
+            assert Capacity(n, values).values.tobytes() == values.tobytes()
+            continue
+        with pytest.raises(NotMonotone) as info:
+            Capacity(n, values)
+        assert info.value.witness == expected
+        assert np.signbit(info.value.witness[2:]).tolist() == np.signbit(expected[2:]).tolist()
+        bits.add((expected[0] ^ expected[1]).bit_length() - 1)
+    assert len(bits) >= min(n, 3)
+
+
+@pytest.mark.parametrize("rows", [(), (3,)], ids=["one", "rows"])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_lattice_passes_cover_each_covering_pair_once(n, rows):
+    # Each entry holds its own flat index, so a view's entries name the
+    # (row, mask) they sit at.
+    size = 1 << n
+    arr = np.arange(np.prod(rows, dtype=int) * size, dtype=float).reshape(rows + (size,))
+    bits = []
+    for i, o, lo, hi in _lattice_passes(arr):
+        assert np.shares_memory(lo, arr) and np.shares_memory(hi, arr)
+        assert lo.shape == hi.shape and lo.shape[:-2] == rows
+        block, j = np.indices(lo.shape[-2:])
+        assert np.array_equal(lo % size, np.broadcast_to((block << (i + 1)) + o + j, lo.shape))
+        assert np.array_equal(hi, lo + (1 << i))
+        if not bits or bits[-1][0] != i:
+            bits.append((i, []))
+        bits[-1][1].extend(lo.ravel().tolist())
+    assert [i for i, _ in bits] == list(range(n))
+    everything = np.arange(arr.size)
+    for i, lows in bits:
+        expected = everything[(everything & (1 << i)) == 0]  # flat index keeps the mask's low bits
+        assert sorted(lows) == expected.tolist()
