@@ -68,9 +68,9 @@ VERDICT_FALSIFIED = "falsified"
 # Largest ground set of the linearity checker.
 _MAX_N_LINEARITY = 10
 
-# Most values a chunk of trial words holds while it is made, and a block of
-# trials in its (rows, 2**n) arrays (512 KiB of doubles), unless it is one
-# row: blocks hold at most 4096 rows at n = 4, 256 at n = 8, one from n = 16.
+# Most values a chunk of trial words holds while it is made, and a block in
+# its (rows, 2**n) arrays (512 KiB of doubles), unless it is one row: such
+# blocks hold at most 4096 rows at n = 4, 256 at n = 8, one from n = 16.
 _BLOCK_VALUES = 1 << 16
 
 # Widest rows whose raw words are computed as jump-ahead array arithmetic
@@ -120,10 +120,10 @@ class Aggregator:
         with the work that depends on v alone (type and ground-set checks,
         Mobius transform) done once.  Rows that overflow come out non-finite."""
         _require_game_on(v, self.n)
-        m = None
+        game = v.values
         if self._parts.mobius:
-            m = _lattice_cumulation(v.values, operator.isub, "mobius_transform")
-        return partial(self._parts.evaluate, v.values, m)
+            game = _lattice_cumulation(game, operator.isub, "mobius_transform")
+        return partial(self._parts.evaluate, game)
 
 
 def evaluate_family(agg: Aggregator, v: SignedCapacity, x: Sequence[float]) -> float:
@@ -372,8 +372,9 @@ def _trial_words(seed: int, trials: int, width: int):
     (_CHUNK_GROWTH).  A chunk pays a fixed cost of numpy calls for its seed
     hash and its words (about 40-80 us each on a 2-vCPU Xeon), so a
     satisfied run of 1000 trials takes two chunks, the one-trial blocks of
-    large ground sets share chunks, and the checker calls of one
-    independence suite share the chunks themselves (_suite_shared).
+    a Mobius family on a large ground set share chunks, and the checker
+    calls of one independence suite share the chunks themselves
+    (_suite_shared).
 
     Every chunk's streams are seeded by _seed_words.  Rows of up to
     _NARROW_WIDTH words are computed by _jump_words, whose largest temporary
@@ -434,7 +435,13 @@ def _run_checker(
 ) -> AxiomReport:
     """Draw the trials in blocks with draw(numbers, words) -> inputs and
     evaluate them with sides(f, inputs) -> (lhs, rhs), until the sides differ.
-    The blocks are the chunks of _trial_words, split at the _BLOCK_VALUES cap.
+    The blocks are the chunks of _trial_words, split at _BLOCK_VALUES values
+    a block where a row holds 2**n of them (the games linearity draws
+    without a fixed game, or a Mobius family's statistic).  Other rows hold
+    O(n) values, no more than their words (at least n + 1), so their cap of
+    _BLOCK_VALUES rows, which no chunk exceeds, leaves each chunk one block.
+    Each row's sides depend on that row alone, so the blocks never change a
+    report.
 
     agg is checked first, then trials and tolerance.  f = agg._bind(game)
     (None without a game), which checks that game is a SignedCapacity, is
@@ -455,7 +462,7 @@ def _run_checker(
     trials, tolerance = _require_count("trials", trials), _require_tolerance(tolerance)
     f = None if game is None else agg._bind(game)
     seed = _require_seed(seed)
-    cap = max(1, _BLOCK_VALUES >> agg.n)
+    cap = max(1, _BLOCK_VALUES >> agg.n) if game is None or agg._parts.mobius else _BLOCK_VALUES
     blocks = (chunk[i:i + cap] for chunk in _trial_words(seed, trials, width(agg.n))
               for i in range(0, len(chunk), cap))
     start = 0
@@ -713,9 +720,9 @@ def check_linearity_in_capacity(
         return {"capacity": V, "x": X}
 
     def sides(_, inputs):
-        V, X = inputs["capacity"], inputs["x"]
+        V, X, parts = inputs["capacity"], inputs["x"], agg._parts
         m = _lattice_cumulation(V, operator.isub, "mobius_transform")
-        return agg._parts.evaluate(V, m, X), _row_sums(m[:, 1:] * agg._parts.basis(X))
+        return parts.evaluate(m if parts.mobius else V, X), _row_sums(m[:, 1:] * parts.basis(X))
 
     return _run_checker(AXIOM_LINEARITY_IN_CAPACITY, agg, None, trials, seed, tolerance,
                         {}, lambda n: size + n, draw, sides)
@@ -744,11 +751,11 @@ def _minima(X: np.ndarray) -> np.ndarray:
 
 def _means(X: np.ndarray) -> np.ndarray:
     """The mean of each row of X over every nonempty mask (column mask - 1)."""
-    sizes = _subset_statistic(np.add, 0.0, np.ones(X.shape[1]))[1:]  # |S| per mask
+    sizes = np.bitwise_count(np.arange(1, 1 << X.shape[1], dtype=np.uint32))  # |S| per mask
     return _subset_statistic(np.add, 0.0, X)[:, 1:] / sizes
 
 
-def _vstar_patch(values: np.ndarray, m: Optional[np.ndarray], X: np.ndarray) -> np.ndarray:
+def _vstar_patch(values: np.ndarray, X: np.ndarray) -> np.ndarray:
     """The integral, except at vstar: there the mean of the first two
     coordinates (halved first, so it cannot overflow), capped at the third."""
     mean = X[:, 0] / 2.0 + X[:, 1] / 2.0
@@ -766,10 +773,12 @@ def _zero_witness(agg: Aggregator, seed: int) -> AxiomReport:
 
 @dataclass(frozen=True)
 class _Family:
-    """The parts of one family.  evaluate(values, m, X) is the family on the
-    rows of X at one game (values and Mobius coefficients m of shape
-    (2**n,), m None unless mobius) or at one game per row ((k, 2**n) each);
-    with over/invalid ignored, rows that overflow come out non-finite.
+    """The parts of one family.  evaluate(game, X) is the family on the rows
+    of X at one game (shape (2**n,)) or at one game per row ((k, 2**n)),
+    given as its Mobius coefficients if mobius, else as its values; with
+    over/invalid ignored, rows that overflow come out non-finite.  A mobius
+    family evaluates a subset statistic of 2**n values per row, so its
+    checker blocks are split at the _BLOCK_VALUES cap (_run_checker).
     basis(X) is the family at the unanimity game of every nonempty mask
     (column mask - 1), as one subset statistic: evaluating those games gives
     it up to the sign of a zero, as their Mobius coefficients are 0 or 1 and
@@ -780,7 +789,7 @@ class _Family:
 
     operation: str  # what a NonFiniteResult of the family names
     mobius: bool
-    evaluate: Callable[[np.ndarray, Optional[np.ndarray], np.ndarray], np.ndarray]
+    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     basis: Callable[[np.ndarray], np.ndarray]
     ground_set: Optional[int] = None  # the one size the family is defined on
     suite_n: Optional[int] = None
@@ -794,14 +803,14 @@ class _Family:
 # are their checkers' trial 0.  No unanimity game is vstar, so vstar-patch
 # has the integral's basis.
 _FAMILY_PARTS = {
-    FAMILY_CHOQUET: _Family("choquet", False, lambda values, m, X: _chain_sums(values, X), _minima),
+    FAMILY_CHOQUET: _Family("choquet", False, _chain_sums, _minima),
     FAMILY_WEIGHTED_MEAN: _Family(
         f"{FAMILY_WEIGHTED_MEAN} family", True,
-        lambda values, m, X: _row_dots(m[..., 1:], _means(X)), _means,
+        lambda m, X: _row_dots(m[..., 1:], _means(X)), _means,
         suite_n=2, falsifies=AXIOM_ZERO_ON_BASIS, replay=_zero_witness),
     FAMILY_MULTILINEAR: _Family(
         f"{FAMILY_MULTILINEAR} family", True,
-        lambda values, m, X: _row_dots(m, _subset_statistic(np.multiply, 1.0, X)),
+        lambda m, X: _row_dots(m, _subset_statistic(np.multiply, 1.0, X)),
         lambda X: _subset_statistic(np.multiply, 1.0, X)[:, 1:],
         suite_n=2, falsifies=AXIOM_INTERVAL_SCALE,
         replay=lambda agg, seed: check_interval_scale_covariance(agg, [1, 2], 1, seed)),

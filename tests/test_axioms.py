@@ -2,6 +2,7 @@
 
 import ast
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -527,6 +528,61 @@ class TestBlockRunner:
     def test_rows_within_tolerance_satisfy(self):
         report = self.run({4: (1.0, 1.0 + 1e-7)})
         assert not report.falsified and report.samples_run == 7
+
+    @pytest.mark.parametrize("family, blocks", [(FAMILY_CHOQUET, [16, 24]),
+                                                (FAMILY_WEIGHTED_MEAN, [8] * 5)])
+    def test_only_rows_of_2_to_the_n_values_split_a_chunk(self, monkeypatch, family, blocks):
+        # At n = 13 a Mobius family's row holds 2**13 values, so 8 rows fill
+        # a block; a chain sum's row holds O(n) values, so a block is a chunk.
+        drawn = []
+        doubles = axioms_module._doubles
+        monkeypatch.setattr(axioms_module, "_doubles", lambda words: drawn.append(len(words)) or doubles(words))
+        report = check_positive_homogeneity(Aggregator(family, 13), random_signed_capacity(13, 0), 40, 0)
+        assert not report.falsified and report.samples_run == 40
+        assert drawn == blocks
+
+
+def _every_report(family, n, tolerance):
+    """The to_dict of every checker on one game and one subset, each as JSON."""
+    agg, v, subset = Aggregator(family, n), random_signed_capacity(n, n), [1, n]
+    reports = [check(agg, v, 300, 7, tolerance) for check in (
+        check_comonotonic_additivity, check_positive_homogeneity, check_comonotonic_affinity)]
+    reports += [check(agg, subset, 300, 7, tolerance) for check in (
+        check_interval_scale_covariance, check_zero_on_basis)]
+    if n <= axioms_module._MAX_N_LINEARITY:
+        reports.append(check_linearity_in_capacity(agg, 300, 7, tolerance))
+    return [json.dumps(report.to_dict()) for report in reports]
+
+
+@pytest.mark.parametrize("tolerance", [0.0, FALSIFY_TOLERANCE])
+@pytest.mark.parametrize("family, n", family_sizes((4, 13)))
+def test_block_size_never_changes_a_report(monkeypatch, family, n, tolerance):
+    # Rows are evaluated independently, so smaller blocks (one row each for
+    # a Mobius family at n = 13) give the same verdicts, witnesses and counts.
+    expected = _every_report(family, n, tolerance)
+    monkeypatch.setattr(axioms_module, "_BLOCK_VALUES", 1 << 9)
+    reports = _every_report(family, n, tolerance)
+    assert [i for i, report in enumerate(reports) if report != expected[i]] == []
+
+
+@pytest.mark.parametrize("family, n, check, bound", [
+    *((FAMILY_CHOQUET, n, check, 3.0) for n in (13, 16, 20) for check in (
+        check_positive_homogeneity, check_comonotonic_additivity, check_comonotonic_affinity)),
+    (FAMILY_MULTILINEAR, 16, check_comonotonic_additivity, 5.02),
+])
+def test_checker_peak_memory_per_block(family, n, check, bound):
+    # numpy reports its array memory to tracemalloc.  A chain-sum block is a
+    # whole chunk of trial words, whose rows hold O(n) values each; a Mobius
+    # family also holds the game's coefficients and 2**n values per row.
+    v = random_signed_capacity(n, 0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        check(Aggregator(family, n), v, 3000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= bound * 8 * axioms_module._BLOCK_VALUES
 
 
 def test_family_names_appear_only_in_the_family_table():

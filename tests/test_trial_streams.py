@@ -102,18 +102,20 @@ def test_negative_seed_is_rejected_as_by_default_rng():
 
 
 def test_one_row_blocks_share_their_state_computations(monkeypatch):
-    # From n = 16 every block is one trial; the words still come in chunks
-    # of 16, 1024, 65536, ... trials.
-    calls = []
-    jump_words = axioms_module._jump_words
+    # From n = 16 every block of a Mobius family is one trial; the words
+    # still come in chunks of 16, 1024, 65536, ... trials.
+    calls, blocks = [], []
+    jump_words, doubles = axioms_module._jump_words, axioms_module._doubles
 
     def counted(seed_words, width):
         calls.append(seed_words.shape[1])
         return jump_words(seed_words, width)
 
     monkeypatch.setattr(axioms_module, "_jump_words", counted)
-    report = check_positive_homogeneity(Aggregator("choquet", 16), random_signed_capacity(16, 0), 100, 0)
-    assert report.samples_run == 100
+    monkeypatch.setattr(axioms_module, "_doubles", lambda words: blocks.append(len(words)) or doubles(words))
+    report = check_zero_on_basis(Aggregator("multilinear", 16), [1, 2], 100, 0)
+    assert not report.falsified and report.samples_run == 100
+    assert blocks == [1] * 100
     assert calls == [16, 84]
     calls.clear()
     assert sum(len(words) for words in axioms_module._trial_words(0, 5000, 4)) == 5000
