@@ -68,16 +68,20 @@ VERDICT_FALSIFIED = "falsified"
 # Largest ground set of the linearity checker.
 _MAX_N_LINEARITY = 10
 
-# Most values a chunk of trial words holds while it is made, and a block in
-# its (rows, 2**n) arrays (512 KiB of doubles), unless it is one row: such
-# blocks hold at most 4096 rows at n = 4, 256 at n = 8, one from n = 16.
+# The budget a chunk of trial words is made in (_trial_words), and the most
+# values a block holds in its (rows, 2**n) arrays (512 KiB of doubles),
+# unless it is one row: such blocks hold at most 4096 rows at n = 4, 256 at
+# n = 8, one from n = 16.
 _BLOCK_VALUES = 1 << 16
 
 # Widest rows whose raw words are computed as jump-ahead array arithmetic
-# (_jump_words, about 50 ns a word); wider rows set one PCG64 to each
-# trial's state (about 3 us a trial, then 3 ns a word).  Timed over 100 to
-# 1000 trials, the arithmetic took 1.4-3.5 times less at width 6, the same
-# at widths 43-64 and 2.7-3.8 times more at 264.
+# (_jump_words, about 30 ns a word); wider rows set one PCG64 to each
+# trial's state (about 3.5 us a trial, then 5 ns a word).  Timed over 100
+# to 1000 trials of _trial_words on a 2-vCPU Xeon in four runs, the
+# arithmetic took 2.2-12 times less at width 6, 1.1-1.6 times less at 96,
+# 0.9-1.3 times less at 128 and 1.3-2.4 times more at 264.  The bound
+# could move to 96; only the linearity checker at n = 6 (70 words) draws
+# rows between.
 _NARROW_WIDTH = 48
 
 # Each chunk of trial words is this many times the one before (16, 1024,
@@ -262,67 +266,88 @@ def _seed_words(seed: int, trials: np.ndarray) -> np.ndarray:
 # inc = 2 initseq + 1 and C_k = 1 + M + ... + M**(k - 1) that state is
 #     M**(j + 2) initstate + C_(j + 3) inc  (mod 2**128),
 # a jump of arbitrary stride (Brown, "Random number generation with
-# arbitrary strides", 1994).  _JUMP_HALVES holds the 32-bit halves of the
-# low words of both multipliers for each j, shape (2, 1, 2, width, 1), and
-# _JUMP_CROSS their (high, low, low) words, shape (2, 3, width, 1).  Words
-# run along the second-to-last axis, so that numpy's inner loops run along
-# the trials.
-def _jump_multipliers(width: int) -> tuple[np.ndarray, np.ndarray]:
+# arbitrary strides", 1994).  _JUMP_COLUMNS holds the high and low words of
+# both multipliers for each j, and the low words' low and high 32 bits,
+# each shape (2, width, 1): words run along the middle axis, so that numpy's
+# inner loops run along the trials.
+def _jump_columns(width: int) -> tuple[np.ndarray, ...]:
     power, total = _PCG64_MULTIPLIER ** 2 & _MASK128, 1 + _PCG64_MULTIPLIER  # M**2, C_2
-    columns = []
+    pairs = []
     for _ in range(width):
         total = (total + power) & _MASK128
-        columns.append((power, total))
+        pairs.append((power, total))
         power = power * _PCG64_MULTIPLIER & _MASK128
-    multipliers = np.array(columns, dtype=object).T
+    multipliers = np.array(pairs, dtype=object).T[:, :, None]
     high, low = (multipliers >> 64).astype(np.uint64), (multipliers & _MASK64).astype(np.uint64)
-    halves = np.stack((low & _MASK32, low >> 32), axis=1)[:, None, :, :, None]
-    cross = np.stack((high, low, low), axis=1)[..., None]
-    for constants in (halves, cross):
-        constants.setflags(write=False)
-    return halves, cross
+    columns = high, low, low & _MASK32, low >> 32
+    for column in columns:
+        column.setflags(write=False)
+    return columns
 
 
-_JUMP_HALVES, _JUMP_CROSS = _jump_multipliers(_NARROW_WIDTH)
-_HALF_SHIFTS = np.array([[0], [32]], dtype=np.uint64)  # to a word's low and high 32 bits
+_JUMP_COLUMNS = _jump_columns(_NARROW_WIDTH)
+_INC_SHIFTS = np.array([0, 1], dtype=np.uint64).reshape(2, 1, 1)  # initstate as is, initseq doubled
+_HALF_SHIFTS = np.array([32, 0], dtype=np.uint64).reshape(2, 1, 1, 1)  # to a word's high and low 32 bits
+_INC_SHIFTS.setflags(write=False)
 _HALF_SHIFTS.setflags(write=False)
 
 
 def _jump_words(seed_words: np.ndarray, width: int) -> np.ndarray:
     """The first `width` raw 64-bit words of each stream from its column of
     _seed_words, one row each, as 128-bit arithmetic on (high, low) uint64
-    words (width <= _NARROW_WIDTH)."""
-    x = seed_words.reshape(2, 2, -1).copy()  # initstate and initseq, (high, low) each
-    x[1, 0] <<= 1  # inc = 2 initseq + 1
-    x[1, 0] |= x[1, 1] >> 63
-    x[1, 1] <<= 1
-    x[1, 1] |= 1
-    # Both products at once: the 32-bit halves of the low words multiplied
-    # pairwise, shape (2, 2, 2, width, rows), and the cross terms (x_low
-    # times K_high, x_high times K_low) with the low products.
-    halves = (x[:, 1, None] >> _HALF_SHIFTS) & _MASK32
-    p = halves[:, :, None, None, :] * _JUMP_HALVES[..., :width, :]
-    c = x[:, [1, 0, 1], None, :] * _JUMP_CROSS[..., :width, :]
-    # High words of the low products from their halves; no sum overflows.
-    t = p[:, 1, 0]
-    t += p[:, 0, 0] >> 32
-    w = p[:, 0, 1]
-    w += t & _MASK32
-    high = p[:, 1, 1]
-    high += t >> 32
-    high += w >> 32
-    high += c[:, 0]
-    high += c[:, 1]
-    low = c[0, 2] + c[1, 2]
-    high = high[0] + high[1]
-    high += low < c[0, 2]  # the carry of the low words
+    words (width <= _NARROW_WIDTH).  Besides the seed words and its result
+    it holds one (2, 2, width, rows) array, 8 values per row and numpy's
+    ufunc buffers (at most 2 * 8192 values in all)."""
+    # initstate and inc = 2 initseq + 1, shape (2, 1, rows) for each half.
+    high, low = seed_words[0::2, None] << _INC_SHIFTS, seed_words[1::2, None]
+    high |= (low >> 63) & _INC_SHIFTS
+    low = low << _INC_SHIFTS
+    low |= _INC_SHIFTS
+    k_high, k_low, k_low0, k_low1 = (column[:, :width] for column in _JUMP_COLUMNS)
+    # The high words of the low products from the 32-bit halves a1, a0 and
+    # k1, k0 of the low words: with t = a1 k0 + (a0 k0 >> 32), that is
+    # a1 k1 + (t >> 32) + ((a0 k1 + (t & _MASK32)) >> 32).  The last sum
+    # fits in 64 bits; u takes it as a0 k1 + t modulo 2**64, whose top 32
+    # bits exceed its own by those of t, modulo 2**32.  t and u are the two
+    # halves of one C-ordered array, so that every step runs over whole
+    # contiguous arrays.
+    halves = low >> _HALF_SHIFTS  # a1, a0, shape (2, 2, 1, rows)
+    halves &= _MASK32
+    a1, a0 = halves
+    products = np.empty((2, 2, width, low.shape[-1]), dtype=np.uint64)
+    t, u = np.multiply(halves, k_low0, out=products)  # a1 k0, a0 k0
+    u >>= 32
+    t += u
+    np.multiply(a0, k_low1, out=u)
+    u += t
+    t >>= 32
+    u >>= 32
+    u -= t
+    u &= _MASK32
+    t += u
+    np.multiply(a1, k_low1, out=u)
+    t += u
+    # The cross terms (x_low times K_high, x_high times K_low), then the low
+    # products themselves.
+    np.multiply(low, k_high, out=u)
+    t += u
+    np.multiply(high, k_low, out=u)
+    t += u
+    np.multiply(low, k_low, out=u)
+    # Both products summed, in the first row of each.
+    low, high = u[0], t[0]
+    low += u[1]
+    high += t[1]
+    high += low < u[1]  # the carry of the low words
     # The XSL-RR output: the halves xored, rotated right by the top 6 bits.
     # A shift by 64 (rot = 0) gives 0 or the word itself; either way the
     # rotation is the word.
     low ^= high
-    rot = high >> 58
-    out = low >> rot
-    low <<= 64 - rot
+    rot = high
+    rot >>= 58
+    out = np.right_shift(low, rot, out=u[1])
+    np.subtract(64, rot, out=rot)
+    low <<= rot
     out |= low
     return out.T.copy()
 
@@ -369,24 +394,42 @@ def _suite_shared(key: tuple, make: Callable[[], np.ndarray]) -> np.ndarray:
 def _trial_words(seed: int, trials: int, width: int):
     """The first `width` raw 64-bit words of every trial's stream in trial
     order, one row each, lazily in chunks of 16, 1024, 65536, ... trials
-    (_CHUNK_GROWTH).  A chunk pays a fixed cost of numpy calls for its seed
-    hash and its words (about 40-80 us each on a 2-vCPU Xeon), so a
-    satisfied run of 1000 trials takes two chunks, the one-trial blocks of
-    a Mobius family on a large ground set share chunks, and the checker
-    calls of one independence suite share the chunks themselves
-    (_suite_shared).
+    (_CHUNK_GROWTH).  A chunk pays a fixed cost of numpy calls for its
+    words (about 35-60 us at 16 rows of 5 to 48 words on a 2-vCPU Xeon) and
+    for its seed hash (about 50 us at 16 trials, 95 us at 1040), so a
+    satisfied run of 1000 trials takes two chunks and one seed hash,
+    the one-trial blocks of a Mobius family on a large ground set share
+    chunks, and the checker calls of one independence suite share the
+    chunks and seed words themselves (_suite_shared).
 
-    Every chunk's streams are seeded by _seed_words.  Rows of up to
-    _NARROW_WIDTH words are computed by _jump_words, whose largest temporary
-    holds 8 values per word, wider ones by _setter_words; either way a chunk
-    holds at most _BLOCK_VALUES values while it is made, unless it is one
-    row."""
+    The first chunk hashes the seed words of the first two chunks' trials,
+    [0, min(trials, 1040)), in one _seed_words call; a chunk that ends
+    inside them takes its rows from them, and every later chunk hashes its
+    own.  A seed outside [0, 2**32), which SeedSequence hashes one trial at
+    a time, hashes the first chunk alone, so that a run falsified there
+    pays for 16 seeds, not 1040.  Rows of up to _NARROW_WIDTH words are
+    computed by _jump_words and wider ones by _setter_words, in chunks
+    capped at _BLOCK_VALUES values for 8 values per narrow word or 1 per
+    wide one.  While a chunk is made, besides the chunk and its seed words,
+    _jump_words holds 4 values per word, 8 per row and numpy's ufunc
+    buffers (2 * 8192 values), and _setter_words each row's seed words as
+    Python ints; a later chunk's seed hash holds up to 26 values per row
+    while it runs.  So a capped chunk of 9 to 48 words a row is made within
+    _BLOCK_VALUES values, one of 2 to 8 words or of more than 48 within 1.6
+    times that, and one of 1 word within 2.3 times."""
     narrow = width <= _NARROW_WIDTH
     rows = max(1, _BLOCK_VALUES // max(1, width * (8 if narrow else 1)))
     bits = None if narrow else np.random.PCG64(0)  # this call's alone
 
+    def seeded(start, stop):
+        return _suite_shared((seed, start, stop), lambda: _seed_words(seed, np.arange(start, stop)))
+
+    # The trials of the first two chunks, or of the first where SeedSequence hashes the seed.
+    head = min(trials, 16 * (1 + _CHUNK_GROWTH) if 0 <= seed <= _MASK32 else 16)
+    span = seeded(0, head)
+
     def words(start, stop):
-        seed_words = _suite_shared((seed, start, stop), lambda: _seed_words(seed, np.arange(start, stop)))
+        seed_words = span[:, start:stop] if stop <= head else seeded(start, stop)
         return _jump_words(seed_words, width) if narrow else _setter_words(bits, seed_words, width)
 
     start, size = 0, 16
@@ -472,16 +515,19 @@ def _run_checker(
             lhs, rhs = sides(f, inputs)
             within = np.abs(lhs - rhs) <= tolerance  # False where a side is non-finite
         if not within.all():
-            row = int(np.argmin(within))
-            plain = {"family": agg.family}
-            plain.update((k, v.values.tolist() if isinstance(v, SetFunction) else v)
-                         for k, v in fixed.items())
-            plain.update((k, v[row].tolist()) for k, v in inputs.items())
-            witness = Witness(plain, float(lhs[row]), float(rhs[row]))
-            _finite(witness.discrepancy, agg._parts.operation)
-            return AxiomReport(axiom, VERDICT_FALSIFIED, witness, start + row + 1, seed, tolerance)
+            break
         start += len(words)
-    return AxiomReport(axiom, VERDICT_SATISFIED, None, trials, seed, tolerance)
+    else:
+        return AxiomReport(axiom, VERDICT_SATISFIED, None, trials, seed, tolerance)
+    del words  # the chunk's words and seed span go before the witness lists its inputs
+    blocks.close()
+    row = int(np.argmin(within))
+    plain = {"family": agg.family}
+    plain.update((k, v.values.tolist() if isinstance(v, SetFunction) else v) for k, v in fixed.items())
+    plain.update((k, v[row].tolist()) for k, v in inputs.items())
+    witness = Witness(plain, float(lhs[row]), float(rhs[row]))
+    _finite(witness.discrepancy, agg._parts.operation)
+    return AxiomReport(axiom, VERDICT_FALSIFIED, witness, start + row + 1, seed, tolerance)
 
 
 # Raw words a comonotonic pair takes after its n base coordinates: two

@@ -2,17 +2,19 @@
 
 Trial t of a checker called with seed s draws from the stream of
 `np.random.default_rng([s, t])`.  The runner hashes the SeedSequence words
-of a whole chunk of trials at once (seeds and trials from 2**32 through
-SeedSequence itself), computes the raw 64-bit words of narrow rows by
-jumping ahead from those words and of wide rows by setting a PCG64 to each
-seeded state, and maps the words to `random`, `uniform` and `integers`
-draws itself.  numpy keeps these streams fixed across releases (NEP 19); if
-a numpy upgrade changed them, these tests fail instead of the reports
+of a whole chunk of trials at once, of the first two chunks together for
+seeds below 2**32 (seeds and trials from 2**32 through SeedSequence
+itself), computes the raw 64-bit words of narrow rows by jumping ahead
+from those words and of wide rows by setting a PCG64 to each seeded state,
+and maps the words to `random`, `uniform` and `integers` draws itself.
+numpy keeps these streams fixed across releases (NEP 19); if a numpy
+upgrade changed them, these tests fail instead of the reports
 drifting.
 """
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from choquet.axioms import (
 from choquet.generate import random_signed_capacity
 
 SEEDS = (0, 1, 13, 2**31, 2**32 - 1)
+NARROW = axioms_module._NARROW_WIDTH
 TRIALS = np.array(list(range(303)) + [10**6, 2**32 - 1])
 
 
@@ -51,15 +54,22 @@ def test_both_producers_give_the_default_rng_words(seed):
     assert np.array_equal(words, raw_words(seed, TRIALS.tolist(), width + 1))
 
 
-@pytest.mark.parametrize("width", [1, 2, axioms_module._NARROW_WIDTH, axioms_module._NARROW_WIDTH + 1, 264])
+@pytest.mark.parametrize("width", [1, 2, 27, NARROW, NARROW + 1, 264])
 def test_trial_words_are_default_rng_words_on_both_routes(width):
     # Narrow rows are computed by _jump_words, wide ones by setting a PCG64
-    # to each state; seed 2**32 is hashed by SeedSequence.  113 trials come
-    # in chunks of 16 and 97 trials.  1041 trials come in chunks of 16, 1024
-    # and 1 trials where 1024 rows fit under the cap: the one-row chunk
-    # takes no numpy scalar arithmetic, whose overflow warnings the test
-    # configuration makes errors.
-    runs = [(113, [16, 97])] + ([(1041, [16, 1024, 1])] if width in (1, 2, 49) else [])
+    # to each state; seed 2**32 is hashed by SeedSequence, one chunk at a
+    # time.  The seed words of the first 1040 trials are hashed at once, and
+    # a chunk that ends past them hashes its own.  113 trials come in chunks
+    # of 16 and 97 trials.  1041 trials come in chunks of 16, 1024 and 1
+    # trials where 1024 rows fit under the cap: the one-row chunk takes no
+    # numpy scalar arithmetic, whose overflow warnings the test
+    # configuration makes errors.  At width 27 the cap is 303 rows and at
+    # 264 it is 248, so a chunk ends inside the first 1040 trials and the
+    # next one crosses their end on each route.
+    runs = [(1, [1]), (16, [16]), (17, [16, 1]), (113, [16, 97])]
+    runs += [(1041, [16, 1024, 1])] if width in (1, 2, NARROW + 1) else []
+    runs += [(1300, [16, 303, 303, 303, 303, 72])] if width == 27 else []
+    runs += [(1300, [16] + [248] * 5 + [44])] if width == 264 else []
     for trials, sizes in runs:
         for seed in (0, 13, 2**32 - 1, 2**32):
             chunks = list(axioms_module._trial_words(seed, trials, width))
@@ -121,14 +131,42 @@ def test_one_row_blocks_share_their_state_computations(monkeypatch):
     assert sum(len(words) for words in axioms_module._trial_words(0, 5000, 4)) == 5000
     # 2048 rows of width 4 fill a chunk.
     assert calls == [16, 1024, 2048, 1912]
-    # A chunk holds at most _BLOCK_VALUES values while it is made: the
-    # largest temporary of _jump_words holds 8 per word.  Past the first
-    # 1040 trials the narrowest rows take the largest chunks.
+    # The row cap allows 8 values per narrow word and 1 per wide one.  Past
+    # the first 1040 trials the narrowest rows take the largest chunks.
     for width, per_word, rows in ((2, 8, 4096), (3, 8, 2730), (27, 8, 303),
                                   (264, 1, 248), (1034, 1, 63)):
         sizes = [len(words) for words in axioms_module._trial_words(0, 10000, width)]
         assert sum(sizes) == 10000 and max(sizes) == rows
         assert max(sizes) * width * per_word <= axioms_module._BLOCK_VALUES
+
+
+@pytest.mark.parametrize("width, rows, budget", [
+    (1, 8192, 2.3), (2, 4096, 1.6), (9, 910, 1), (27, 303, 1), (NARROW, 170, 1),
+    (NARROW + 1, 1337, 1.6), (264, 248, 1.6)])
+def test_every_chunk_is_made_within_the_block_budget(width, rows, budget):
+    # numpy reports its array memory, ufunc buffers included, to
+    # tracemalloc.  The first chunk hashes the seed words of the first 1040
+    # trials, a chunk that ends inside them slices them, and every later
+    # chunk hashes its own.  Rows of 1 to 8 words hold more per word than
+    # the cap allows for, and wide rows hold their seed words as Python
+    # ints, so those chunks are made within more than the budget.  One
+    # trial first makes the process's one-off allocations of a route.
+    list(axioms_module._trial_words(0, 1, width))
+    chunks, sizes = axioms_module._trial_words(0, 10000, width), []
+    tracemalloc.start()
+    try:
+        while True:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            words = next(chunks, None)
+            if words is None:
+                break
+            sizes.append(len(words))
+            assert tracemalloc.get_traced_memory()[1] - before <= budget * 8 * axioms_module._BLOCK_VALUES, sizes
+            del words
+    finally:
+        tracemalloc.stop()
+    assert sum(sizes) == 10000 and max(sizes) == rows
 
 
 def test_bounded_integers_flags_the_words_lemire_rejects():
@@ -212,13 +250,24 @@ def test_a_suite_hashes_each_trial_chunk_once(monkeypatch):
 
     monkeypatch.setattr(axioms_module, "_seed_words", counted)
     independence_suite(1000, 3)
-    # Every width of the suite (3 to 11 words) fills chunks of 16 and 1024
-    # trials; the paper replays draw one trial.
-    assert sorted(calls) == [(3, 0, 1), (3, 0, 16), (3, 16, 1000)]
+    # The seed words of a run's first 1040 trials are hashed at once, and
+    # every width of the suite (3 to 11 words) takes its chunks of 16 and
+    # 1024 trials from them; the paper replays draw one trial.
+    assert sorted(calls) == [(3, 0, 1), (3, 0, 1000)]
     calls.clear()
     check_zero_on_basis(Aggregator("weighted-mean", 2), 1, 1000, 3)  # outside a suite nothing is kept
     check_zero_on_basis(Aggregator("weighted-mean", 2), 1, 1000, 3)
-    assert calls == [(3, 0, 16), (3, 16, 1000)] * 2
+    assert calls == [(3, 0, 1000)] * 2
+    calls.clear()
+    # Past the first 1040 trials each chunk hashes its own (at 3 words a
+    # row the cap of 2730 rows leaves one chunk).
+    check_zero_on_basis(Aggregator("weighted-mean", 2), 1, 3000, 3)
+    assert calls == [(3, 0, 1040), (3, 1040, 3000)]
+    calls.clear()
+    # SeedSequence hashes seed 2**32 one trial at a time: the first chunk
+    # hashes its own, so that a run falsified there pays for 16 seeds.
+    check_zero_on_basis(Aggregator("weighted-mean", 2), 1, 1000, 2**32)
+    assert calls == [(2**32, 0, 16), (2**32, 16, 1000)]
 
 
 def test_the_suite_words_live_for_one_suite_call(monkeypatch):
