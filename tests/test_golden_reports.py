@@ -23,7 +23,9 @@ both seeds on rows wider than the jump-ahead route takes (70 words for
 linearity).  The split-block groups, recorded later, run at n = 13, the
 smallest ground set whose trial blocks (8 rows) are smaller than the first
 word chunk (16 rows), so one chunk's rows are evaluated in several blocks;
-linearity is bounded at n <= 10 and left out.
+linearity is bounded at n <= 10 and left out.  The n = 16 basis groups,
+recorded later, pin the subset checkers of the two Mobius families where
+the unanimity-game route ran every trial as a block of its own.
 """
 
 import hashlib
@@ -47,7 +49,8 @@ def _groups(aggregators, seeds, trial_counts, axiom_names=axioms.AXIOMS):
 
 
 # (family, n, axiom, seeds, trial counts) of every group of calls: every
-# axiom on eight aggregators, then at the seed edge, then on split blocks.
+# axiom on eight aggregators, then at the seed edge, then on split blocks,
+# then the basis axioms of the Mobius families at n = 16.
 GROUPS = (
     _groups([("choquet", 1), ("choquet", 3), ("choquet", 8), ("weighted-mean", 2),
              ("weighted-mean", 4), ("multilinear", 2), ("multilinear", 4), ("vstar-patch", 3)],
@@ -56,6 +59,7 @@ GROUPS = (
               (2**32 - 1, 2**32), (1, 7, 200))
     + _groups([("choquet", 13), ("multilinear", 13)], (0, 1), (7, 40),
               [a for a in axioms.AXIOMS if a != axioms.AXIOM_LINEARITY_IN_CAPACITY])
+    + _groups([("weighted-mean", 16), ("multilinear", 16)], (0, 1), (7, 40), axioms.SUBSET_AXIOMS)
 )
 
 
