@@ -57,9 +57,8 @@ from .setfunction import (
     _require_real,
     _require_seed,
     _subset_statistic,
-    as_mask,
+    _unanimity_mask,
     elements_from_mask,
-    unanimity_game,
 )
 
 VERDICT_SATISFIED = "satisfied-on-samples"
@@ -474,20 +473,23 @@ def _require_tolerance(tolerance) -> float:
 def _run_checker(
     axiom: str, agg: Aggregator, game: Optional[SignedCapacity],
     trials: int, seed: int, tolerance: float, fixed: dict,
-    width: Callable[[int], int], draw, sides,
+    width: Callable[[int], int], draw, sides, basis: Optional[list[int]] = None,
 ) -> AxiomReport:
     """Draw the trials in blocks with draw(numbers, words) -> inputs and
     evaluate them with sides(f, inputs) -> (lhs, rhs), until the sides differ.
-    The blocks are the chunks of _trial_words, split at _BLOCK_VALUES values
-    a block where a row holds 2**n of them (the games linearity draws
-    without a fixed game, or a Mobius family's statistic).  Other rows hold
-    O(n) values, no more than their words (at least n + 1), so their cap of
-    _BLOCK_VALUES rows, which no chunk exceeds, leaves each chunk one block.
-    Each row's sides depend on that row alone, so the blocks never change a
-    report.
+    f is agg's family at game, or, where a subset checker has no game, at
+    the unanimity game of the subset whose elements basis lists (the
+    family's fold, _Fold.at); it is None for the linearity checker, whose
+    rows draw their own games.  The blocks are the chunks of _trial_words,
+    split at _BLOCK_VALUES values a block where a row holds 2**n of them
+    (linearity's games, or a Mobius family's statistic at a game).  Other
+    rows, a fold's among them, hold O(n) values, no more than their words
+    (at least n + 1), so their cap of _BLOCK_VALUES rows, which no chunk
+    exceeds, leaves each chunk one block.  Each row's sides depend on that
+    row alone, so the blocks never change a report.
 
-    agg is checked first, then trials and tolerance.  f = agg._bind(game)
-    (None without a game), which checks that game is a SignedCapacity, is
+    agg is checked first, then trials and tolerance.  f = agg._bind(game),
+    which checks that game is a SignedCapacity, or the fold at basis, is
     computed once, and then the seed is checked (by _require_seed); trials,
     tolerance and seed are reported as Python numbers.  For a block of trial
     numbers, words holds the first width(agg.n) raw words of each trial's
@@ -503,9 +505,13 @@ def _run_checker(
     """
     _require_instance(agg, Aggregator)
     trials, tolerance = _require_count("trials", trials), _require_tolerance(tolerance)
-    f = None if game is None else agg._bind(game)
+    if basis is None:
+        f = None if game is None else agg._bind(game)
+    else:
+        f = partial(agg._parts.fold.at, np.array(basis) - 1)
     seed = _require_seed(seed)
-    cap = max(1, _BLOCK_VALUES >> agg.n) if game is None or agg._parts.mobius else _BLOCK_VALUES
+    wide = f is None or (game is not None and agg._parts.mobius)  # rows of 2**n values
+    cap = max(1, _BLOCK_VALUES >> agg.n) if wide else _BLOCK_VALUES
     blocks = (chunk[i:i + cap] for chunk in _trial_words(seed, trials, width(agg.n))
               for i in range(0, len(chunk), cap))
     start = 0
@@ -654,12 +660,14 @@ def check_comonotonic_affinity(
                         {"capacity": v}, lambda n: n + _PAIR_WORDS + 1, draw, sides)
 
 
-def _basis_game(agg: Aggregator, subset: SubsetLike) -> tuple[SignedCapacity, list[int]]:
-    """The unanimity game of subset on agg's ground set and the subset's
-    elements in ascending order; ValueError unless agg is an Aggregator."""
+def _basis_game(agg: Aggregator, subset: SubsetLike) -> list[int]:
+    """The elements, in ascending order, of the subset whose unanimity game
+    on agg's ground set a subset checker evaluates; ValueError unless agg is
+    an Aggregator, and the errors of unanimity_game(agg.n, subset), EmptyT
+    for the empty subset among them.  The game itself is never built: the
+    checkers evaluate it by the family's fold over these elements."""
     _require_instance(agg, Aggregator)
-    mask = as_mask(subset, agg.n)
-    return unanimity_game(agg.n, mask), list(elements_from_mask(mask))
+    return list(elements_from_mask(_unanimity_mask(subset, agg.n)))
 
 
 def check_interval_scale_covariance(
@@ -671,11 +679,12 @@ def check_interval_scale_covariance(
 ) -> AxiomReport:
     """f_S(r*x + s*1) = r*f_S(x) + s for the basis game of the given subset.
 
-    Trial 0 uses x = all-ones, r = 1, s = 1 (for a two-element subset on a
-    two-element ground set this is the counterexample that separates the
-    multilinear family).
+    f_S is the family at the unanimity game of S, evaluated by the family's
+    fold over S (_Fold.at) in O(|S|) a trial.  Trial 0 uses x = all-ones,
+    r = 1, s = 1 (for a two-element subset on a two-element ground set this
+    is the counterexample that separates the multilinear family).
     """
-    game, members = _basis_game(agg, subset)
+    members = _basis_game(agg, subset)
 
     def draw(numbers, words):
         u = _doubles(words)
@@ -690,8 +699,8 @@ def check_interval_scale_covariance(
         X, r, s = inputs["x"], inputs["r"], inputs["s"]
         return f(r[:, None] * X + s[:, None]), r * f(X) + s
 
-    return _run_checker(AXIOM_INTERVAL_SCALE, agg, game, trials, seed, tolerance,
-                        {"subset": members}, lambda n: n + 2, draw, sides)
+    return _run_checker(AXIOM_INTERVAL_SCALE, agg, None, trials, seed, tolerance,
+                        {"subset": members}, lambda n: n + 2, draw, sides, members)
 
 
 def _zero_sides(f, inputs):
@@ -712,9 +721,10 @@ def check_zero_on_basis(
     Points are sampled from [0, 1]^n: that is the domain on which the basis
     condition is actually used (for points with mixed signs even the
     integral violates the raw statement, since a negative coordinate outside
-    the zeroed one can carry the minimum).  Trial 0 uses x = 0.
+    the zeroed one can carry the minimum).  f_S is evaluated by the family's
+    fold over S (_Fold.at) in O(|S|) a trial.  Trial 0 uses x = 0.
     """
-    game, members = _basis_game(agg, subset)
+    members = _basis_game(agg, subset)
 
     def draw(numbers, words):
         x = _uniform(_doubles(words[:, :agg.n]), 0.0, 1.0)
@@ -729,8 +739,8 @@ def check_zero_on_basis(
         x[numbers == 0] = 0.0
         return {"x": x, "zeroed_element": zeroed}
 
-    return _run_checker(AXIOM_ZERO_ON_BASIS, agg, game, trials, seed, tolerance,
-                        {"subset": members}, lambda n: n + 1, draw, _zero_sides)
+    return _run_checker(AXIOM_ZERO_ON_BASIS, agg, None, trials, seed, tolerance,
+                        {"subset": members}, lambda n: n + 1, draw, _zero_sides, members)
 
 
 def check_linearity_in_capacity(
@@ -745,10 +755,11 @@ def check_linearity_in_capacity(
     [-1, 1], v(empty) = 0), then x on [-5, 5]^n.  The sum runs left to
     right over the nonempty masks in ascending order, by _row_sums (every
     game has Mobius coefficient 0 on the empty set), with f_{v_T} from the
-    family's basis statistic; each block of games is Mobius-transformed
-    once for both sides.  On a ground set of size 3, trial 0 evaluates the
-    patched capacity of the vstar family at x = (0, 2, 1), the sample that
-    separates that family.  Bounded at n <= 10.
+    family's fold at every mask (_Fold.every); each block of games is
+    Mobius-transformed once for both sides.  On a ground set of size 3,
+    trial 0 evaluates the patched capacity of the vstar family at
+    x = (0, 2, 1), the sample that separates that family.  Bounded at
+    n <= 10.
     """
     _require_instance(agg, Aggregator)
     if agg.n > _MAX_N_LINEARITY:
@@ -768,7 +779,7 @@ def check_linearity_in_capacity(
     def sides(_, inputs):
         V, X, parts = inputs["capacity"], inputs["x"], agg._parts
         m = _lattice_cumulation(V, operator.isub, "mobius_transform")
-        return parts.evaluate(m if parts.mobius else V, X), _row_sums(m[:, 1:] * parts.basis(X))
+        return parts.evaluate(m if parts.mobius else V, X), _row_sums(m[:, 1:] * parts.fold.every(X))
 
     return _run_checker(AXIOM_LINEARITY_IN_CAPACITY, agg, None, trials, seed, tolerance,
                         {}, lambda n: size + n, draw, sides)
@@ -790,15 +801,50 @@ CHECKERS = {
 # The families, and the independence of the three capacity-class conditions
 # ---------------------------------------------------------------------------
 
-def _minima(X: np.ndarray) -> np.ndarray:
-    """The minimum of each row of X over every nonempty mask (column mask - 1)."""
-    return _subset_statistic(np.minimum, np.inf, X)[:, 1:]
+@dataclass(frozen=True)
+class _Fold:
+    """A family's value at the unanimity game u_S of a nonempty subset S, in
+    closed form: the binary ufunc op folded over S's coordinates in
+    ascending element order, divided by |S| if mean, plus 0.0.
+
+    It equals the family evaluated at u_S bit for bit wherever every
+    coordinate and statistic is finite, and the checkers draw only such
+    points (|r x + s| <= 55 for interval-scale, [0, 1] for zero-on-basis).
+    Evaluating u_S adds the one statistic over S to signed zeros, and a sum
+    of zeros is -0.0 only if every term is.  A chain sum at u_S has the one
+    term 1 * min over S, and _row_sums adds 0.0 at the end.  The Mobius
+    coefficients of u_S are exactly 0 and 1: multilinear's dot has the
+    +0.0 term m(empty) * 1, and a mean over S rounds to -0.0 only where S
+    holds a coordinate that is not negative, whose singleton's term is then
+    +0.0.  So where the statistic is zero the game gives +0.0, as the
+    fold's 0.0 does; the fold starting from S's first coordinate, not from
+    identity, changes at most the sign of a zero.  A non-finite statistic
+    would make its 0 * inf term nan in the dot, so there the two differ."""
+
+    op: np.ufunc
+    identity: float  # op(identity, x) is x: where _subset_statistic starts its folds
+    mean: bool = False
+
+    def at(self, members: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """The family at u_S on each row of X (k, n), S given by its 0-based
+        elements in ascending order: O(|S|) a row."""
+        value = self.op.accumulate(X[:, members], axis=1)[:, -1]
+        if self.mean:
+            value /= len(members)
+        return value + 0.0
+
+    def every(self, X: np.ndarray) -> np.ndarray:
+        """The statistic of every nonempty mask S on each row of X (column
+        S - 1), as one subset statistic whose folds start from identity:
+        at() up to the sign of a zero, as at() adds 0.0 and this does not."""
+        values = _subset_statistic(self.op, self.identity, X)[:, 1:]
+        if self.mean:
+            values /= np.bitwise_count(np.arange(1, 1 << X.shape[1], dtype=np.uint32))  # |S|
+        return values
 
 
-def _means(X: np.ndarray) -> np.ndarray:
-    """The mean of each row of X over every nonempty mask (column mask - 1)."""
-    sizes = np.bitwise_count(np.arange(1, 1 << X.shape[1], dtype=np.uint32))  # |S| per mask
-    return _subset_statistic(np.add, 0.0, X)[:, 1:] / sizes
+_MINIMUM = _Fold(np.minimum, np.inf)
+_MEAN = _Fold(np.add, 0.0, mean=True)
 
 
 def _vstar_patch(values: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -812,9 +858,10 @@ def _vstar_patch(values: np.ndarray, X: np.ndarray) -> np.ndarray:
 def _zero_witness(agg: Aggregator, seed: int) -> AxiomReport:
     """The zero-on-basis sample x = (0, 2), element 1 zeroed, on {1, 2}."""
     inputs = {"x": np.array([[0.0, 2.0]]), "zeroed_element": np.array([1])}
-    game, members = _basis_game(agg, [1, 2])
-    return _run_checker(AXIOM_ZERO_ON_BASIS, agg, game, 1, seed, FALSIFY_TOLERANCE,
-                        {"subset": members}, lambda n: 0, lambda numbers, words: inputs, _zero_sides)
+    members = _basis_game(agg, [1, 2])
+    return _run_checker(AXIOM_ZERO_ON_BASIS, agg, None, 1, seed, FALSIFY_TOLERANCE,
+                        {"subset": members}, lambda n: 0, lambda numbers, words: inputs,
+                        _zero_sides, members)
 
 
 @dataclass(frozen=True)
@@ -823,12 +870,13 @@ class _Family:
     of X at one game (shape (2**n,)) or at one game per row ((k, 2**n)),
     given as its Mobius coefficients if mobius, else as its values; with
     over/invalid ignored, rows that overflow come out non-finite.  A mobius
-    family evaluates a subset statistic of 2**n values per row, so its
-    checker blocks are split at the _BLOCK_VALUES cap (_run_checker).
-    basis(X) is the family at the unanimity game of every nonempty mask
-    (column mask - 1), as one subset statistic: evaluating those games gives
-    it up to the sign of a zero, as their Mobius coefficients are 0 or 1 and
-    their chain sums add signed zeros to the one nonzero term.  A
+    family evaluates a subset statistic of 2**n values per row, so the
+    blocks of its checkers at a game are split at the _BLOCK_VALUES cap
+    (_run_checker).  fold is the family at the unanimity games (_Fold),
+    equal to evaluating them bit for bit on finite points: the subset
+    checkers evaluate the basis game of their subset by fold.at, and the
+    linearity checker every basis game by fold.every, whose signed zeros
+    its expansion sum's last 0.0 removes.  A
     counterexample family has the ground-set size of its suite row, the
     condition it falsifies and replay(agg, seed), the hand-checked sample
     that falsifies it, as a one-trial report."""
@@ -836,7 +884,7 @@ class _Family:
     operation: str  # what a NonFiniteResult of the family names
     mobius: bool
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    basis: Callable[[np.ndarray], np.ndarray]
+    fold: _Fold
     ground_set: Optional[int] = None  # the one size the family is defined on
     suite_n: Optional[int] = None
     falsifies: Optional[str] = None
@@ -849,19 +897,18 @@ class _Family:
 # are their checkers' trial 0.  No unanimity game is vstar, so vstar-patch
 # has the integral's basis.
 _FAMILY_PARTS = {
-    FAMILY_CHOQUET: _Family("choquet", False, _chain_sums, _minima),
+    FAMILY_CHOQUET: _Family("choquet", False, _chain_sums, _MINIMUM),
     FAMILY_WEIGHTED_MEAN: _Family(
         f"{FAMILY_WEIGHTED_MEAN} family", True,
-        lambda m, X: _row_dots(m[..., 1:], _means(X)), _means,
+        lambda m, X: _row_dots(m[..., 1:], _MEAN.every(X)), _MEAN,
         suite_n=2, falsifies=AXIOM_ZERO_ON_BASIS, replay=_zero_witness),
     FAMILY_MULTILINEAR: _Family(
         f"{FAMILY_MULTILINEAR} family", True,
-        lambda m, X: _row_dots(m, _subset_statistic(np.multiply, 1.0, X)),
-        lambda X: _subset_statistic(np.multiply, 1.0, X)[:, 1:],
+        lambda m, X: _row_dots(m, _subset_statistic(np.multiply, 1.0, X)), _Fold(np.multiply, 1.0),
         suite_n=2, falsifies=AXIOM_INTERVAL_SCALE,
         replay=lambda agg, seed: check_interval_scale_covariance(agg, [1, 2], 1, seed)),
     FAMILY_VSTAR_PATCH: _Family(
-        "choquet", False, _vstar_patch, _minima, ground_set=3,
+        "choquet", False, _vstar_patch, _MINIMUM, ground_set=3,
         suite_n=3, falsifies=AXIOM_LINEARITY_IN_CAPACITY,
         replay=lambda agg, seed: check_linearity_in_capacity(agg, 1, seed)),
 }

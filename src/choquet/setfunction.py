@@ -445,6 +445,14 @@ def zeta_transform(m: MobiusRepresentation) -> SetFunction:
     return SetFunction(m.n, _Fresh(values))
 
 
+def _unanimity_mask(subset: SubsetLike, n: int) -> int:
+    """as_mask of a subset that has a unanimity game on [n]; EmptyT for the empty one."""
+    mask = as_mask(subset, n)
+    if mask == 0:
+        raise EmptyT("unanimity games are defined for nonempty subsets only")
+    return mask
+
+
 def unanimity_game(n: int, subset: SubsetLike) -> SignedCapacity:
     """The game worth 1 on supersets of the given nonempty subset, else 0.
 
@@ -456,9 +464,7 @@ def unanimity_game(n: int, subset: SubsetLike) -> SignedCapacity:
     GroundSetTooLarge for n > MAX_GROUND_SET before allocating.
     """
     n = _ground_set(n)
-    t_mask = as_mask(subset, n)
-    if t_mask == 0:
-        raise EmptyT("unanimity games are defined for nonempty subsets only")
+    t_mask = _unanimity_mask(subset, n)
     masks = np.arange(1 << n)
     return SignedCapacity(n, _Fresh(((masks & t_mask) == t_mask).astype(float)))
 

@@ -4,10 +4,13 @@ import ast
 import json
 import tracemalloc
 import warnings
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import choquet.axioms as axioms_module
 from choquet.axioms import (
@@ -33,11 +36,12 @@ from choquet.axioms import (
     independence_suite,
     vstar_capacity,
 )
+from choquet import oracle
 from choquet.errors import DimensionMismatch, NonFiniteResult, UnsupportedGroundSet
 from choquet.generate import random_signed_capacity
 from choquet.integral import choquet
 from choquet.names import FAMILIES
-from choquet.setfunction import SignedCapacity, mobius_transform, unanimity_game
+from choquet.setfunction import SignedCapacity, elements_from_mask, mobius_transform, unanimity_game
 
 from conftest import family_sizes
 
@@ -127,7 +131,7 @@ class TestEvaluateFamily:
         X = rng.integers(-300, 301, (50, n)) / 100
         X[rng.random(X.shape) < 0.2] = -0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            basis = agg._parts.basis(X)
+            basis = agg._parts.fold.every(X)
             for t in range(1, 1 << n):
                 assert np.array_equal(basis[:, t - 1], agg._bind(unanimity_game(n, t))(X))
 
@@ -215,6 +219,96 @@ class TestEvaluateFamily:
         v = random_signed_capacity(4, rng)
         x = rng.uniform(-5, 5, 4)
         assert evaluate_family(agg, v, x) == choquet(v, x).value
+
+
+# Coordinates as the subset checkers draw them (|r x + s| <= 55 for
+# interval-scale, [0, 1] for zero-on-basis), signed zeros and values that tie.
+coordinates = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5, 55.0, -55.0]),
+                        st.floats(-55, 55), st.floats(0, 1), st.floats(-5, 5))
+
+
+@st.composite
+def family_points(draw, max_n=8):
+    """An aggregator on at most max_n elements and one to three points,
+    some of whose coordinates are copies of others."""
+    family = draw(st.sampled_from(FAMILIES))
+    n = FAMILY_PARTS[family].ground_set or draw(st.integers(1, max_n))
+    X = np.array(draw(st.lists(st.lists(coordinates, min_size=n, max_size=n), min_size=1, max_size=3)))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n)):
+        X[:, i] = X[:, j]
+    return Aggregator(family, n), X
+
+
+class _GameRoute:
+    """The route a fold replaces: the family bound at the unanimity game."""
+
+    def __init__(self, family, fold):
+        self.family, self.fold = family, fold
+
+    def at(self, members, X):
+        n = X.shape[1]
+        return Aggregator(self.family, n)._bind(unanimity_game(n, (members + 1).tolist()))(X)
+
+    def every(self, X):
+        return self.fold.every(X)
+
+
+def game_route(mp):
+    """Puts every family's subset checkers back on the unanimity-game route
+    for aggregators made under the monkeypatch mp."""
+    for family, parts in FAMILY_PARTS.items():
+        mp.setitem(FAMILY_PARTS, family, replace(parts, fold=_GameRoute(family, parts.fold)))
+
+
+class TestBasisFold:
+    """A subset checker evaluates the family at the unanimity game u_S by
+    the family's fold over S, which gives the game's value bit for bit on
+    finite points."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(family_points())
+    def test_fold_is_the_unanimity_game_bit_for_bit(self, case):
+        agg, X = case
+        fold = agg._parts.fold
+        every = fold.every(X) + 0.0
+        for mask in range(1, 1 << agg.n):
+            members = elements_from_mask(mask)
+            values = fold.at(np.array(members) - 1, X).tolist()
+            game = unanimity_game(agg.n, mask)
+            for row, x in enumerate(X.tolist()):
+                expected = evaluate_family(agg, game, x).hex()
+                assert values[row].hex() == expected == every[row, mask - 1].hex(), (mask, x)
+            if agg.n <= 5:
+                # The minimum is exact; a sum or product rounds once a step.
+                x = X[0].tolist()
+                exact = oracle.evaluate_family_exact(agg, game, x)
+                scale = max(1, abs(exact), sum(abs(Fraction(x[i - 1])) for i in members))
+                error = abs(Fraction(values[0]) - exact)
+                assert error == 0 if fold.op is np.minimum else error <= scale * Fraction(2) ** -40
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_reports_equal_those_of_the_unanimity_game_route(self, data):
+        family = data.draw(st.sampled_from(FAMILIES))
+        n = FAMILY_PARTS[family].ground_set or data.draw(
+            st.integers(1, 10 if FAMILY_PARTS[family].mobius else 12))
+        mask = data.draw(st.integers(1, (1 << n) - 1))
+        seed = data.draw(st.one_of(st.integers(0, 2**33), st.sampled_from([2**32 - 1, 2**32, 2**32 + 1])))
+        trials = data.draw(st.integers(1, 300))
+        tolerance = data.draw(st.one_of(st.sampled_from([0.0, 1e-6]), st.floats(0, 1)))
+        check = data.draw(st.sampled_from([check_interval_scale_covariance, check_zero_on_basis]))
+        folded = json.dumps(check(Aggregator(family, n), mask, trials, seed, tolerance).to_dict())
+        with pytest.MonkeyPatch.context() as mp:
+            game_route(mp)
+            assert json.dumps(check(Aggregator(family, n), mask, trials, seed, tolerance).to_dict()) == folded
+
+    @pytest.mark.parametrize("trials", [1, 16, 17, 1041])
+    @pytest.mark.parametrize("seed", [0, 2**32 + 1])
+    def test_suite_equals_that_of_the_unanimity_game_route(self, trials, seed):
+        folded = json.dumps(independence_suite(trials, seed).to_dict())
+        with pytest.MonkeyPatch.context() as mp:
+            game_route(mp)
+            assert json.dumps(independence_suite(trials, seed).to_dict()) == folded
 
 
 class TestChoquetPassesAll:

@@ -112,8 +112,8 @@ def test_negative_seed_is_rejected_as_by_default_rng():
 
 
 def test_one_row_blocks_share_their_state_computations(monkeypatch):
-    # From n = 16 every block of a Mobius family is one trial; the words
-    # still come in chunks of 16, 1024, 65536, ... trials.
+    # From n = 16 every block of a Mobius family at a game is one trial;
+    # the words still come in chunks of 16, 1024, 65536, ... trials.
     calls, blocks = [], []
     jump_words, doubles = axioms_module._jump_words, axioms_module._doubles
 
@@ -123,7 +123,7 @@ def test_one_row_blocks_share_their_state_computations(monkeypatch):
 
     monkeypatch.setattr(axioms_module, "_jump_words", counted)
     monkeypatch.setattr(axioms_module, "_doubles", lambda words: blocks.append(len(words)) or doubles(words))
-    report = check_zero_on_basis(Aggregator("multilinear", 16), [1, 2], 100, 0)
+    report = check_positive_homogeneity(Aggregator("weighted-mean", 16), random_signed_capacity(16, 0), 100, 0)
     assert not report.falsified and report.samples_run == 100
     assert blocks == [1] * 100
     assert calls == [16, 84]
@@ -138,6 +138,30 @@ def test_one_row_blocks_share_their_state_computations(monkeypatch):
         sizes = [len(words) for words in axioms_module._trial_words(0, 10000, width)]
         assert sum(sizes) == 10000 and max(sizes) == rows
         assert max(sizes) * width * per_word <= axioms_module._BLOCK_VALUES
+
+
+@pytest.mark.parametrize("family, check", [("weighted-mean", check_interval_scale_covariance),
+                                           ("multilinear", check_zero_on_basis)])
+def test_a_subset_check_takes_each_chunk_as_one_block(monkeypatch, family, check):
+    # A subset checker evaluates its basis game by the family's fold over
+    # the subset, O(n) values a row, and builds no game: even at n = 16 a
+    # Mobius family's chunk is one block, and numpy (which reports its array
+    # memory to tracemalloc) makes no array of 2**16 values.  One trial
+    # first makes the process's one-off allocations of the route.
+    agg, blocks = Aggregator(family, 16), []
+    check(agg, [1, 2], 1, 0)
+    doubles = axioms_module._doubles
+    monkeypatch.setattr(axioms_module, "_doubles", lambda words: blocks.append(len(words)) or doubles(words))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = check(agg, [1, 2], 100, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not report.falsified and report.samples_run == 100
+    assert blocks == [16, 84]
+    assert peak - before < 8 * (1 << 16) / 2, peak - before
 
 
 @pytest.mark.parametrize("width, rows, budget", [
