@@ -67,10 +67,10 @@ VERDICT_FALSIFIED = "falsified"
 # Largest ground set of the linearity checker.
 _MAX_N_LINEARITY = 10
 
-# The budget a chunk of trial words is made in (_trial_words), and the most
-# values a block holds in its (rows, 2**n) arrays (512 KiB of doubles),
+# The budget a chunk of trial words is made in, and the most values a block
+# of _trial_words holds in its (rows, 2**n) arrays (512 KiB of doubles),
 # unless it is one row: such blocks hold at most 4096 rows at n = 4, 256 at
-# n = 8, one from n = 16.
+# n = 8, one from n = 16.  Only _trial_words and the suite store read it.
 _BLOCK_VALUES = 1 << 16
 
 # Widest rows whose raw words are computed as jump-ahead array arithmetic
@@ -78,9 +78,9 @@ _BLOCK_VALUES = 1 << 16
 # trial's state (about 3.5 us a trial, then 5 ns a word).  Timed over 100
 # to 1000 trials of _trial_words on a 2-vCPU Xeon in four runs, the
 # arithmetic took 2.2-12 times less at width 6, 1.1-1.6 times less at 96,
-# 0.9-1.3 times less at 128 and 1.3-2.4 times more at 264.  The bound
-# could move to 96; only the linearity checker at n = 6 (70 words) draws
-# rows between.
+# 0.9-1.3 times less at 128 and 1.3-2.4 times more at 264.  Whole
+# linearity checks, the only rows past 48 words, are timed on both routes
+# in ROADMAP.md (Parked: "Trial-stream forks stay until item 5").
 _NARROW_WIDTH = 48
 
 # Each chunk of trial words is this many times the one before (16, 1024,
@@ -390,15 +390,17 @@ def _suite_shared(key: tuple, make: Callable[[], np.ndarray]) -> np.ndarray:
     return words
 
 
-def _trial_words(seed: int, trials: int, width: int):
+def _trial_words(seed: int, trials: int, width: int, row_values: int = 0):
     """The first `width` raw 64-bit words of every trial's stream in trial
     order, one row each, lazily in chunks of 16, 1024, 65536, ... trials
-    (_CHUNK_GROWTH).  A chunk pays a fixed cost of numpy calls for its
-    words (about 35-60 us at 16 rows of 5 to 48 words on a 2-vCPU Xeon) and
-    for its seed hash (about 50 us at 16 trials, 95 us at 1040), so a
-    satisfied run of 1000 trials takes two chunks and one seed hash,
-    the one-trial blocks of a Mobius family on a large ground set share
-    chunks, and the checker calls of one independence suite share the
+    (_CHUNK_GROWTH), handed out in blocks of at most _BLOCK_VALUES //
+    row_values rows (at least one) where each row of the caller holds
+    row_values values, else whole.  A chunk pays a fixed cost of numpy
+    calls for its words (about 35-60 us at 16 rows of 5 to 48 words on a
+    2-vCPU Xeon) and for its seed hash (about 50 us at 16 trials, 95 us at
+    1040), so a satisfied run of 1000 trials takes two chunks and one seed
+    hash, the one-trial blocks of a Mobius family on a large ground set
+    share chunks, and the checker calls of one independence suite share the
     chunks and seed words themselves (_suite_shared).
 
     The first chunk hashes the seed words of the first two chunks' trials,
@@ -431,10 +433,12 @@ def _trial_words(seed: int, trials: int, width: int):
         seed_words = span[:, start:stop] if stop <= head else seeded(start, stop)
         return _jump_words(seed_words, width) if narrow else _setter_words(bits, seed_words, width)
 
+    cap = max(1, _BLOCK_VALUES // row_values) if row_values else rows  # no chunk exceeds rows
     start, size = 0, 16
     while start < trials:
         stop = min(trials, start + min(size, rows))
-        yield _suite_shared((seed, start, stop, width), partial(words, start, stop))
+        chunk = _suite_shared((seed, start, stop, width), partial(words, start, stop))
+        yield from (chunk[i:i + cap] for i in range(0, len(chunk), cap))
         start, size = stop, _CHUNK_GROWTH * size
 
 
@@ -470,27 +474,21 @@ def _require_tolerance(tolerance) -> float:
     return tolerance
 
 
-def _run_checker(
-    axiom: str, agg: Aggregator, game: Optional[SignedCapacity],
-    trials: int, seed: int, tolerance: float, fixed: dict,
-    width: Callable[[int], int], draw, sides, basis: Optional[list[int]] = None,
-) -> AxiomReport:
+def _run_checker(axiom: str, agg: Aggregator, trials: int, seed: int, tolerance: float,
+                 width: Callable[[int], int], draw, sides, **fixed) -> AxiomReport:
     """Draw the trials in blocks with draw(numbers, words) -> inputs and
     evaluate them with sides(f, inputs) -> (lhs, rhs), until the sides differ.
-    f is agg's family at game, or, where a subset checker has no game, at
-    the unanimity game of the subset whose elements basis lists (the
-    family's fold, _Fold.at); it is None for the linearity checker, whose
-    rows draw their own games.  The blocks are the chunks of _trial_words,
-    split at _BLOCK_VALUES values a block where a row holds 2**n of them
-    (linearity's games, or a Mobius family's statistic at a game).  Other
-    rows, a fold's among them, hold O(n) values, no more than their words
-    (at least n + 1), so their cap of _BLOCK_VALUES rows, which no chunk
-    exceeds, leaves each chunk one block.  Each row's sides depend on that
-    row alone, so the blocks never change a report.
+    fixed names the subject once: capacity=v makes f agg's family at game v
+    (agg._bind, which checks the class of v), subset=members the family at
+    the unanimity game of the subset of those ascending elements (its fold,
+    _Fold.at), and nothing makes f None: linearity's rows draw their games.
+    The blocks are those of _trial_words, told that a row holds 2**n values
+    where it holds a game or a Mobius family's statistic at one, else 0 (a
+    chain sum's or a fold's O(n) values, at most its words).  Each row's
+    sides depend on that row alone, so the blocks never change a report.
 
-    agg is checked first, then trials and tolerance.  f = agg._bind(game),
-    which checks that game is a SignedCapacity, or the fold at basis, is
-    computed once, and then the seed is checked (by _require_seed); trials,
+    agg is checked first, then trials and tolerance, then the subject, as f
+    is computed once, and then the seed (by _require_seed); trials,
     tolerance and seed are reported as Python numbers.  For a block of trial
     numbers, words holds the first width(agg.n) raw words of each trial's
     stream, and inputs maps each witness key that varies by trial to an
@@ -505,15 +503,14 @@ def _run_checker(
     """
     _require_instance(agg, Aggregator)
     trials, tolerance = _require_count("trials", trials), _require_tolerance(tolerance)
-    if basis is None:
-        f = None if game is None else agg._bind(game)
+    if "subset" in fixed:
+        f, row_values = partial(agg._parts.fold.at, np.array(fixed["subset"]) - 1), 0
+    elif "capacity" in fixed:
+        f, row_values = agg._bind(fixed["capacity"]), (1 << agg.n) if agg._parts.mobius else 0
     else:
-        f = partial(agg._parts.fold.at, np.array(basis) - 1)
+        f, row_values = None, 1 << agg.n
     seed = _require_seed(seed)
-    wide = f is None or (game is not None and agg._parts.mobius)  # rows of 2**n values
-    cap = max(1, _BLOCK_VALUES >> agg.n) if wide else _BLOCK_VALUES
-    blocks = (chunk[i:i + cap] for chunk in _trial_words(seed, trials, width(agg.n))
-              for i in range(0, len(chunk), cap))
+    blocks = _trial_words(seed, trials, width(agg.n), row_values)
     start = 0
     for words in blocks:
         inputs = draw(np.arange(start, start + len(words)), words)
@@ -606,8 +603,8 @@ def check_comonotonic_additivity(
         X, Y = inputs["x"], inputs["y"]
         return f(X + Y), f(X) + f(Y)
 
-    return _run_checker(AXIOM_COMONOTONIC_ADDITIVITY, agg, v, trials, seed, tolerance,
-                        {"capacity": v}, lambda n: n + _PAIR_WORDS, draw, sides)
+    return _run_checker(AXIOM_COMONOTONIC_ADDITIVITY, agg, trials, seed, tolerance,
+                        lambda n: n + _PAIR_WORDS, draw, sides, capacity=v)
 
 
 def check_positive_homogeneity(
@@ -631,8 +628,8 @@ def check_positive_homogeneity(
         X, r = inputs["x"], inputs["r"]
         return f(r[:, None] * X), r * f(X)
 
-    return _run_checker(AXIOM_POSITIVE_HOMOGENEITY, agg, v, trials, seed, tolerance,
-                        {"capacity": v}, lambda n: n + 1, draw, sides)
+    return _run_checker(AXIOM_POSITIVE_HOMOGENEITY, agg, trials, seed, tolerance,
+                        lambda n: n + 1, draw, sides, capacity=v)
 
 
 def check_comonotonic_affinity(
@@ -656,16 +653,17 @@ def check_comonotonic_affinity(
         X, Y, lam = inputs["x"], inputs["x_prime"], inputs["lambda"]
         return f(lam[:, None] * X + (1.0 - lam[:, None]) * Y), lam * f(X) + (1.0 - lam) * f(Y)
 
-    return _run_checker(AXIOM_COMONOTONIC_AFFINITY, agg, v, trials, seed, tolerance,
-                        {"capacity": v}, lambda n: n + _PAIR_WORDS + 1, draw, sides)
+    return _run_checker(AXIOM_COMONOTONIC_AFFINITY, agg, trials, seed, tolerance,
+                        lambda n: n + _PAIR_WORDS + 1, draw, sides, capacity=v)
 
 
 def _basis_game(agg: Aggregator, subset: SubsetLike) -> list[int]:
     """The elements, in ascending order, of the subset whose unanimity game
     on agg's ground set a subset checker evaluates; ValueError unless agg is
     an Aggregator, and the errors of unanimity_game(agg.n, subset), EmptyT
-    for the empty subset among them.  The game itself is never built: the
-    checkers evaluate it by the family's fold over these elements."""
+    for the empty subset among them.  The game itself is never built: a
+    checker passes these elements to _run_checker as its subset=, which
+    evaluates the game by the family's fold over them."""
     _require_instance(agg, Aggregator)
     return list(elements_from_mask(_unanimity_mask(subset, agg.n)))
 
@@ -699,8 +697,8 @@ def check_interval_scale_covariance(
         X, r, s = inputs["x"], inputs["r"], inputs["s"]
         return f(r[:, None] * X + s[:, None]), r * f(X) + s
 
-    return _run_checker(AXIOM_INTERVAL_SCALE, agg, None, trials, seed, tolerance,
-                        {"subset": members}, lambda n: n + 2, draw, sides, members)
+    return _run_checker(AXIOM_INTERVAL_SCALE, agg, trials, seed, tolerance,
+                        lambda n: n + 2, draw, sides, subset=members)
 
 
 def _zero_sides(f, inputs):
@@ -739,8 +737,8 @@ def check_zero_on_basis(
         x[numbers == 0] = 0.0
         return {"x": x, "zeroed_element": zeroed}
 
-    return _run_checker(AXIOM_ZERO_ON_BASIS, agg, None, trials, seed, tolerance,
-                        {"subset": members}, lambda n: n + 1, draw, _zero_sides, members)
+    return _run_checker(AXIOM_ZERO_ON_BASIS, agg, trials, seed, tolerance,
+                        lambda n: n + 1, draw, _zero_sides, subset=members)
 
 
 def check_linearity_in_capacity(
@@ -781,8 +779,8 @@ def check_linearity_in_capacity(
         m = _lattice_cumulation(V, operator.isub, "mobius_transform")
         return parts.evaluate(m if parts.mobius else V, X), _row_sums(m[:, 1:] * parts.fold.every(X))
 
-    return _run_checker(AXIOM_LINEARITY_IN_CAPACITY, agg, None, trials, seed, tolerance,
-                        {}, lambda n: size + n, draw, sides)
+    return _run_checker(AXIOM_LINEARITY_IN_CAPACITY, agg, trials, seed, tolerance,
+                        lambda n: size + n, draw, sides)
 
 
 # The checker of each axiom: after agg, the first three take a game, the
@@ -858,10 +856,8 @@ def _vstar_patch(values: np.ndarray, X: np.ndarray) -> np.ndarray:
 def _zero_witness(agg: Aggregator, seed: int) -> AxiomReport:
     """The zero-on-basis sample x = (0, 2), element 1 zeroed, on {1, 2}."""
     inputs = {"x": np.array([[0.0, 2.0]]), "zeroed_element": np.array([1])}
-    members = _basis_game(agg, [1, 2])
-    return _run_checker(AXIOM_ZERO_ON_BASIS, agg, None, 1, seed, FALSIFY_TOLERANCE,
-                        {"subset": members}, lambda n: 0, lambda numbers, words: inputs,
-                        _zero_sides, members)
+    return _run_checker(AXIOM_ZERO_ON_BASIS, agg, 1, seed, FALSIFY_TOLERANCE, lambda n: 0,
+                        lambda numbers, words: inputs, _zero_sides, subset=_basis_game(agg, [1, 2]))
 
 
 @dataclass(frozen=True)
@@ -870,13 +866,13 @@ class _Family:
     of X at one game (shape (2**n,)) or at one game per row ((k, 2**n)),
     given as its Mobius coefficients if mobius, else as its values; with
     over/invalid ignored, rows that overflow come out non-finite.  A mobius
-    family evaluates a subset statistic of 2**n values per row, so the
-    blocks of its checkers at a game are split at the _BLOCK_VALUES cap
-    (_run_checker).  fold is the family at the unanimity games (_Fold),
-    equal to evaluating them bit for bit on finite points: the subset
-    checkers evaluate the basis game of their subset by fold.at, and the
-    linearity checker every basis game by fold.every, whose signed zeros
-    its expansion sum's last 0.0 removes.  A
+    family evaluates a subset statistic of 2**n values per row, so its
+    checkers at a game (capacity=) take blocks of at most _BLOCK_VALUES >> n
+    rows from _trial_words.  fold is the family at the unanimity games
+    (_Fold), equal to evaluating them bit for bit on finite points: the
+    subset checkers (subset=) evaluate the basis game of their subset by
+    fold.at, and the linearity checker every basis game by fold.every,
+    whose signed zeros its expansion sum's last 0.0 removes.  A
     counterexample family has the ground-set size of its suite row, the
     condition it falsifies and replay(agg, seed), the hand-checked sample
     that falsifies it, as a one-trial report."""

@@ -580,7 +580,7 @@ class TestBlockRunner:
         agg = Aggregator(FAMILY_CHOQUET, n)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return axioms_module._run_checker("stub", agg, None, trials, 0, 1e-6, {}, lambda n: 0,
+            return axioms_module._run_checker("stub", agg, trials, 0, 1e-6, lambda n: 0,
                                               draw, sides)
 
     @pytest.mark.parametrize("trials, n, expected", [(7, 2, [7]), (40, 13, [8] * 5)])
@@ -701,3 +701,13 @@ def test_family_names_appear_only_in_the_family_table():
              if id(node) not in inside and names_a_family(node)]
     assert named == []
     assert tuple(FAMILY_PARTS) == FAMILIES
+
+
+def test_only_the_trial_word_stream_reads_the_block_budget():
+    """_trial_words makes its chunks within _BLOCK_VALUES and hands them out
+    in blocks within it, and the suite store keeps its words within it; no
+    other function of axioms reads the budget."""
+    tree = ast.parse(Path(axioms_module.__file__).read_text())
+    readers = {function.name for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+               for node in ast.walk(function) if getattr(node, "id", None) == "_BLOCK_VALUES"}
+    assert readers == {"_trial_words", "_suite_shared"}

@@ -625,6 +625,16 @@ ARGUMENT_RULES = [
     pytest.param(check_comonotonic_affinity, (AGG2, MOBIUS2, 5), ValueError,
                  "expected a SignedCapacity, got MobiusRepresentation",
                  id="check_comonotonic_affinity-game"),
+    # None is not a game either: the runner binds whatever game it is given.
+    pytest.param(check_comonotonic_additivity, (AGG2, None, 5), ValueError,
+                 "expected a SignedCapacity, got NoneType",
+                 id="check_comonotonic_additivity-game-none"),
+    pytest.param(check_positive_homogeneity, (AGG2, None, 5), ValueError,
+                 "expected a SignedCapacity, got NoneType",
+                 id="check_positive_homogeneity-game-none"),
+    pytest.param(check_comonotonic_affinity, (AGG2, None, 5), ValueError,
+                 "expected a SignedCapacity, got NoneType",
+                 id="check_comonotonic_affinity-game-none"),
     pytest.param(evaluate_family, (AGG2, "x", [1.0, 2.0]), ValueError,
                  "expected a SignedCapacity, got str", id="evaluate_family-game"),
     pytest.param(mobius_transform, (MOBIUS2,), ValueError,
