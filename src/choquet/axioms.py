@@ -25,7 +25,6 @@ integral itself, each with its suite row and paper witness there:
 from __future__ import annotations
 
 import json
-import operator
 import sys
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field
@@ -125,7 +124,7 @@ class Aggregator:
         _require_game_on(v, self.n)
         game = v.values
         if self._parts.mobius:
-            game = _lattice_cumulation(game, operator.isub, "mobius_transform")
+            game = _lattice_cumulation(game, np.subtract, "mobius_transform")
         return partial(self._parts.evaluate, game)
 
 
@@ -776,7 +775,7 @@ def check_linearity_in_capacity(
 
     def sides(_, inputs):
         V, X, parts = inputs["capacity"], inputs["x"], agg._parts
-        m = _lattice_cumulation(V, operator.isub, "mobius_transform")
+        m = _lattice_cumulation(V, np.subtract, "mobius_transform")
         return parts.evaluate(m if parts.mobius else V, X), _row_sums(m[:, 1:] * parts.fold.every(X))
 
     return _run_checker(AXIOM_LINEARITY_IN_CAPACITY, agg, trials, seed, tolerance,

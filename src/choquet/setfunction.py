@@ -217,37 +217,31 @@ def _validated_values(n: int, values) -> np.ndarray:
     return arr
 
 
-# Bits below this one yield one strided view per offset instead of one
-# blocked view: a blocked view's rows of 2**i = 1..4 entries make numpy run
-# one short inner loop per row, a strided view one long loop per call.  From
-# bit 3 on, 2**i strided calls cost more than the blocked one.
-_STRIDED_BITS = 3
+# Bits below this one run their pass in C order of the (2**i, *rows, blocks)
+# views: numpy's inner loop then runs along rows and blocks, which coalesce
+# into one long loop, not along blocks of 2**i = 1..4 entries.  From this bit
+# on, memory order ("K"), along the 2**i contiguous entries of a block, is faster.
+_C_ORDER_BITS = 3
 
 
 def _lattice_passes(arr: np.ndarray):
     """The in-place subset-lattice recursion over a mask-indexed array.
 
     arr is one array of 2**n values or, along a leading axis, one per row.
-    For each bit i in ascending order, yields views of arr as tuples
-    (i, o, lo, hi): lo holds entries at masks without bit i, and hi the
-    entries at the same masks with bit i added, both shaped (blocks, width)
-    per row in ascending mask order, position (b, j) holding mask
-    (b << (i + 1)) + o + j.  From bit _STRIDED_BITS on, one tuple per bit
-    covers every mask: o = 0 and width 2**i.  Below it, bit i yields one
-    tuple per offset o < 2**i, each the masks congruent to o modulo
-    2**(i + 1), with width 1.  Within a bit, the views are disjoint and no
-    lo entry is an hi entry, so updating every hi from its lo, in any
-    order of the tuples, reproduces the scalar recursion bit for bit.
+    For each bit i in ascending order, yields one tuple (i, lo, hi, order):
+    lo is a view of arr holding the entries at masks without bit i, hi the
+    entries at the same masks with bit i added, both shaped (2**i, *rows,
+    blocks), position (j, ..., b) holding mask (b << (i + 1)) + j.  order is
+    the iteration order to give the ufunc that works on the pair: "C" below
+    _C_ORDER_BITS and "K" from there on.  No lo entry is an hi entry, so
+    updating every hi from its lo, in any order, reproduces the scalar
+    recursion bit for bit.
     """
     rows = arr.shape[:-1]
+    axes = (len(rows) + 2, *range(len(rows) + 2))  # the 2**i axis first
     for i in range(arr.shape[-1].bit_length() - 1):
-        step = 2 << i
-        if i < _STRIDED_BITS:
-            for o in range(1 << i):
-                yield i, o, arr[..., o::step, None], arr[..., o + (1 << i)::step, None]
-        else:
-            blocks = arr.reshape(rows + (-1, 2, 1 << i))
-            yield i, 0, blocks[..., 0, :], blocks[..., 1, :]
+        pairs = arr.reshape(rows + (-1, 2, 1 << i)).transpose(axes)
+        yield i, pairs[..., 0], pairs[..., 1], "C" if i < _C_ORDER_BITS else "K"
 
 
 def _subset_statistic(op, identity: float, coords) -> np.ndarray:
@@ -285,13 +279,14 @@ def _finite(result, operation: str):
 
 
 def _lattice_cumulation(values, op, operation: str) -> np.ndarray:
-    """Copy of the finite values (one set function, or one per row) with the
-    in-place operator op(hi, lo) on every pass; an overflow raises
-    NonFiniteResult naming the operation."""
+    """Copy of the finite values (one set function, or one per row) with one
+    call op(hi, lo, out=hi) of the binary ufunc op per pass, in the pass's
+    order: np.subtract gives the Mobius transform, np.add the zeta transform.
+    An overflow raises NonFiniteResult naming the operation."""
     out = np.array(values, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _, _, lo, hi in _lattice_passes(out):
-            op(hi, lo)
+        for _, lo, hi, order in _lattice_passes(out):
+            op(hi, lo, out=hi, order=order)
     return _finite(out, operation)
 
 
@@ -367,21 +362,14 @@ class Capacity(SignedCapacity):
 
 def _first_covering_violation(values):
     """First covering pair with v(S) > v(S + {i}), scanning bits then masks."""
-    witness = None  # (bit, least violating mask S in that bit's views so far)
-    for i, o, lo, hi in _lattice_passes(values):
-        if witness is not None and witness[0] < i:
-            break
-        bad = lo > hi
+    for i, lo, hi, order in _lattice_passes(values):
+        bad = np.greater(lo, hi, order=order)
         if bad.any():
-            block, j = np.argwhere(bad)[0]
-            s_mask = (int(block) << (i + 1)) + o + int(j)
-            if witness is None or s_mask < witness[1]:
-                witness = i, s_mask
-    if witness is None:
-        return None
-    i, s_mask = witness
-    t_mask = s_mask | (1 << i)
-    return s_mask, t_mask, float(values[s_mask]), float(values[t_mask])
+            j, block = np.nonzero(bad)
+            s_mask = int(((block << (i + 1)) + j).min())
+            t_mask = s_mask | (1 << i)
+            return s_mask, t_mask, float(values[s_mask]), float(values[t_mask])
+    return None
 
 
 def validate_signed_capacity(f: SetFunction) -> SignedCapacity:
@@ -431,7 +419,7 @@ def mobius_transform(f: SetFunction) -> MobiusRepresentation:
     Raises NonFiniteResult if a coefficient overflows.
     """
     _require_instance(f, SetFunction)
-    coefficients = _lattice_cumulation(f.values, operator.isub, "mobius_transform")
+    coefficients = _lattice_cumulation(f.values, np.subtract, "mobius_transform")
     return MobiusRepresentation(f.n, _Fresh(coefficients))
 
 
@@ -441,7 +429,7 @@ def zeta_transform(m: MobiusRepresentation) -> SetFunction:
     Raises NonFiniteResult if a value overflows.
     """
     _require_instance(m, MobiusRepresentation)
-    values = _lattice_cumulation(m.coefficients, operator.iadd, "zeta_transform")
+    values = _lattice_cumulation(m.coefficients, np.add, "zeta_transform")
     return SetFunction(m.n, _Fresh(values))
 
 

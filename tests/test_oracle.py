@@ -2,6 +2,8 @@
 
 import sys
 from fractions import Fraction
+from functools import partial
+from itertools import accumulate, permutations, product
 
 import numpy as np
 import pytest
@@ -255,3 +257,92 @@ class TestEvaluateFamilyExact:
         with pytest.raises(GroundSetTooLarge):
             evaluate_family_exact(Aggregator("choquet", 9), SignedCapacity(9, np.zeros(512)),
                                   [0] * 9)
+
+
+# The independence matrix's six pass cells, proved exactly at the suite's
+# ground sets by Alon's Combinatorial Nullstellensatz (1999), Lemma 2.1: a
+# polynomial of degree at most t_k in its k-th variable that vanishes on a
+# product of sets of t_k + 1 points each is zero.  The degree bounds, in
+# each variable on its own:
+# - weighted-mean, sum over T of m_v(T) times the mean of x over T: 1 in
+#   each coordinate and, m_v being linear in v, 1 in each value of v;
+# - multilinear, sum over T of m_v(T) times the product of x over T: 1 in
+#   each coordinate and in each value of v;
+# - vstar-patch at a unanimity game, which is never vstar: the integral,
+#   linear on each chain cone in the cone's increments y (_running_sums).
+#   At vstar it is not polynomial in v, so a grid of game values would
+#   "prove" its linearity cell by missing vstar; that cell keeps its exact
+#   witness (test_paper_witnesses_are_exact).
+# So on each region below lhs - rhs has degree at most 1 in each variable:
+# x (or y), r and s for interval-scale, since r x + s only scales and
+# shifts a point of a region within it; the coordinates (or y) left free by
+# the zeroed one for zero-on-basis; the game values and x for linearity.
+# Two points per variable inside the region prove the cell on all of it,
+# and a failing grid point is an exact counterexample.
+_TWO = (1.0, 2.0)
+_UNIT = (0.25, 0.5)  # increments of a point of [0, 1]**3 that starts at 0
+_SCALES = (_TWO, (0.0, 1.0))  # r > 0 and s
+
+PASS_CELLS = [(family, condition) for family in axioms.INDEPENDENCE_FAMILIES
+              for condition in axioms.INDEPENDENCE_CONDITIONS
+              if EXPECTED_FALSIFIED[family] != condition]
+
+
+def _running_sums(order, y):
+    """The point whose coordinates along order (0-based elements) are the
+    running sums of y: the chain cone of order, by its increments."""
+    x = [0.0] * len(order)
+    for element, level in zip(order, accumulate(y)):
+        x[element] = level
+    return x
+
+
+def _regions(family, condition, n, subset):
+    """Regions that cover the condition's domain at the basis game of subset,
+    each (point of its parameters, the grid of each parameter): chain cones
+    for vstar-patch, coordinates for the polynomial families."""
+    cones = family == FAMILY_VSTAR_PATCH
+    if condition == AXIOM_INTERVAL_SCALE:  # all of R**n
+        if cones:
+            return [(partial(_running_sums, order), [_TWO] * n) for order in permutations(range(n))]
+        return [(list, [_TWO] * n)]
+    regions = []  # zero-on-basis: [0, 1]**n with an element e of the subset at 0
+    for e in (i for i in range(n) if subset >> i & 1):
+        if cones:
+            others = [i for i in range(n) if i != e]
+            regions += [(partial(_running_sums, (e, *order)), [(0.0,)] + [_UNIT] * (n - 1))
+                        for order in permutations(others)]
+        else:
+            regions.append((list, [(0.0,) if i == e else _UNIT for i in range(n)]))
+    return regions
+
+
+def _grid_inputs(family, condition):
+    """exact_sides inputs at every point of the cell's grid, at the suite's n."""
+    n = axioms._FAMILY_PARTS[family].suite_n
+    if condition == AXIOM_LINEARITY_IN_CAPACITY:
+        for point in product(_TWO, repeat=n + (1 << n) - 1):
+            yield {"family": family, "x": list(point[:n]), "capacity": [0.0, *point[n:]]}
+        return
+    scales = _SCALES if condition == AXIOM_INTERVAL_SCALE else ()
+    for subset in range(1, 1 << n):
+        for to_point, grids in _regions(family, condition, n, subset):
+            for point in product(*grids, *scales):
+                inputs = {"family": family, "subset": subset, "x": to_point(point[:n])}
+                yield inputs | dict(zip("rs", point[n:]))
+
+
+@pytest.mark.parametrize("family, condition", PASS_CELLS)
+def test_the_pass_cells_hold_exactly_on_a_proving_grid(family, condition):
+    failures = [(inputs, sides) for inputs in _grid_inputs(family, condition)
+                for sides in [exact_sides(condition, inputs)] if sides[0] != sides[1]]
+    assert failures == []
+
+
+@pytest.mark.parametrize("family", [FAMILY_WEIGHTED_MEAN, FAMILY_MULTILINEAR])
+def test_the_grid_of_a_polynomial_family_finds_its_falsified_cell(family):
+    # The same regions and grids hold an exact counterexample wherever the
+    # condition fails, so they do not pass a cell by missing its failures.
+    condition = EXPECTED_FALSIFIED[family]
+    assert any(lhs != rhs for lhs, rhs in
+               (exact_sides(condition, inputs) for inputs in _grid_inputs(family, condition)))

@@ -2,6 +2,7 @@
 object its home module defines, and importing the package loads none of
 its modules."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -65,3 +66,27 @@ def test_a_bare_import_loads_nothing_and_reaches_every_submodule():
     loaded, reached = proc.stdout.splitlines()
     assert loaded == "choquet"
     assert reached.split() == [f"choquet.{m}" for m in submodules]
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names bound by the module's top-level imports that it never reads,
+    apart from __future__ features, imports marked `# noqa: F401` and axioms'
+    `from .names import`, which re-exports every name of names.py."""
+    text = path.read_text()
+    tree, lines = ast.parse(text), text.splitlines()
+    bound = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        exempt = "# noqa: F401" in lines[node.lineno - 1] or isinstance(node, ast.ImportFrom) and (
+            node.module == "__future__" or (path.name, node.module) == ("axioms.py", "names"))
+        if not exempt:
+            bound += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in bound if name not in read]
+
+
+@pytest.mark.parametrize("path", sorted((REPO_SRC / "choquet").glob("*.py")), ids=lambda p: p.name)
+def test_every_top_level_import_is_used(path):
+    assert _unused_imports(path) == []

@@ -26,6 +26,7 @@ from choquet.setfunction import (
     validate_capacity,
     validate_signed_capacity,
     zeta_transform,
+    _C_ORDER_BITS,
     _Fresh,
     _lattice_cumulation,
     _lattice_passes,
@@ -453,7 +454,7 @@ def test_batched_subset_statistic_equals_the_point_fold_row_by_row(op, identity,
 
 def test_batched_lattice_cumulation_equals_the_transform_row_by_row():
     games = [random_signed_capacity(6, seed) for seed in range(20)]
-    rows = _lattice_cumulation(np.array([v.values for v in games]), operator.isub, "mobius_transform")
+    rows = _lattice_cumulation(np.array([v.values for v in games]), np.subtract, "mobius_transform")
     for row, v in zip(rows, games):
         assert np.array_equal(row, mobius_transform(v).coefficients)
 
@@ -543,18 +544,45 @@ def test_lattice_passes_cover_each_covering_pair_once(n, rows):
     # (row, mask) they sit at.
     size = 1 << n
     arr = np.arange(np.prod(rows, dtype=int) * size, dtype=float).reshape(rows + (size,))
-    bits = []
-    for i, o, lo, hi in _lattice_passes(arr):
-        assert np.shares_memory(lo, arr) and np.shares_memory(hi, arr)
-        assert lo.shape == hi.shape and lo.shape[:-2] == rows
-        block, j = np.indices(lo.shape[-2:])
-        assert np.array_equal(lo % size, np.broadcast_to((block << (i + 1)) + o + j, lo.shape))
-        assert np.array_equal(hi, lo + (1 << i))
-        if not bits or bits[-1][0] != i:
-            bits.append((i, []))
-        bits[-1][1].extend(lo.ravel().tolist())
-    assert [i for i, _ in bits] == list(range(n))
     everything = np.arange(arr.size)
-    for i, lows in bits:
+    passes = list(_lattice_passes(arr))
+    assert [i for i, *_ in passes] == list(range(n))
+    for i, lo, hi, order in passes:
+        assert order == ("C" if i < _C_ORDER_BITS else "K")
+        assert np.shares_memory(lo, arr) and np.shares_memory(hi, arr)
+        assert lo.shape == hi.shape == (1 << i, *rows, size >> (i + 1))
+        j, *row, block = np.indices(lo.shape)  # row is [] without a rows axis
+        assert np.array_equal(lo, sum(row, 0) * size + (block << (i + 1)) + j)
+        assert np.array_equal(hi, lo + (1 << i))
         expected = everything[(everything & (1 << i)) == 0]  # flat index keeps the mask's low bits
-        assert sorted(lows) == expected.tolist()
+        assert sorted(lo.ravel().tolist()) == expected.tolist()
+
+
+@pytest.mark.parametrize("rows", [(), (3,)], ids=["one", "rows"])
+def test_lattice_cumulation_calls_its_op_once_per_bit(rows):
+    for n in range(1, 11):
+        calls = []
+
+        def counting_subtract(*args, **kwargs):
+            calls.append(args)
+            return np.subtract(*args, **kwargs)
+
+        _lattice_cumulation(np.zeros(rows + (1 << n,)), counting_subtract, "mobius_transform")
+        assert len(calls) == n
+
+
+def test_a_batched_lattice_cumulation_works_on_its_views_in_place():
+    # numpy copies a ufunc input that may overlap the output.  No lo entry of
+    # a pass is an hi entry, so no pass copies: the peak stays near the one
+    # result array, where a copy of lo alone would add half of it.
+    # test_a_set_function_built_by_the_package_is_not_copied_again holds
+    # mobius_transform at n = 16 to the same bound.
+    values = np.random.default_rng(5).random((64, 1024))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _lattice_cumulation(values, np.subtract, "mobius_transform")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 1.5 * values.nbytes
