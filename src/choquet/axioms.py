@@ -454,13 +454,11 @@ def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
 
 
 def _bounded_integers(words: np.ndarray, m: int) -> np.ndarray:
-    """Generator.integers(m) for 1 <= m < 2**32 from each raw word: Lemire's
-    method on the word's low 32 bits.  Where that method would reject the
-    word and draw again (about once in 2**32 / m words) the entry is -1."""
-    product = (words & _MASK32) * m
-    out = (product >> 32).astype(np.int64)
-    out[(product & _MASK32) < (_MASK32 + 1 - m) % m] = -1
-    return out
+    """An integer in [0, m) for 1 <= m < 2**32 from each raw word, by
+    multiply-shift on its low 32 bits: Generator.integers(m) on every word
+    that Lemire's method accepts (it rejects about one in 2**32 / m), and
+    never a second word.  Each value's probability is within 2**-32 of 1/m."""
+    return ((words & _MASK32) * m >> 32).astype(np.int64)
 
 
 def _require_tolerance(tolerance) -> float:
@@ -475,7 +473,7 @@ def _require_tolerance(tolerance) -> float:
 
 def _run_checker(axiom: str, agg: Aggregator, trials: int, seed: int, tolerance: float,
                  width: Callable[[int], int], draw, sides, **fixed) -> AxiomReport:
-    """Draw the trials in blocks with draw(numbers, words) -> inputs and
+    """Draw the trials in blocks with draw(numbers, u, words) -> inputs and
     evaluate them with sides(f, inputs) -> (lhs, rhs), until the sides differ.
     fixed names the subject once: capacity=v makes f agg's family at game v
     (agg._bind, which checks the class of v), subset=members the family at
@@ -490,15 +488,16 @@ def _run_checker(axiom: str, agg: Aggregator, trials: int, seed: int, tolerance:
     is computed once, and then the seed (by _require_seed); trials,
     tolerance and seed are reported as Python numbers.  For a block of trial
     numbers, words holds the first width(agg.n) raw words of each trial's
-    stream, and inputs maps each witness key that varies by trial to an
-    array with one row per trial.  The two sides are arrays with one row per
-    trial, computed with over/invalid ignored.  The first row that is over
-    the tolerance or non-finite decides: its witness's inputs are the
-    family, the fixed entries (a game as the list of its values) and that
-    row of every input (arrays converted to lists and numbers).  The run
-    ends with that witness if its discrepancy is finite (then so are both
-    sides); otherwise NonFiniteResult names agg's operation.  Otherwise
-    every trial runs and the report is satisfied.
+    stream, u those words as random() draws (_doubles, once per block), and
+    inputs maps each witness key that varies by trial to an array with one
+    row per trial.  The two sides are arrays with one row per trial,
+    computed with over/invalid ignored.  The first row that is over the
+    tolerance or non-finite decides: its witness's inputs are the family,
+    the fixed entries (a game as the list of its values) and that row of
+    every input (arrays converted to lists and numbers).  The run ends with
+    that witness if its discrepancy is finite (then so are both sides);
+    otherwise NonFiniteResult names agg's operation.  Otherwise every trial
+    runs and the report is satisfied.
     """
     _require_instance(agg, Aggregator)
     trials, tolerance = _require_count("trials", trials), _require_tolerance(tolerance)
@@ -512,7 +511,7 @@ def _run_checker(axiom: str, agg: Aggregator, trials: int, seed: int, tolerance:
     blocks = _trial_words(seed, trials, width(agg.n), row_values)
     start = 0
     for words in blocks:
-        inputs = draw(np.arange(start, start + len(words)), words)
+        inputs = draw(np.arange(start, start + len(words)), _doubles(words), words)
         with np.errstate(over="ignore", invalid="ignore"):
             lhs, rhs = sides(f, inputs)
             within = np.abs(lhs - rhs) <= tolerance  # False where a side is non-finite
@@ -592,8 +591,8 @@ def check_comonotonic_additivity(
 
     Trial 0 uses the degenerate pair (base, 0), which reduces to f(0) = 0.
     """
-    def draw(numbers, words):
-        base, x, y = _comonotonic_pairs(_doubles(words), agg.n)
+    def draw(numbers, u, words):
+        base, x, y = _comonotonic_pairs(u, agg.n)
         first = numbers == 0
         x[first], y[first] = base[first], 0.0
         return {"x": x, "y": y}
@@ -617,8 +616,7 @@ def check_positive_homogeneity(
 
     Trial 0 uses r = 1.
     """
-    def draw(numbers, words):
-        u = _doubles(words)
+    def draw(numbers, u, words):
         r = np.exp(_uniform(u[:, agg.n], *_LOG_R))
         r[numbers == 0] = 1.0
         return {"x": _uniform(u[:, :agg.n], -5.0, 5.0), "r": r}
@@ -642,8 +640,7 @@ def check_comonotonic_affinity(
 
     Trials 0 and 1 pin the endpoint cases lam = 0 and lam = 1.
     """
-    def draw(numbers, words):
-        u = _doubles(words)
+    def draw(numbers, u, words):
         _, x, y = _comonotonic_pairs(u, agg.n)
         lam = np.where(numbers < 2, numbers, _uniform(u[:, agg.n + _PAIR_WORDS], 0.0, 1.0))
         return {"x": x, "x_prime": y, "lambda": lam}
@@ -683,8 +680,7 @@ def check_interval_scale_covariance(
     """
     members = _basis_game(agg, subset)
 
-    def draw(numbers, words):
-        u = _doubles(words)
+    def draw(numbers, u, words):
         x = _uniform(u[:, :agg.n], -5.0, 5.0)
         r = np.exp(_uniform(u[:, agg.n], *_LOG_R))
         s = _uniform(u[:, agg.n + 1], -5.0, 5.0)
@@ -723,14 +719,9 @@ def check_zero_on_basis(
     """
     members = _basis_game(agg, subset)
 
-    def draw(numbers, words):
-        x = _uniform(_doubles(words[:, :agg.n]), 0.0, 1.0)
-        index = _bounded_integers(words[:, agg.n], len(members))
-        for row in np.flatnonzero(index < 0):  # replay a rejected draw on the trial's own stream
-            rng = np.random.default_rng([int(seed), int(numbers[row])])
-            rng.random(agg.n)
-            index[row] = rng.integers(len(members))
-        zeroed = np.array(members)[index]
+    def draw(numbers, u, words):
+        x = _uniform(u[:, :agg.n], 0.0, 1.0)
+        zeroed = np.array(members)[_bounded_integers(words[:, agg.n], len(members))]
         zeroed[numbers == 0] = members[0]
         x[np.arange(len(x)), zeroed - 1] = 0.0
         x[numbers == 0] = 0.0
@@ -763,8 +754,7 @@ def check_linearity_in_capacity(
         raise GroundSetTooLarge(agg.n, _MAX_N_LINEARITY)
     size = 1 << agg.n
 
-    def draw(numbers, words):
-        u = _doubles(words)
+    def draw(numbers, u, words):
         V = _uniform(u[:, :size], -1.0, 1.0)
         V[:, 0] = 0.0
         X = _uniform(u[:, size:], -5.0, 5.0)
@@ -856,7 +846,7 @@ def _zero_witness(agg: Aggregator, seed: int) -> AxiomReport:
     """The zero-on-basis sample x = (0, 2), element 1 zeroed, on {1, 2}."""
     inputs = {"x": np.array([[0.0, 2.0]]), "zeroed_element": np.array([1])}
     return _run_checker(AXIOM_ZERO_ON_BASIS, agg, 1, seed, FALSIFY_TOLERANCE, lambda n: 0,
-                        lambda numbers, words: inputs, _zero_sides, subset=_basis_game(agg, [1, 2]))
+                        lambda numbers, u, words: inputs, _zero_sides, subset=_basis_game(agg, [1, 2]))
 
 
 @dataclass(frozen=True)

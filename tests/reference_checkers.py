@@ -2,9 +2,10 @@
 
 Each checker here runs its trials one at a time, in order.  Trial t draws
 its inputs from one stream, _trial_rng(seed, t), with numpy's own
-Generator methods (random through uniform, integers, and np.interp for each
-monotone map), in the order in which the fast checkers document their
-words.  It evaluates both sides by scalar routes and stops at the first
+Generator methods (random through uniform, and np.interp for each monotone
+map), in the order in which the fast checkers document their words.  The
+zero-on-basis element is multiply-shift on the next raw word's low 32 bits,
+which is the integers draw wherever Lemire's method accepts that word.  It evaluates both sides by scalar routes and stops at the first
 trial whose sides differ by more than the tolerance; a non-finite side
 raises NonFiniteResult naming the family's operation.
 
@@ -204,7 +205,8 @@ def check_zero_on_basis(agg, subset, trials, seed, tolerance) -> AxiomReport:
             x, zeroed = [0.0] * agg.n, members[0]
         else:
             x = rng.uniform(0.0, 1.0, agg.n).tolist()
-            zeroed = members[int(rng.integers(len(members)))]
+            low = int(rng.bit_generator.random_raw()) & 0xFFFFFFFF
+            zeroed = members[low * len(members) >> 32]
             x[zeroed - 1] = 0.0
         return f(x), 0.0, {"x": x, "zeroed_element": zeroed}
 

@@ -569,7 +569,7 @@ class TestBlockRunner:
         row count of every block drawn is appended to blocks."""
         blocks = [] if blocks is None else blocks
 
-        def draw(numbers, words):
+        def draw(numbers, u, words):
             blocks.append(len(numbers))
             return {"trial": numbers}
 

@@ -90,3 +90,20 @@ def _unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted((REPO_SRC / "choquet").glob("*.py")), ids=lambda p: p.name)
 def test_every_top_level_import_is_used(path):
     assert _unused_imports(path) == []
+
+
+def _called_names(node: ast.AST) -> list[str]:
+    """The name or attribute called by every call under node, in walk order."""
+    return [call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, (ast.Name, ast.Attribute))]
+
+
+def test_the_checkers_read_each_trial_stream_once():
+    # Every checker takes its words from _run_checker, which turns each
+    # block into doubles once; no trial builds a generator to draw again.
+    tree = ast.parse((REPO_SRC / "choquet" / "axioms.py").read_text())
+    runner = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_run_checker")
+    assert "default_rng" not in _called_names(tree)
+    assert _called_names(tree).count("_doubles") == _called_names(runner).count("_doubles") == 1

@@ -6,7 +6,9 @@ of a whole chunk of trials at once, of the first two chunks together for
 seeds below 2**32 (seeds and trials from 2**32 through SeedSequence
 itself), computes the raw 64-bit words of narrow rows by jumping ahead
 from those words and of wide rows by setting a PCG64 to each seeded state,
-and maps the words to `random`, `uniform` and `integers` draws itself.
+and maps the words to `random` and `uniform` draws itself.  The
+zero-on-basis checker's element is multiply-shift on one word, which is
+the `integers` draw wherever Lemire's method accepts that word.
 numpy keeps these streams fixed across releases (NEP 19); if a numpy
 upgrade changed them, these tests fail instead of the reports
 drifting.
@@ -31,6 +33,7 @@ from choquet.axioms import (
     independence_suite,
 )
 from choquet.generate import random_signed_capacity
+from reference_checkers import _trial_rng
 
 SEEDS = (0, 1, 13, 2**31, 2**32 - 1)
 NARROW = axioms_module._NARROW_WIDTH
@@ -38,8 +41,8 @@ TRIALS = np.array(list(range(303)) + [10**6, 2**32 - 1])
 
 
 def raw_words(seed: int, trials, width: int) -> np.ndarray:
-    """The first `width` raw words of default_rng([seed, trial]), one row per trial."""
-    return np.array([np.random.default_rng([seed, t]).bit_generator.random_raw(width) for t in trials])
+    """The first `width` raw words of each trial's stream, one row per trial."""
+    return np.array([_trial_rng(seed, t).bit_generator.random_raw(width) for t in trials])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -79,19 +82,24 @@ def test_trial_words_are_default_rng_words_on_both_routes(width):
 
 @pytest.mark.parametrize("seed", [0, 13, 2**32 - 1, 2**32, 2**40 + 3])
 def test_raw_words_map_to_the_generator_draws(seed):
-    """_doubles, _uniform and _bounded_integers on the words of
-    _trial_words equal random, uniform and integers on default_rng."""
-    trials = np.arange(50)
+    """_doubles and _uniform on the words of _trial_words equal random and
+    uniform on each trial's stream, and _bounded_integers is multiply-shift
+    on the next raw word: integers(m) wherever Lemire's method accepts it."""
     words = np.concatenate(list(axioms_module._trial_words(seed, 50, 6)))
     u = axioms_module._doubles(words)
     for m in (1, 2, 3, 7, 1000):
         index = axioms_module._bounded_integers(words[:, 5], m)
-        for trial in trials.tolist():
-            rng = np.random.default_rng([seed, trial])
+        for trial in range(50):
+            rng = _trial_rng(seed, trial)
             assert np.array_equal(u[trial, :2], rng.random(2))
             uniform = axioms_module._uniform(u[trial, 2:5], 0.1, 3.5)
             assert np.array_equal(uniform, rng.uniform(0.1, 3.5, 3))
-            assert index[trial] == rng.integers(m)
+            state = rng.bit_generator.state
+            product = (int(rng.bit_generator.random_raw()) & 0xFFFFFFFF) * m
+            assert index[trial] == product >> 32
+            if product % 2**32 >= (2**32 - m) % m:  # Lemire's method accepts the word
+                rng.bit_generator.state = state
+                assert index[trial] == rng.integers(m)
 
 
 def test_seeds_and_trials_from_two_to_the_32_are_hashed_by_seed_sequence():
@@ -193,23 +201,38 @@ def test_every_chunk_is_made_within_the_block_budget(width, rows, budget):
     assert sum(sizes) == 10000 and max(sizes) == rows
 
 
-def test_bounded_integers_flags_the_words_lemire_rejects():
-    # For m = 3 the rejection threshold (2**32 - 3) % 3 is 1: a word whose
-    # low 32 bits times 3 are 0 modulo 2**32 is drawn again.
+def test_bounded_integers_is_multiply_shift_on_the_words_lemire_rejects():
+    # For m = 3 the rejection threshold (2**32 - 3) % 3 is 1: Lemire's
+    # method draws again for a word whose low 32 bits times 3 are 0 modulo
+    # 2**32.  Multiply-shift keeps the word.
     words = np.array([0, 1 << 32, 1, 0xFFFFFFFF], dtype=np.uint64)
-    assert axioms_module._bounded_integers(words, 3).tolist() == [-1, -1, 0, 2]
+    assert axioms_module._bounded_integers(words, 3).tolist() == [0, 0, 0, 2]
 
 
-def test_zero_on_basis_replays_rejected_draws_on_the_trial_stream(monkeypatch):
-    # The weighted-mean family falsifies at trial 1, whose witness names
-    # the zeroed element; the choquet family runs every trial.
-    calls = [
-        (Aggregator(family, 4), subset, 50, seed)
-        for family in ("weighted-mean", "choquet") for subset in (0b0110, 0b1111) for seed in range(8)
-    ]
-    expected = [check_zero_on_basis(*call, tolerance=0.0).to_dict() for call in calls]
-    monkeypatch.setattr(axioms_module, "_bounded_integers", lambda words, m: np.full(len(words), -1))
-    assert [check_zero_on_basis(*call, tolerance=0.0).to_dict() for call in calls] == expected
+def test_zero_on_basis_zeroes_the_multiply_shift_element_of_a_rejected_word(monkeypatch):
+    # At m = 7 the threshold (2**32 - 7) % 7 is 4, and the low 32 bits
+    # 1840700270 times 7 are 2 modulo 2**32: Lemire's method rejects the
+    # word, and multiply-shift takes index 3, element 4.  The weighted-mean
+    # family falsifies at trial 1, whose witness names that element, with
+    # no generator built.
+    low = 1840700270
+    assert low * 7 % 2**32 < (2**32 - 7) % 7 and low * 7 >> 32 == 3
+    words = np.full((2, 8), 1 << 63, dtype=np.uint64)  # each double 0.5
+    words[1, 7] = 5 << 32 | low
+
+    def one_block(seed, trials, width, row_values=0):
+        assert width == 8
+        yield words
+
+    def fail(*args, **kwargs):
+        raise AssertionError("default_rng called")
+
+    monkeypatch.setattr(axioms_module, "_trial_words", one_block)
+    monkeypatch.setattr(np.random, "default_rng", fail)
+    report = check_zero_on_basis(Aggregator("weighted-mean", 7), 0b1111111, 2, 0)
+    assert report.falsified and report.samples_run == 2
+    assert report.witness.inputs["zeroed_element"] == 4
+    assert report.witness.inputs["x"] == [0.5, 0.5, 0.5, 0.0, 0.5, 0.5, 0.5]
 
 
 def checker_calls():
