@@ -418,7 +418,7 @@ def _trial_words(seed: int, trials: int, width: int, row_values: int = 0):
     _BLOCK_VALUES values, one of 2 to 8 words or of more than 48 within 1.6
     times that, and one of 1 word within 2.3 times."""
     narrow = width <= _NARROW_WIDTH
-    rows = max(1, _BLOCK_VALUES // max(1, width * (8 if narrow else 1)))
+    rows = max(1, _BLOCK_VALUES // (width * (8 if narrow else 1)))
     bits = None if narrow else np.random.PCG64(0)  # this call's alone
 
     def seeded(start, stop):
@@ -472,55 +472,53 @@ def _require_tolerance(tolerance) -> float:
 
 
 def _run_checker(axiom: str, agg: Aggregator, trials: int, seed: int, tolerance: float,
-                 width: Callable[[int], int], draw, sides, **fixed) -> AxiomReport:
-    """Draw the trials in blocks with draw(numbers, u, words) -> inputs and
+                 words: int, draw, sides, **fixed) -> AxiomReport:
+    """Draw the trials in blocks with draw(numbers, u, block) -> inputs and
     evaluate them with sides(f, inputs) -> (lhs, rhs), until the sides differ.
-    fixed names the subject once: capacity=v makes f agg's family at game v
-    (agg._bind, which checks the class of v), subset=members the family at
-    the unanimity game of the subset of those ascending elements (its fold,
-    _Fold.at), and nothing makes f None: linearity's rows draw their games.
-    The blocks are those of _trial_words, told that a row holds 2**n values
-    where it holds a game or a Mobius family's statistic at one, else 0 (a
-    chain sum's or a fold's O(n) values, at most its words).  Each row's
-    sides depend on that row alone, so the blocks never change a report.
+    A trial reads agg.n + words raw words.  fixed names the subject once:
+    capacity=v makes f agg's family at game v (agg._bind, which checks the
+    class of v), subset=members the family at the unanimity game of the subset
+    of those ascending elements (its fold, _Fold.at), and nothing makes f None:
+    linearity's rows draw their games.  The blocks are those of _trial_words,
+    told a row size of 2**n values at a Mobius family's game v, else 0: any
+    other row holds no more values than words (a chain sum's or a fold's O(n),
+    a drawn game's 2**n + n) and fits a chunk whole.  Each row's sides depend
+    on that row alone, so no block changes a report.
 
-    agg is checked first, then trials and tolerance, then the subject, as f
-    is computed once, and then the seed (by _require_seed); trials,
-    tolerance and seed are reported as Python numbers.  For a block of trial
-    numbers, words holds the first width(agg.n) raw words of each trial's
-    stream, u those words as random() draws (_doubles, once per block), and
-    inputs maps each witness key that varies by trial to an array with one
-    row per trial.  The two sides are arrays with one row per trial,
-    computed with over/invalid ignored.  The first row that is over the
-    tolerance or non-finite decides: its witness's inputs are the family,
-    the fixed entries (a game as the list of its values) and that row of
-    every input (arrays converted to lists and numbers).  The run ends with
-    that witness if its discrepancy is finite (then so are both sides);
-    otherwise NonFiniteResult names agg's operation.  Otherwise every trial
-    runs and the report is satisfied.
+    agg is checked first, then trials and tolerance, then the subject, as f is
+    computed once, and then the seed (by _require_seed); trials, tolerance and
+    seed are reported as Python numbers.  For the trial numbers of a block,
+    block holds their words, one row each, u those as random() draws (_doubles,
+    once per block), and inputs maps each witness key that varies by trial to
+    an array with one row per trial.  The two sides are arrays with one row per
+    trial, computed with over/invalid ignored.  The first row over the
+    tolerance or non-finite decides: its witness's inputs are the family, the
+    fixed entries (a game as the list of its values) and that row of every
+    input (arrays converted to lists and numbers).  The run ends with that
+    witness if its discrepancy is finite (then so are both sides), else
+    NonFiniteResult names agg's operation; if no row decides, it is satisfied.
     """
     _require_instance(agg, Aggregator)
     trials, tolerance = _require_count("trials", trials), _require_tolerance(tolerance)
+    f, row_values = None, 0  # linearity's rows draw their games
     if "subset" in fixed:
-        f, row_values = partial(agg._parts.fold.at, np.array(fixed["subset"]) - 1), 0
+        f = partial(agg._parts.fold.at, np.array(fixed["subset"]) - 1)
     elif "capacity" in fixed:
         f, row_values = agg._bind(fixed["capacity"]), (1 << agg.n) if agg._parts.mobius else 0
-    else:
-        f, row_values = None, 1 << agg.n
     seed = _require_seed(seed)
-    blocks = _trial_words(seed, trials, width(agg.n), row_values)
+    blocks = _trial_words(seed, trials, agg.n + words, row_values)
     start = 0
-    for words in blocks:
-        inputs = draw(np.arange(start, start + len(words)), _doubles(words), words)
+    for block in blocks:
+        inputs = draw(np.arange(start, start + len(block)), _doubles(block), block)
         with np.errstate(over="ignore", invalid="ignore"):
             lhs, rhs = sides(f, inputs)
             within = np.abs(lhs - rhs) <= tolerance  # False where a side is non-finite
         if not within.all():
             break
-        start += len(words)
+        start += len(block)
     else:
         return AxiomReport(axiom, VERDICT_SATISFIED, None, trials, seed, tolerance)
-    del words  # the chunk's words and seed span go before the witness lists its inputs
+    del block  # the chunk's words and seed span go before the witness lists its inputs
     blocks.close()
     row = int(np.argmin(within))
     plain = {"family": agg.family}
@@ -602,7 +600,7 @@ def check_comonotonic_additivity(
         return f(X + Y), f(X) + f(Y)
 
     return _run_checker(AXIOM_COMONOTONIC_ADDITIVITY, agg, trials, seed, tolerance,
-                        lambda n: n + _PAIR_WORDS, draw, sides, capacity=v)
+                        _PAIR_WORDS, draw, sides, capacity=v)
 
 
 def check_positive_homogeneity(
@@ -626,7 +624,7 @@ def check_positive_homogeneity(
         return f(r[:, None] * X), r * f(X)
 
     return _run_checker(AXIOM_POSITIVE_HOMOGENEITY, agg, trials, seed, tolerance,
-                        lambda n: n + 1, draw, sides, capacity=v)
+                        1, draw, sides, capacity=v)
 
 
 def check_comonotonic_affinity(
@@ -650,7 +648,7 @@ def check_comonotonic_affinity(
         return f(lam[:, None] * X + (1.0 - lam[:, None]) * Y), lam * f(X) + (1.0 - lam) * f(Y)
 
     return _run_checker(AXIOM_COMONOTONIC_AFFINITY, agg, trials, seed, tolerance,
-                        lambda n: n + _PAIR_WORDS + 1, draw, sides, capacity=v)
+                        _PAIR_WORDS + 1, draw, sides, capacity=v)
 
 
 def _basis_game(agg: Aggregator, subset: SubsetLike) -> list[int]:
@@ -693,7 +691,13 @@ def check_interval_scale_covariance(
         return f(r[:, None] * X + s[:, None]), r * f(X) + s
 
     return _run_checker(AXIOM_INTERVAL_SCALE, agg, trials, seed, tolerance,
-                        lambda n: n + 2, draw, sides, subset=members)
+                        2, draw, sides, subset=members)
+
+
+def _zero_sample(numbers, u, words):
+    """The zero-on-basis paper sample on {1, 2}, the one trial of its replay:
+    x = (0, 2), element 1 zeroed."""
+    return {"x": np.array([[0.0, 2.0]]), "zeroed_element": np.array([1])}
 
 
 def _zero_sides(f, inputs):
@@ -728,7 +732,7 @@ def check_zero_on_basis(
         return {"x": x, "zeroed_element": zeroed}
 
     return _run_checker(AXIOM_ZERO_ON_BASIS, agg, trials, seed, tolerance,
-                        lambda n: n + 1, draw, _zero_sides, subset=members)
+                        1, draw, _zero_sides, subset=members)
 
 
 def check_linearity_in_capacity(
@@ -769,7 +773,7 @@ def check_linearity_in_capacity(
         return parts.evaluate(m if parts.mobius else V, X), _row_sums(m[:, 1:] * parts.fold.every(X))
 
     return _run_checker(AXIOM_LINEARITY_IN_CAPACITY, agg, trials, seed, tolerance,
-                        lambda n: size + n, draw, sides)
+                        size, draw, sides)
 
 
 # The checker of each axiom: after agg, the first three take a game, the
@@ -842,13 +846,6 @@ def _vstar_patch(values: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.where(np.all(values == _VSTAR_VALUES, axis=-1), patch, _chain_sums(values, X))
 
 
-def _zero_witness(agg: Aggregator, seed: int) -> AxiomReport:
-    """The zero-on-basis sample x = (0, 2), element 1 zeroed, on {1, 2}."""
-    inputs = {"x": np.array([[0.0, 2.0]]), "zeroed_element": np.array([1])}
-    return _run_checker(AXIOM_ZERO_ON_BASIS, agg, 1, seed, FALSIFY_TOLERANCE, lambda n: 0,
-                        lambda numbers, u, words: inputs, _zero_sides, subset=_basis_game(agg, [1, 2]))
-
-
 @dataclass(frozen=True)
 class _Family:
     """The parts of one family.  evaluate(game, X) is the family on the rows
@@ -856,12 +853,12 @@ class _Family:
     given as its Mobius coefficients if mobius, else as its values; with
     over/invalid ignored, rows that overflow come out non-finite.  A mobius
     family evaluates a subset statistic of 2**n values per row, so its
-    checkers at a game (capacity=) take blocks of at most _BLOCK_VALUES >> n
-    rows from _trial_words.  fold is the family at the unanimity games
-    (_Fold), equal to evaluating them bit for bit on finite points: the
-    subset checkers (subset=) evaluate the basis game of their subset by
-    fold.at, and the linearity checker every basis game by fold.every,
-    whose signed zeros its expansion sum's last 0.0 removes.  A
+    checkers at a game (capacity=), alone of all runs, take blocks of at
+    most _BLOCK_VALUES >> n rows from _trial_words.  fold is the family at
+    the unanimity games (_Fold), equal to evaluating them bit for bit on
+    finite points: the subset checkers (subset=) evaluate the basis game of
+    their subset by fold.at, and the linearity checker every basis game by
+    fold.every, whose signed zeros its expansion sum's last 0.0 removes.  A
     counterexample family has the ground-set size of its suite row, the
     condition it falsifies and replay(agg, seed), the hand-checked sample
     that falsifies it, as a one-trial report."""
@@ -879,14 +876,16 @@ class _Family:
 # The independence matrix lists the counterexample families in this order,
 # and the conditions they falsify in the same order, which puts the expected
 # falsifications on the diagonal.  The multilinear and vstar-patch replays
-# are their checkers' trial 0.  No unanimity game is vstar, so vstar-patch
-# has the integral's basis.
+# are their checkers' trial 0, the weighted-mean one is _zero_sample's one
+# trial.  No unanimity game is vstar, so vstar-patch has the integral's basis.
 _FAMILY_PARTS = {
     FAMILY_CHOQUET: _Family("choquet", False, _chain_sums, _MINIMUM),
     FAMILY_WEIGHTED_MEAN: _Family(
         f"{FAMILY_WEIGHTED_MEAN} family", True,
         lambda m, X: _row_dots(m[..., 1:], _MEAN.every(X)), _MEAN,
-        suite_n=2, falsifies=AXIOM_ZERO_ON_BASIS, replay=_zero_witness),
+        suite_n=2, falsifies=AXIOM_ZERO_ON_BASIS,
+        replay=lambda agg, seed: _run_checker(AXIOM_ZERO_ON_BASIS, agg, 1, seed, FALSIFY_TOLERANCE, 0,
+                                              _zero_sample, _zero_sides, subset=[1, 2])),
     FAMILY_MULTILINEAR: _Family(
         f"{FAMILY_MULTILINEAR} family", True,
         lambda m, X: _row_dots(m, _subset_statistic(np.multiply, 1.0, X)), _Fold(np.multiply, 1.0),

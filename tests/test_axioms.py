@@ -564,9 +564,10 @@ class TestBlockRunner:
     """The checker runner evaluates trials in blocks; within a block the
     first row that is over the tolerance or non-finite decides."""
 
-    def run(self, rows: dict, trials=7, n=2, blocks=None):
-        """Stub trials whose sides are 0 except where rows gives them; the
-        row count of every block drawn is appended to blocks."""
+    def run(self, rows: dict, trials=7, n=2, blocks=None, family=FAMILY_CHOQUET, **fixed):
+        """Stub trials of n words whose sides are 0 except where rows gives
+        them, in a run of family with the subject fixed names; the row count
+        of every block drawn is appended to blocks."""
         blocks = [] if blocks is None else blocks
 
         def draw(numbers, u, words):
@@ -577,24 +578,24 @@ class TestBlockRunner:
             pairs = [rows.get(trial, (0.0, 0.0)) for trial in inputs["trial"].tolist()]
             return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
 
-        agg = Aggregator(FAMILY_CHOQUET, n)
+        agg = Aggregator(family, n)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return axioms_module._run_checker("stub", agg, trials, 0, 1e-6, lambda n: 0,
-                                              draw, sides)
+            return axioms_module._run_checker("stub", agg, trials, 0, 1e-6, 0, draw, sides, **fixed)
 
-    @pytest.mark.parametrize("trials, n, expected", [(7, 2, [7]), (40, 13, [8] * 5)])
-    def test_blocks_are_the_word_chunks_split_at_the_cap(self, trials, n, expected):
+    @pytest.mark.parametrize("trials, n, expected", [(7, 2, [7]), (40, 13, [16, 24])])
+    def test_a_run_with_no_game_takes_the_word_chunks_whole(self, trials, n, expected):
         blocks = []
         self.run({}, trials, n, blocks)
         assert blocks == expected
 
-    @pytest.mark.parametrize("trial, drawn", [(15, 16), (16, 1040), (1040, 1040 + 16384), (1100, 1040 + 16384)])
+    @pytest.mark.parametrize("trial, drawn", [(15, 16), (16, 1040), (1040, 1040 + 4096), (1100, 1040 + 4096)])
     def test_a_falsified_run_draws_at_most_the_stated_bound(self, trial, drawn):
         # A falsified run evaluates at most 16 trials, or under 65 times the
         # trials it reports, whichever is more (README): it ends with the
         # block it falsifies in, at most the rest of its chunk of 16, 1024 or
-        # 65536 trials.  At n = 2 a block holds at most 16384 rows.
+        # 65536 trials.  At n = 2 a stub row is 2 words, so a chunk holds at
+        # most 4096 rows.
         blocks = []
         report = self.run({trial: (1.0, 0.0)}, 70000, 2, blocks)
         assert report.falsified and report.samples_run == trial + 1
@@ -602,9 +603,14 @@ class TestBlockRunner:
         assert sum(blocks) <= 16 or sum(blocks) < 65 * report.samples_run
 
     def test_falsifying_row_in_the_second_block_of_a_chunk(self):
-        report = self.run({11: (1.0, 0.0), 12: (np.inf, np.inf)}, 40, 13)
-        assert report.falsified and report.samples_run == 12
-        assert report.witness.inputs == {"family": FAMILY_CHOQUET, "trial": 11}
+        # At n = 13 a Mobius family's row at a game holds 2**13 values, so
+        # the first chunk of 16 trials comes in two blocks of 8.
+        v, blocks = random_signed_capacity(13, 0), []
+        report = self.run({11: (1.0, 0.0), 12: (np.inf, np.inf)}, 40, 13, blocks,
+                          FAMILY_WEIGHTED_MEAN, capacity=v)
+        assert report.falsified and report.samples_run == 12 and blocks == [8, 8]
+        assert report.witness.inputs == {"family": FAMILY_WEIGHTED_MEAN, "capacity": v.values.tolist(),
+                                         "trial": 11}
         assert (report.witness.lhs, report.witness.rhs) == (1.0, 0.0)
 
     def test_falsifying_row_before_an_overflowing_row(self):
@@ -623,17 +629,30 @@ class TestBlockRunner:
         report = self.run({4: (1.0, 1.0 + 1e-7)})
         assert not report.falsified and report.samples_run == 7
 
-    @pytest.mark.parametrize("family, blocks", [(FAMILY_CHOQUET, [16, 24]),
-                                                (FAMILY_WEIGHTED_MEAN, [8] * 5)])
-    def test_only_rows_of_2_to_the_n_values_split_a_chunk(self, monkeypatch, family, blocks):
-        # At n = 13 a Mobius family's row holds 2**13 values, so 8 rows fill
-        # a block; a chain sum's row holds O(n) values, so a block is a chunk.
-        drawn = []
-        doubles = axioms_module._doubles
+    @pytest.mark.parametrize("family, n, trials, linearity, blocks, row_values", [
+        (FAMILY_CHOQUET, 13, 40, False, [16, 24], 0),
+        (FAMILY_WEIGHTED_MEAN, 13, 40, False, [8] * 5, 1 << 13),
+        (FAMILY_CHOQUET, 10, 100, True, [16, 63, 21], 0),
+        (FAMILY_WEIGHTED_MEAN, 5, 300, True, [16, 221, 63], 0),
+    ])
+    def test_only_rows_of_2_to_the_n_values_split_a_chunk(self, monkeypatch, family, n, trials,
+                                                          linearity, blocks, row_values):
+        # At n = 13 a Mobius family's row at a game holds 2**13 values, so 8
+        # rows fill a block; a chain sum's row holds O(n) values, so a block
+        # is a chunk.  A linearity row reads its game and point, 2**n + n
+        # words, so its chunks hold at most 2**16 // (2**n + n) rows (63 at
+        # n = 10), or 8 times fewer on the narrow route (221 at n = 5): below
+        # 2**16 >> n, so the runner tells _trial_words no row size.
+        drawn, told = [], []
+        doubles, trial_words = axioms_module._doubles, axioms_module._trial_words
         monkeypatch.setattr(axioms_module, "_doubles", lambda words: drawn.append(len(words)) or doubles(words))
-        report = check_positive_homogeneity(Aggregator(family, 13), random_signed_capacity(13, 0), 40, 0)
-        assert not report.falsified and report.samples_run == 40
-        assert drawn == blocks
+        monkeypatch.setattr(axioms_module, "_trial_words",
+                            lambda *args: told.append(args[3]) or trial_words(*args))
+        agg = Aggregator(family, n)
+        report = (check_linearity_in_capacity(agg, trials, 0) if linearity else
+                  check_positive_homogeneity(agg, random_signed_capacity(n, 0), trials, 0))
+        assert not report.falsified and report.samples_run == trials
+        assert (drawn, told) == (blocks, [row_values])
 
 
 def _every_report(family, n, tolerance):

@@ -15,7 +15,6 @@ from choquet.integral import (
     lovasz_extension,
     sort_permutation,
 )
-from choquet.oracle import choquet_all_permutations
 from choquet.setfunction import (
     MobiusRepresentation,
     SetFunction,
@@ -182,18 +181,6 @@ def test_vertex_interpolation():
         for mask in range(1 << n):
             vertex = [(mask >> i) & 1 for i in range(n)]
             assert abs(lovasz_extension(f, vertex).value - f.values[mask]) <= 1e-12
-
-
-def test_tie_independence_exhaustive():
-    rng = np.random.default_rng(7)
-    pool = [-1.0, 0.0, 1.0, 2.0]
-    for n in range(2, 7):
-        for _ in range(30):
-            v = random_signed_capacity(n, rng)
-            x = rng.choice(pool, n)  # draws collide, producing ties
-            values = choquet_all_permutations(v, x)
-            assert len(values) == 1
-            assert_close(values.pop(), choquet(v, x).value)
 
 
 def test_positive_homogeneity_sampled():

@@ -136,13 +136,16 @@ def test_naive_close_to_fast_on_reals():
             assert_close(a, b, rel=1e-12, abs_tol=1e-12)
 
 
-def test_singleton_sweep_with_ties():
-    rng = np.random.default_rng(3)
-    pool = [-2.0, -1.0, 0.0, 1.0]
-    for n in range(2, 6):
-        for _ in range(60):
+@pytest.mark.parametrize("seed, pool, sizes, draws", [
+    (3, [-2.0, -1.0, 0.0, 1.0], range(2, 6), 60),
+    (7, [-1.0, 0.0, 1.0, 2.0], range(2, 7), 30),
+])
+def test_tie_independence(seed, pool, sizes, draws):
+    rng = np.random.default_rng(seed)
+    for n in sizes:
+        for _ in range(draws):
             v = random_signed_capacity(n, rng)
-            x = rng.choice(pool, n)
+            x = rng.choice(pool, n)  # draws collide, producing ties
             values = choquet_all_permutations(v, x)
             assert len(values) == 1
             assert_close(values.pop(), choquet(v, x).value)

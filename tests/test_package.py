@@ -107,3 +107,20 @@ def test_the_checkers_read_each_trial_stream_once():
                   if isinstance(node, ast.FunctionDef) and node.name == "_run_checker")
     assert "default_rng" not in _called_names(tree)
     assert _called_names(tree).count("_doubles") == _called_names(runner).count("_doubles") == 1
+
+
+def test_each_checker_gives_its_trial_width_as_a_word_count():
+    # The runner reads agg.n + words raw words a trial: no call of
+    # _run_checker passes a function (a width or anything else), and the
+    # runner calls no parameter of its own but the checker's draw and sides.
+    tree = ast.parse((REPO_SRC / "choquet" / "axioms.py").read_text())
+    runner = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_run_checker")
+    calls = [call for call in ast.walk(tree) if isinstance(call, ast.Call)
+             and isinstance(call.func, ast.Name) and call.func.id == "_run_checker"]
+    passed = [arg for call in calls for arg in [*call.args, *(k.value for k in call.keywords)]]
+    assert len(calls) == 7 and not any(isinstance(arg, ast.Lambda) for arg in passed)
+    params = {arg.arg for arg in runner.args.args} | {runner.args.kwarg.arg}
+    called = {call.func.id for call in ast.walk(runner)
+              if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
+    assert called & params == {"draw", "sides"}
