@@ -26,6 +26,12 @@ word chunk (16 rows), so one chunk's rows are evaluated in several blocks;
 linearity is bounded at n <= 10 and left out.  The n = 16 basis groups,
 recorded later, pin the subset checkers of the two Mobius families where
 the unanimity-game route ran every trial as a block of its own.
+
+It also maps each independence suite of SUITES, written
+`suite/seed/trials`, to the SHA-256 of `json.dumps(summary.to_dict())`,
+unsorted so that the order of a witness's inputs, which `choquet check`
+prints, is pinned too.  They were recorded while the suite still ran its
+subset checkers one subset at a time.
 """
 
 import hashlib
@@ -61,6 +67,10 @@ GROUPS = (
               [a for a in axioms.AXIOMS if a != axioms.AXIOM_LINEARITY_IN_CAPACITY])
     + _groups([("weighted-mean", 16), ("multilinear", 16)], (0, 1), (7, 40), axioms.SUBSET_AXIOMS)
 )
+
+
+# (seeds, trial counts) of the pinned independence suites.
+SUITES = ((*range(8), 2**32 + 1), (1, 16, 17, 1000, 1041))
 
 
 def subsets(n: int) -> list[int]:
@@ -99,8 +109,20 @@ def digests(group) -> dict[str, str]:
     return out
 
 
+def suite_digests(seed: int) -> dict[str, str]:
+    """Key -> summary digest for the pinned suites of one seed."""
+    out = {}
+    for trials in SUITES[1]:
+        text = json.dumps(axioms.independence_suite(trials, seed).to_dict())
+        out[f"suite/{seed}/{trials}"] = hashlib.sha256(text.encode()).hexdigest()
+    return out
+
+
 def record() -> dict[str, str]:
-    return {key: digest for group in GROUPS for key, digest in digests(group).items()}
+    out = {key: digest for group in GROUPS for key, digest in digests(group).items()}
+    for seed in SUITES[0]:
+        out.update(suite_digests(seed))
+    return out
 
 
 @pytest.mark.parametrize(
@@ -111,8 +133,16 @@ def test_golden_reports(group):
     assert got == {k: golden[k] for k in got}
 
 
+@pytest.mark.parametrize("seed", SUITES[0])
+def test_golden_suites(seed):
+    golden = json.loads(GOLDEN_PATH.read_text())
+    got = suite_digests(seed)
+    assert got == {k: golden[k] for k in got}
+
+
 def test_fixture_holds_exactly_these_calls():
     keys = [key for group in GROUPS for key, _ in calls(*group)]
+    keys += [f"suite/{seed}/{trials}" for seed in SUITES[0] for trials in SUITES[1]]
     assert sorted(json.loads(GOLDEN_PATH.read_text())) == sorted(keys)
 
 
