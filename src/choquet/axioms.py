@@ -28,7 +28,7 @@ import json
 import sys
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from functools import partial, reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -472,61 +472,73 @@ def _require_tolerance(tolerance) -> float:
 
 
 def _run_checker(axiom: str, agg: Aggregator, trials: int, seed: int, tolerance: float,
-                 words: int, draw, sides, **fixed) -> AxiomReport:
+                 words: int, draw, sides, **fixed):
     """Draw the trials in blocks with draw(numbers, u, block) -> inputs and
-    evaluate them with sides(f, inputs) -> (lhs, rhs), until the sides differ.
-    A trial reads agg.n + words raw words.  fixed names the subject once:
-    capacity=v makes f agg's family at game v (agg._bind, which checks the
-    class of v), subset=members the family at the unanimity game of the subset
-    of those ascending elements (its fold, _Fold.at), and nothing makes f None:
-    linearity's rows draw their games.  The blocks are those of _trial_words,
-    told a row size of 2**n values at a Mobius family's game v, else 0: any
-    other row holds no more values than words (a chain sum's or a fold's O(n),
-    a drawn game's 2**n + n) and fits a chunk whole.  Each row's sides depend
+    evaluate each subject with sides(f, inputs) -> (lhs, rhs) until its sides
+    differ.  A trial reads agg.n + words raw words.  fixed names the subjects
+    once: capacity=v makes f agg's family at game v (agg._bind, which checks
+    the class of v), nothing makes f None (linearity's rows draw their games);
+    subsets=[members, ...] makes one f per subset, the family at the unanimity
+    game of those ascending elements (its fold, _Fold.at), and a list of
+    reports in that order.  Each block is drawn once; draw may return a
+    function of a subset's members (an array) giving its inputs, for a step
+    that depends on the subset.  The blocks are those of _trial_words, told a
+    row size of 2**n values at a Mobius family's game v, else 0: any other
+    row holds no more values than words (a chain sum's or a fold's O(n), a
+    drawn game's 2**n + n) and fits a chunk whole.  Each row's sides depend
     on that row alone, so no block changes a report.
 
-    agg is checked first, then trials and tolerance, then the subject, as f is
-    computed once, and then the seed (by _require_seed); trials, tolerance and
-    seed are reported as Python numbers.  For the trial numbers of a block,
-    block holds their words, one row each, u those as random() draws (_doubles,
+    agg is checked first, then trials and tolerance, then the subjects, as f
+    is computed once, and then the seed (by _require_seed); trials, tolerance
+    and seed are reported as Python numbers.  block holds the words of a
+    block's trial numbers, one row each, u those as random() draws (_doubles,
     once per block), and inputs maps each witness key that varies by trial to
-    an array with one row per trial.  The two sides are arrays with one row per
-    trial, computed with over/invalid ignored.  The first row over the
-    tolerance or non-finite decides: its witness's inputs are the family, the
-    fixed entries (a game as the list of its values) and that row of every
-    input (arrays converted to lists and numbers).  The run ends with that
-    witness if its discrepancy is finite (then so are both sides), else
-    NonFiniteResult names agg's operation; if no row decides, it is satisfied.
+    an array with one row per trial, as the sides are (over/invalid ignored).
+    A subject's first row over the tolerance or non-finite decides it: its
+    witness's inputs are the family, its entry of fixed (a game as the list of
+    its values) and that row of every input (as lists and numbers).  A
+    non-finite discrepancy raises NonFiniteResult naming agg's operation; a
+    subject that no row decides is satisfied.
     """
     _require_instance(agg, Aggregator)
     trials, tolerance = _require_count("trials", trials), _require_tolerance(tolerance)
-    f, row_values = None, 0  # linearity's rows draw their games
-    if "subset" in fixed:
-        f = partial(agg._parts.fold.at, np.array(fixed["subset"]) - 1)
+    subjects, row_values = [(None, None, fixed)], 0  # (f, members, witness entry) of each
+    if "subsets" in fixed:
+        subjects = [(partial(agg._parts.fold.at, np.array(m) - 1), np.array(m), {"subset": m})
+                    for m in fixed["subsets"]]
     elif "capacity" in fixed:
-        f, row_values = agg._bind(fixed["capacity"]), (1 << agg.n) if agg._parts.mobius else 0
+        subjects = [(agg._bind(fixed["capacity"]), None, fixed)]
+        row_values = (1 << agg.n) if agg._parts.mobius else 0
     seed = _require_seed(seed)
     blocks = _trial_words(seed, trials, agg.n + words, row_values)
-    start = 0
+    decided, start = {}, 0  # subject index -> (samples run, witness of its drawn inputs)
     for block in blocks:
-        inputs = draw(np.arange(start, start + len(block)), _doubles(block), block)
+        drawn = draw(np.arange(start, start + len(block)), _doubles(block), block)
         with np.errstate(over="ignore", invalid="ignore"):
-            lhs, rhs = sides(f, inputs)
-            within = np.abs(lhs - rhs) <= tolerance  # False where a side is non-finite
-        if not within.all():
-            break
+            for i, (f, members, _) in enumerate(subjects):
+                if i in decided:
+                    continue
+                inputs = drawn(members) if callable(drawn) else drawn
+                lhs, rhs = sides(f, inputs)
+                within = np.abs(lhs - rhs) <= tolerance  # False where a side is non-finite
+                if within.all():
+                    continue
+                row = int(np.argmin(within))
+                witness = Witness({k: v[row].tolist() for k, v in inputs.items()},
+                                  float(lhs[row]), float(rhs[row]))
+                _finite(witness.discrepancy, agg._parts.operation)
+                decided[i] = start + row + 1, witness
         start += len(block)
-    else:
-        return AxiomReport(axiom, VERDICT_SATISFIED, None, trials, seed, tolerance)
-    del block  # the chunk's words and seed span go before the witness lists its inputs
+        if len(decided) == len(subjects):
+            break
+    del block  # the chunk's words and seed span go before a witness lists its game
     blocks.close()
-    row = int(np.argmin(within))
-    plain = {"family": agg.family}
-    plain.update((k, v.values.tolist() if isinstance(v, SetFunction) else v) for k, v in fixed.items())
-    plain.update((k, v[row].tolist()) for k, v in inputs.items())
-    witness = Witness(plain, float(lhs[row]), float(rhs[row]))
-    _finite(witness.discrepancy, agg._parts.operation)
-    return AxiomReport(axiom, VERDICT_FALSIFIED, witness, start + row + 1, seed, tolerance)
+    reports = [AxiomReport(axiom, VERDICT_SATISFIED, None, trials, seed, tolerance)] * len(subjects)
+    for i, (samples, witness) in decided.items():
+        head = {k: v.values.tolist() if isinstance(v, SetFunction) else v for k, v in subjects[i][2].items()}
+        witness = Witness({"family": agg.family, **head, **witness.inputs}, witness.lhs, witness.rhs)
+        reports[i] = AxiomReport(axiom, VERDICT_FALSIFIED, witness, samples, seed, tolerance)
+    return reports if "subsets" in fixed else reports[0]
 
 
 # Raw words a comonotonic pair takes after its n base coordinates: two
@@ -651,15 +663,67 @@ def check_comonotonic_affinity(
                         _PAIR_WORDS + 1, draw, sides, capacity=v)
 
 
-def _basis_game(agg: Aggregator, subset: SubsetLike) -> list[int]:
-    """The elements, in ascending order, of the subset whose unanimity game
-    on agg's ground set a subset checker evaluates; ValueError unless agg is
-    an Aggregator, and the errors of unanimity_game(agg.n, subset), EmptyT
-    for the empty subset among them.  The game itself is never built: a
-    checker passes these elements to _run_checker as its subset=, which
-    evaluates the game by the family's fold over them."""
+def _interval_scale_draw(n, numbers, u, words):
+    """x on [-5, 5]^n, r log-uniform on [0.1, 10] and s on [-5, 5] for
+    every subset; trial 0 uses x = all-ones, r = 1, s = 1."""
+    x = _uniform(u[:, :n], -5.0, 5.0)
+    r = np.exp(_uniform(u[:, n], *_LOG_R))
+    s = _uniform(u[:, n + 1], -5.0, 5.0)
+    first = numbers == 0
+    x[first], r[first], s[first] = 1.0, 1.0, 1.0
+    return {"x": x, "r": r, "s": s}
+
+
+def _interval_scale_sides(f, inputs):
+    """Both sides of interval-scale covariance: f(r x + s) and r f(x) + s."""
+    X, r, s = inputs["x"], inputs["r"], inputs["s"]
+    return f(r[:, None] * X + s[:, None]), r * f(X) + s
+
+
+def _zero_on_basis_draw(n, numbers, u, words):
+    """x on [0, 1]^n with the element of each subset that a trial's next
+    word picks zeroed; trial 0 uses x = 0, the subset's first element zeroed."""
+    x, first = _uniform(u[:, :n], 0.0, 1.0), numbers == 0
+    x[first] = 0.0
+
+    def inputs(members):
+        zeroed = members[_bounded_integers(words[:, n], len(members))]
+        zeroed[first] = members[0]
+        zeroed_x = x.copy()
+        zeroed_x[np.arange(len(x)), zeroed - 1] = 0.0
+        return {"x": zeroed_x, "zeroed_element": zeroed}
+    return inputs
+
+
+def _zero_sample(numbers, u, words):
+    """The zero-on-basis paper sample on {1, 2}, the one trial of its replay:
+    x = (0, 2), element 1 zeroed."""
+    return {"x": np.array([[0.0, 2.0]]), "zeroed_element": np.array([1])}
+
+
+def _zero_sides(f, inputs):
+    """Both sides of the zero-on-basis condition: f(x) and 0."""
+    X = inputs["x"]
+    return f(X), np.zeros(len(X))
+
+
+# The words past its n a trial reads, draw(n, ...) and sides of each subset checker.
+_SUBSET_RUNS = {
+    AXIOM_INTERVAL_SCALE: (2, _interval_scale_draw, _interval_scale_sides),
+    AXIOM_ZERO_ON_BASIS: (1, _zero_on_basis_draw, _zero_sides),
+}
+
+
+def _subset_reports(axiom: str, agg: Aggregator, subsets, trials: int, seed: int, tolerance: float):
+    """The report of axiom's subset checker at each of the subsets, in
+    order, from one runner pass.  agg is checked first, then each subset as
+    unanimity_game(agg.n, subset) checks it (EmptyT for the empty one among
+    its errors), but the runner evaluates the game by the family's fold."""
     _require_instance(agg, Aggregator)
-    return list(elements_from_mask(_unanimity_mask(subset, agg.n)))
+    members = [list(elements_from_mask(_unanimity_mask(subset, agg.n))) for subset in subsets]
+    words, draw, sides = _SUBSET_RUNS[axiom]
+    return _run_checker(axiom, agg, trials, seed, tolerance, words, partial(draw, agg.n), sides,
+                        subsets=members)
 
 
 def check_interval_scale_covariance(
@@ -676,34 +740,7 @@ def check_interval_scale_covariance(
     r = 1, s = 1 (for a two-element subset on a two-element ground set this
     is the counterexample that separates the multilinear family).
     """
-    members = _basis_game(agg, subset)
-
-    def draw(numbers, u, words):
-        x = _uniform(u[:, :agg.n], -5.0, 5.0)
-        r = np.exp(_uniform(u[:, agg.n], *_LOG_R))
-        s = _uniform(u[:, agg.n + 1], -5.0, 5.0)
-        first = numbers == 0
-        x[first], r[first], s[first] = 1.0, 1.0, 1.0
-        return {"x": x, "r": r, "s": s}
-
-    def sides(f, inputs):
-        X, r, s = inputs["x"], inputs["r"], inputs["s"]
-        return f(r[:, None] * X + s[:, None]), r * f(X) + s
-
-    return _run_checker(AXIOM_INTERVAL_SCALE, agg, trials, seed, tolerance,
-                        2, draw, sides, subset=members)
-
-
-def _zero_sample(numbers, u, words):
-    """The zero-on-basis paper sample on {1, 2}, the one trial of its replay:
-    x = (0, 2), element 1 zeroed."""
-    return {"x": np.array([[0.0, 2.0]]), "zeroed_element": np.array([1])}
-
-
-def _zero_sides(f, inputs):
-    """Both sides of the zero-on-basis condition: f(x) and 0."""
-    X = inputs["x"]
-    return f(X), np.zeros(len(X))
+    return _subset_reports(AXIOM_INTERVAL_SCALE, agg, [subset], trials, seed, tolerance)[0]
 
 
 def check_zero_on_basis(
@@ -721,18 +758,7 @@ def check_zero_on_basis(
     the zeroed one can carry the minimum).  f_S is evaluated by the family's
     fold over S (_Fold.at) in O(|S|) a trial.  Trial 0 uses x = 0.
     """
-    members = _basis_game(agg, subset)
-
-    def draw(numbers, u, words):
-        x = _uniform(u[:, :agg.n], 0.0, 1.0)
-        zeroed = np.array(members)[_bounded_integers(words[:, agg.n], len(members))]
-        zeroed[numbers == 0] = members[0]
-        x[np.arange(len(x)), zeroed - 1] = 0.0
-        x[numbers == 0] = 0.0
-        return {"x": x, "zeroed_element": zeroed}
-
-    return _run_checker(AXIOM_ZERO_ON_BASIS, agg, trials, seed, tolerance,
-                        1, draw, _zero_sides, subset=members)
+    return _subset_reports(AXIOM_ZERO_ON_BASIS, agg, [subset], trials, seed, tolerance)[0]
 
 
 def check_linearity_in_capacity(
@@ -818,10 +844,10 @@ class _Fold:
 
     def at(self, members: np.ndarray, X: np.ndarray) -> np.ndarray:
         """The family at u_S on each row of X (k, n), S given by its 0-based
-        elements in ascending order: O(|S|) a row."""
-        value = self.op.accumulate(X[:, members], axis=1)[:, -1]
+        elements in ascending order: O(|S|) a row, one op call a column."""
+        value = reduce(self.op, [X[:, m] for m in members])
         if self.mean:
-            value /= len(members)
+            value = value / len(members)
         return value + 0.0
 
     def every(self, X: np.ndarray) -> np.ndarray:
@@ -852,16 +878,12 @@ class _Family:
     of X at one game (shape (2**n,)) or at one game per row ((k, 2**n)),
     given as its Mobius coefficients if mobius, else as its values; with
     over/invalid ignored, rows that overflow come out non-finite.  A mobius
-    family evaluates a subset statistic of 2**n values per row, so its
-    checkers at a game (capacity=), alone of all runs, take blocks of at
-    most _BLOCK_VALUES >> n rows from _trial_words.  fold is the family at
-    the unanimity games (_Fold), equal to evaluating them bit for bit on
-    finite points: the subset checkers (subset=) evaluate the basis game of
-    their subset by fold.at, and the linearity checker every basis game by
-    fold.every, whose signed zeros its expansion sum's last 0.0 removes.  A
-    counterexample family has the ground-set size of its suite row, the
-    condition it falsifies and replay(agg, seed), the hand-checked sample
-    that falsifies it, as a one-trial report."""
+    family evaluates 2**n values a row, which sizes its blocks at a game
+    (_run_checker).  fold is the family at the unanimity games (_Fold): the
+    subset checkers evaluate them by fold.at, the linearity checker by
+    fold.every.  A counterexample family has the ground-set size of its
+    suite row, the condition it falsifies and replay(agg, seed), the
+    hand-checked sample that falsifies it, as a one-trial report."""
 
     operation: str  # what a NonFiniteResult of the family names
     mobius: bool
@@ -885,7 +907,7 @@ _FAMILY_PARTS = {
         lambda m, X: _row_dots(m[..., 1:], _MEAN.every(X)), _MEAN,
         suite_n=2, falsifies=AXIOM_ZERO_ON_BASIS,
         replay=lambda agg, seed: _run_checker(AXIOM_ZERO_ON_BASIS, agg, 1, seed, FALSIFY_TOLERANCE, 0,
-                                              _zero_sample, _zero_sides, subset=[1, 2])),
+                                              _zero_sample, _zero_sides, subsets=[[1, 2]])[0]),
     FAMILY_MULTILINEAR: _Family(
         f"{FAMILY_MULTILINEAR} family", True,
         lambda m, X: _row_dots(m, _subset_statistic(np.multiply, 1.0, X)), _Fold(np.multiply, 1.0),
@@ -965,11 +987,10 @@ class IndependenceSummary:
 
 
 def _run_condition(agg: Aggregator, condition: str, trials: int, seed: int):
-    """All checker reports backing one cell (one per nonempty subset where relevant)."""
-    check = CHECKERS[condition]
+    """All checker reports backing one cell (one per nonempty subset, from one run, where relevant)."""
     if condition in SUBSET_AXIOMS:
-        return [check(agg, s, trials, seed) for s in range(1, 1 << agg.n)]
-    return [check(agg, trials, seed)]
+        return _subset_reports(condition, agg, range(1, 1 << agg.n), trials, seed, FALSIFY_TOLERANCE)
+    return [CHECKERS[condition](agg, trials, seed)]
 
 
 def independence_suite(

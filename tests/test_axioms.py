@@ -311,6 +311,90 @@ class TestBasisFold:
             assert json.dumps(independence_suite(trials, seed).to_dict()) == folded
 
 
+class _OverflowAt:
+    """A fold that overflows on every row at one subset (0-based members)."""
+
+    def __init__(self, fold, members):
+        self.fold, self.members = fold, members
+
+    def at(self, members, X):
+        return np.full(len(X), np.inf) if members.tolist() == self.members else self.fold.at(members, X)
+
+
+def _one_subset_runs(check, agg, subsets, *args):
+    """The report of check at each subset alone, or the error it raised."""
+    outcomes = []
+    for members in subsets:
+        try:
+            outcomes.append(check(agg, members, *args).to_dict())
+        except NonFiniteResult as error:
+            outcomes.append(error.operation)
+    return outcomes
+
+
+class TestSubsetsRun:
+    """The runner evaluates every subset of a subset checker on one draw of
+    each block; each report equals that of a run at its subset alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_every_report_is_that_of_a_one_subset_run(self, data):
+        family = data.draw(st.sampled_from(FAMILIES))
+        n = FAMILY_PARTS[family].ground_set or data.draw(st.integers(1, 4))
+        masks = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=1 << n))
+        subsets = [list(elements_from_mask(mask)) for mask in masks]
+        trials = data.draw(st.sampled_from([1, 16, 17, 1041]))
+        seed = data.draw(st.sampled_from([0, 1, 2**32 - 1, 2**32 + 1]))
+        tolerance = data.draw(st.sampled_from([0.0, 1e-15, FALSIFY_TOLERANCE]))
+        axiom = data.draw(st.sampled_from(axioms_module.SUBSET_AXIOMS))
+        agg = Aggregator(family, n)
+        reports = axioms_module._subset_reports(axiom, agg, subsets, trials, seed, tolerance)
+        alone = [axioms_module.CHECKERS[axiom](agg, members, trials, seed, tolerance) for members in subsets]
+        assert [json.dumps(r.to_dict()) for r in reports] == [json.dumps(r.to_dict()) for r in alone]
+        assert [(r.witness.lhs.hex(), r.witness.rhs.hex()) for r in reports if r.witness] == [
+            (r.witness.lhs.hex(), r.witness.rhs.hex()) for r in alone if r.witness]
+
+    def test_subsets_that_decide_in_different_blocks(self, monkeypatch):
+        # At tolerance 1e-15 the weighted-mean family's pairs and full set
+        # are falsified by rounding in the first chunk of 16 trials or the
+        # next of 1024, while its singletons run all three chunks; without
+        # them the run ends after the second chunk.
+        agg, subsets = Aggregator(FAMILY_WEIGHTED_MEAN, 3), [list(elements_from_mask(m)) for m in range(1, 8)]
+        reports = axioms_module._subset_reports(AXIOM_INTERVAL_SCALE, agg, subsets, 1041, 0, 1e-15)
+        assert [r.samples_run for r in reports] == [1041, 1041, 2, 1041, 28, 33, 2]
+        assert [r.to_dict() for r in reports] == _one_subset_runs(
+            check_interval_scale_covariance, agg, subsets, 1041, 0, 1e-15)
+        drawn, doubles = [], axioms_module._doubles
+        monkeypatch.setattr(axioms_module, "_doubles", lambda words: drawn.append(len(words)) or doubles(words))
+        pairs = [members for members in subsets if len(members) > 1]
+        axioms_module._subset_reports(AXIOM_INTERVAL_SCALE, agg, pairs, 1041, 0, 1e-15)
+        assert drawn == [16, 1024]
+
+    @pytest.mark.parametrize("axiom", axioms_module.SUBSET_AXIOMS)
+    def test_a_subset_whose_deciding_row_overflows_raises(self, monkeypatch, axiom):
+        parts = FAMILY_PARTS[FAMILY_WEIGHTED_MEAN]
+        monkeypatch.setitem(FAMILY_PARTS, FAMILY_WEIGHTED_MEAN, replace(parts, fold=_OverflowAt(parts.fold, [1])))
+        agg, subsets = Aggregator(FAMILY_WEIGHTED_MEAN, 2), [[1, 2], [1], [2]]
+        alone = _one_subset_runs(axioms_module.CHECKERS[axiom], agg, subsets, 40, 3)
+        assert alone[2] == parts.operation and all(isinstance(r, dict) for r in alone[:2])
+        with pytest.raises(NonFiniteResult) as info:
+            axioms_module._subset_reports(axiom, agg, subsets, 40, 3, FALSIFY_TOLERANCE)
+        assert info.value.operation == parts.operation
+        reports = axioms_module._subset_reports(axiom, agg, subsets[:2], 40, 3, FALSIFY_TOLERANCE)
+        assert [r.to_dict() for r in reports] == alone[:2]
+
+    def test_a_suite_makes_one_runner_call_a_cell_and_replay(self, monkeypatch):
+        # 9 cells and 3 paper replays, two of them at one subset; one subset
+        # at a time took 26 calls for the 6 subset cells, 32 in all.
+        calls = []
+        runner = axioms_module._run_checker
+        monkeypatch.setattr(axioms_module, "_run_checker", lambda *args, **fixed: calls.append(
+            fixed.get("subsets")) or runner(*args, **fixed))
+        independence_suite(1000, 3)
+        assert len(calls) == 12
+        assert sorted(len(subsets) for subsets in calls if subsets) == [1, 1, 3, 3, 3, 3, 7, 7]
+
+
 class TestChoquetPassesAll:
     def test_all_six_checkers(self):
         rng = np.random.default_rng(2)

@@ -226,13 +226,16 @@ class TestEvaluateFamilyExact:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_falsified_witnesses_are_exact_counterexamples(self, seed):
-        """The suite's witnesses and those of its checker calls."""
+        """The suite's witnesses and those of the checker called once per
+        nonempty subset, where the condition takes one."""
         summary = independence_suite(1000, seed)
         for cell in summary.cells:
             if not cell.falsified:
                 continue
             agg = Aggregator(cell.family, axioms._FAMILY_PARTS[cell.family].suite_n)
-            reports = axioms._run_condition(agg, cell.condition, 1000, seed)
+            check = axioms.CHECKERS[cell.condition]
+            subjects = [[m] for m in range(1, 1 << agg.n)] if cell.condition in axioms.SUBSET_AXIOMS else [[]]
+            reports = [check(agg, *subject, 1000, seed) for subject in subjects]
             for witness in [cell.witness] + [r.witness for r in reports if r.falsified]:
                 lhs, rhs = exact_sides(cell.condition, witness.inputs)
                 assert abs(lhs - rhs) > FALSIFY_TOLERANCE, (cell.family, witness)

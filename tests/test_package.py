@@ -119,7 +119,7 @@ def test_each_checker_gives_its_trial_width_as_a_word_count():
     calls = [call for call in ast.walk(tree) if isinstance(call, ast.Call)
              and isinstance(call.func, ast.Name) and call.func.id == "_run_checker"]
     passed = [arg for call in calls for arg in [*call.args, *(k.value for k in call.keywords)]]
-    assert len(calls) == 7 and not any(isinstance(arg, ast.Lambda) for arg in passed)
+    assert len(calls) == 6 and not any(isinstance(arg, ast.Lambda) for arg in passed)
     params = {arg.arg for arg in runner.args.args} | {runner.args.kwarg.arg}
     called = {call.func.id for call in ast.walk(runner)
               if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
