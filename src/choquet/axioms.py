@@ -472,48 +472,52 @@ def _require_tolerance(tolerance) -> float:
 
 
 def _run_checker(axiom: str, agg: Aggregator, trials: int, seed: int, tolerance: float,
-                 words: int, draw, sides, **fixed):
-    """Draw the trials in blocks with draw(numbers, u, block) -> inputs and
+                 words: int, draw, sides, **fixed) -> list[AxiomReport]:
+    """The reports of a run, one per subject in order: draw the trials in
+    blocks with draw(n, numbers, u, block) -> inputs, n being agg.n, and
     evaluate each subject with sides(f, inputs) -> (lhs, rhs) until its sides
     differ.  A trial reads agg.n + words raw words.  fixed names the subjects
     once: capacity=v makes f agg's family at game v (agg._bind, which checks
     the class of v), nothing makes f None (linearity's rows draw their games);
-    subsets=[members, ...] makes one f per subset, the family at the unanimity
-    game of those ascending elements (its fold, _Fold.at), and a list of
-    reports in that order.  Each block is drawn once; draw may return a
-    function of a subset's members (an array) giving its inputs, for a step
-    that depends on the subset.  The blocks are those of _trial_words, told a
-    row size of 2**n values at a Mobius family's game v, else 0: any other
-    row holds no more values than words (a chain sum's or a fold's O(n), a
-    drawn game's 2**n + n) and fits a chunk whole.  Each row's sides depend
-    on that row alone, so no block changes a report.
+    subsets=[subset, ...] (masks or element lists) makes one f per subset, the
+    family at the unanimity game of its ascending elements (its fold,
+    _Fold.at), each subset checked as unanimity_game(agg.n, subset) checks it
+    (EmptyT for the empty one among its errors).  Each block is drawn once;
+    draw may return a function of a subset's members (an array) giving its
+    inputs, for a step that depends on the subset.  The blocks are those of
+    _trial_words, told a row size of 2**n values at a Mobius family's game v,
+    else 0: any other row holds no more values than words (a chain sum's or a
+    fold's O(n), a drawn game's 2**n + n) and fits a chunk whole.  Each row's
+    sides depend on that row alone, so no block changes a report.
 
-    agg is checked first, then trials and tolerance, then the subjects, as f
-    is computed once, and then the seed (by _require_seed); trials, tolerance
-    and seed are reported as Python numbers.  block holds the words of a
-    block's trial numbers, one row each, u those as random() draws (_doubles,
-    once per block), and inputs maps each witness key that varies by trial to
-    an array with one row per trial, as the sides are (over/invalid ignored).
-    A subject's first row over the tolerance or non-finite decides it: its
-    witness's inputs are the family, its entry of fixed (a game as the list of
-    its values) and that row of every input (as lists and numbers).  A
-    non-finite discrepancy raises NonFiniteResult naming agg's operation; a
+    Every checker checks its arguments in one order: agg first, then trials
+    and tolerance, then the subjects, as f is computed once, and then the
+    seed (by _require_seed); trials, tolerance and seed are reported as
+    Python numbers.  block holds the words of a block's trial numbers, one
+    row each, u those as random() draws (_doubles, once per block), and
+    inputs maps each witness key that varies by trial to an array with one
+    row per trial, as the sides are (over/invalid ignored).  A subject's
+    first row over the tolerance or non-finite decides it; a non-finite
+    discrepancy raises NonFiniteResult naming agg's operation at once.  The
+    witness of a decided subject, built after the last block, lists the
+    family, its entry of fixed (a game as the list of its values, a subset
+    as its elements) and that row of every input (as lists and numbers); a
     subject that no row decides is satisfied.
     """
     _require_instance(agg, Aggregator)
     trials, tolerance = _require_count("trials", trials), _require_tolerance(tolerance)
     subjects, row_values = [(None, None, fixed)], 0  # (f, members, witness entry) of each
     if "subsets" in fixed:
-        subjects = [(partial(agg._parts.fold.at, np.array(m) - 1), np.array(m), {"subset": m})
-                    for m in fixed["subsets"]]
+        members = [np.array(elements_from_mask(_unanimity_mask(s, agg.n))) for s in fixed["subsets"]]
+        subjects = [(partial(agg._parts.fold.at, m - 1), m, {"subset": m.tolist()}) for m in members]
     elif "capacity" in fixed:
         subjects = [(agg._bind(fixed["capacity"]), None, fixed)]
         row_values = (1 << agg.n) if agg._parts.mobius else 0
     seed = _require_seed(seed)
     blocks = _trial_words(seed, trials, agg.n + words, row_values)
-    decided, start = {}, 0  # subject index -> (samples run, witness of its drawn inputs)
+    decided, start = {}, 0  # subject index -> (samples run, its row of the inputs, lhs, rhs)
     for block in blocks:
-        drawn = draw(np.arange(start, start + len(block)), _doubles(block), block)
+        drawn = draw(agg.n, np.arange(start, start + len(block)), _doubles(block), block)
         with np.errstate(over="ignore", invalid="ignore"):
             for i, (f, members, _) in enumerate(subjects):
                 if i in decided:
@@ -524,21 +528,20 @@ def _run_checker(axiom: str, agg: Aggregator, trials: int, seed: int, tolerance:
                 if within.all():
                     continue
                 row = int(np.argmin(within))
-                witness = Witness({k: v[row].tolist() for k, v in inputs.items()},
-                                  float(lhs[row]), float(rhs[row]))
-                _finite(witness.discrepancy, agg._parts.operation)
-                decided[i] = start + row + 1, witness
+                lhs, rhs = float(lhs[row]), float(rhs[row])
+                _finite(abs(lhs - rhs), agg._parts.operation)
+                decided[i] = start + row + 1, {k: v[row].tolist() for k, v in inputs.items()}, lhs, rhs
         start += len(block)
         if len(decided) == len(subjects):
             break
     del block  # the chunk's words and seed span go before a witness lists its game
     blocks.close()
     reports = [AxiomReport(axiom, VERDICT_SATISFIED, None, trials, seed, tolerance)] * len(subjects)
-    for i, (samples, witness) in decided.items():
+    for i, (samples, inputs, lhs, rhs) in decided.items():
         head = {k: v.values.tolist() if isinstance(v, SetFunction) else v for k, v in subjects[i][2].items()}
-        witness = Witness({"family": agg.family, **head, **witness.inputs}, witness.lhs, witness.rhs)
+        witness = Witness({"family": agg.family, **head, **inputs}, lhs, rhs)
         reports[i] = AxiomReport(axiom, VERDICT_FALSIFIED, witness, samples, seed, tolerance)
-    return reports if "subsets" in fixed else reports[0]
+    return reports
 
 
 # Raw words a comonotonic pair takes after its n base coordinates: two
@@ -601,8 +604,8 @@ def check_comonotonic_additivity(
 
     Trial 0 uses the degenerate pair (base, 0), which reduces to f(0) = 0.
     """
-    def draw(numbers, u, words):
-        base, x, y = _comonotonic_pairs(u, agg.n)
+    def draw(n, numbers, u, words):
+        base, x, y = _comonotonic_pairs(u, n)
         first = numbers == 0
         x[first], y[first] = base[first], 0.0
         return {"x": x, "y": y}
@@ -612,7 +615,7 @@ def check_comonotonic_additivity(
         return f(X + Y), f(X) + f(Y)
 
     return _run_checker(AXIOM_COMONOTONIC_ADDITIVITY, agg, trials, seed, tolerance,
-                        _PAIR_WORDS, draw, sides, capacity=v)
+                        _PAIR_WORDS, draw, sides, capacity=v)[0]
 
 
 def check_positive_homogeneity(
@@ -626,17 +629,17 @@ def check_positive_homogeneity(
 
     Trial 0 uses r = 1.
     """
-    def draw(numbers, u, words):
-        r = np.exp(_uniform(u[:, agg.n], *_LOG_R))
+    def draw(n, numbers, u, words):
+        r = np.exp(_uniform(u[:, n], *_LOG_R))
         r[numbers == 0] = 1.0
-        return {"x": _uniform(u[:, :agg.n], -5.0, 5.0), "r": r}
+        return {"x": _uniform(u[:, :n], -5.0, 5.0), "r": r}
 
     def sides(f, inputs):
         X, r = inputs["x"], inputs["r"]
         return f(r[:, None] * X), r * f(X)
 
     return _run_checker(AXIOM_POSITIVE_HOMOGENEITY, agg, trials, seed, tolerance,
-                        1, draw, sides, capacity=v)
+                        1, draw, sides, capacity=v)[0]
 
 
 def check_comonotonic_affinity(
@@ -650,9 +653,9 @@ def check_comonotonic_affinity(
 
     Trials 0 and 1 pin the endpoint cases lam = 0 and lam = 1.
     """
-    def draw(numbers, u, words):
-        _, x, y = _comonotonic_pairs(u, agg.n)
-        lam = np.where(numbers < 2, numbers, _uniform(u[:, agg.n + _PAIR_WORDS], 0.0, 1.0))
+    def draw(n, numbers, u, words):
+        _, x, y = _comonotonic_pairs(u, n)
+        lam = np.where(numbers < 2, numbers, _uniform(u[:, n + _PAIR_WORDS], 0.0, 1.0))
         return {"x": x, "x_prime": y, "lambda": lam}
 
     def sides(f, inputs):
@@ -660,7 +663,7 @@ def check_comonotonic_affinity(
         return f(lam[:, None] * X + (1.0 - lam[:, None]) * Y), lam * f(X) + (1.0 - lam) * f(Y)
 
     return _run_checker(AXIOM_COMONOTONIC_AFFINITY, agg, trials, seed, tolerance,
-                        _PAIR_WORDS + 1, draw, sides, capacity=v)
+                        _PAIR_WORDS + 1, draw, sides, capacity=v)[0]
 
 
 def _interval_scale_draw(n, numbers, u, words):
@@ -695,7 +698,7 @@ def _zero_on_basis_draw(n, numbers, u, words):
     return inputs
 
 
-def _zero_sample(numbers, u, words):
+def _zero_sample(n, numbers, u, words):
     """The zero-on-basis paper sample on {1, 2}, the one trial of its replay:
     x = (0, 2), element 1 zeroed."""
     return {"x": np.array([[0.0, 2.0]]), "zeroed_element": np.array([1])}
@@ -707,23 +710,12 @@ def _zero_sides(f, inputs):
     return f(X), np.zeros(len(X))
 
 
-# The words past its n a trial reads, draw(n, ...) and sides of each subset checker.
+# The words past its n a trial reads, draw and sides of each subset checker,
+# the runner's arguments after the tolerance.
 _SUBSET_RUNS = {
     AXIOM_INTERVAL_SCALE: (2, _interval_scale_draw, _interval_scale_sides),
     AXIOM_ZERO_ON_BASIS: (1, _zero_on_basis_draw, _zero_sides),
 }
-
-
-def _subset_reports(axiom: str, agg: Aggregator, subsets, trials: int, seed: int, tolerance: float):
-    """The report of axiom's subset checker at each of the subsets, in
-    order, from one runner pass.  agg is checked first, then each subset as
-    unanimity_game(agg.n, subset) checks it (EmptyT for the empty one among
-    its errors), but the runner evaluates the game by the family's fold."""
-    _require_instance(agg, Aggregator)
-    members = [list(elements_from_mask(_unanimity_mask(subset, agg.n))) for subset in subsets]
-    words, draw, sides = _SUBSET_RUNS[axiom]
-    return _run_checker(axiom, agg, trials, seed, tolerance, words, partial(draw, agg.n), sides,
-                        subsets=members)
 
 
 def check_interval_scale_covariance(
@@ -740,7 +732,8 @@ def check_interval_scale_covariance(
     r = 1, s = 1 (for a two-element subset on a two-element ground set this
     is the counterexample that separates the multilinear family).
     """
-    return _subset_reports(AXIOM_INTERVAL_SCALE, agg, [subset], trials, seed, tolerance)[0]
+    return _run_checker(AXIOM_INTERVAL_SCALE, agg, trials, seed, tolerance,
+                        *_SUBSET_RUNS[AXIOM_INTERVAL_SCALE], subsets=[subset])[0]
 
 
 def check_zero_on_basis(
@@ -758,7 +751,8 @@ def check_zero_on_basis(
     the zeroed one can carry the minimum).  f_S is evaluated by the family's
     fold over S (_Fold.at) in O(|S|) a trial.  Trial 0 uses x = 0.
     """
-    return _subset_reports(AXIOM_ZERO_ON_BASIS, agg, [subset], trials, seed, tolerance)[0]
+    return _run_checker(AXIOM_ZERO_ON_BASIS, agg, trials, seed, tolerance,
+                        *_SUBSET_RUNS[AXIOM_ZERO_ON_BASIS], subsets=[subset])[0]
 
 
 def check_linearity_in_capacity(
@@ -784,11 +778,11 @@ def check_linearity_in_capacity(
         raise GroundSetTooLarge(agg.n, _MAX_N_LINEARITY)
     size = 1 << agg.n
 
-    def draw(numbers, u, words):
+    def draw(n, numbers, u, words):
         V = _uniform(u[:, :size], -1.0, 1.0)
         V[:, 0] = 0.0
         X = _uniform(u[:, size:], -5.0, 5.0)
-        if agg.n == 3:
+        if n == 3:
             first = numbers == 0
             V[first], X[first] = _VSTAR_VALUES, (0.0, 2.0, 1.0)
         return {"capacity": V, "x": X}
@@ -799,7 +793,7 @@ def check_linearity_in_capacity(
         return parts.evaluate(m if parts.mobius else V, X), _row_sums(m[:, 1:] * parts.fold.every(X))
 
     return _run_checker(AXIOM_LINEARITY_IN_CAPACITY, agg, trials, seed, tolerance,
-                        size, draw, sides)
+                        size, draw, sides)[0]
 
 
 # The checker of each axiom: after agg, the first three take a game, the
@@ -989,7 +983,8 @@ class IndependenceSummary:
 def _run_condition(agg: Aggregator, condition: str, trials: int, seed: int):
     """All checker reports backing one cell (one per nonempty subset, from one run, where relevant)."""
     if condition in SUBSET_AXIOMS:
-        return _subset_reports(condition, agg, range(1, 1 << agg.n), trials, seed, FALSIFY_TOLERANCE)
+        return _run_checker(condition, agg, trials, seed, FALSIFY_TOLERANCE, *_SUBSET_RUNS[condition],
+                            subsets=range(1, 1 << agg.n))
     return [CHECKERS[condition](agg, trials, seed)]
 
 

@@ -332,9 +332,16 @@ def _one_subset_runs(check, agg, subsets, *args):
     return outcomes
 
 
+def _subsets_run(axiom, agg, subsets, trials, seed, tolerance):
+    """The reports of one runner pass of axiom's subset checker at every subset."""
+    return axioms_module._run_checker(axiom, agg, trials, seed, tolerance,
+                                      *axioms_module._SUBSET_RUNS[axiom], subsets=subsets)
+
+
 class TestSubsetsRun:
     """The runner evaluates every subset of a subset checker on one draw of
-    each block; each report equals that of a run at its subset alone."""
+    each block; each report equals that of a run at its subset alone,
+    whether the pass is given masks or element lists."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -348,7 +355,7 @@ class TestSubsetsRun:
         tolerance = data.draw(st.sampled_from([0.0, 1e-15, FALSIFY_TOLERANCE]))
         axiom = data.draw(st.sampled_from(axioms_module.SUBSET_AXIOMS))
         agg = Aggregator(family, n)
-        reports = axioms_module._subset_reports(axiom, agg, subsets, trials, seed, tolerance)
+        reports = _subsets_run(axiom, agg, masks, trials, seed, tolerance)
         alone = [axioms_module.CHECKERS[axiom](agg, members, trials, seed, tolerance) for members in subsets]
         assert [json.dumps(r.to_dict()) for r in reports] == [json.dumps(r.to_dict()) for r in alone]
         assert [(r.witness.lhs.hex(), r.witness.rhs.hex()) for r in reports if r.witness] == [
@@ -360,14 +367,14 @@ class TestSubsetsRun:
         # next of 1024, while its singletons run all three chunks; without
         # them the run ends after the second chunk.
         agg, subsets = Aggregator(FAMILY_WEIGHTED_MEAN, 3), [list(elements_from_mask(m)) for m in range(1, 8)]
-        reports = axioms_module._subset_reports(AXIOM_INTERVAL_SCALE, agg, subsets, 1041, 0, 1e-15)
+        reports = _subsets_run(AXIOM_INTERVAL_SCALE, agg, subsets, 1041, 0, 1e-15)
         assert [r.samples_run for r in reports] == [1041, 1041, 2, 1041, 28, 33, 2]
         assert [r.to_dict() for r in reports] == _one_subset_runs(
             check_interval_scale_covariance, agg, subsets, 1041, 0, 1e-15)
         drawn, doubles = [], axioms_module._doubles
         monkeypatch.setattr(axioms_module, "_doubles", lambda words: drawn.append(len(words)) or doubles(words))
         pairs = [members for members in subsets if len(members) > 1]
-        axioms_module._subset_reports(AXIOM_INTERVAL_SCALE, agg, pairs, 1041, 0, 1e-15)
+        _subsets_run(AXIOM_INTERVAL_SCALE, agg, pairs, 1041, 0, 1e-15)
         assert drawn == [16, 1024]
 
     @pytest.mark.parametrize("axiom", axioms_module.SUBSET_AXIOMS)
@@ -378,9 +385,9 @@ class TestSubsetsRun:
         alone = _one_subset_runs(axioms_module.CHECKERS[axiom], agg, subsets, 40, 3)
         assert alone[2] == parts.operation and all(isinstance(r, dict) for r in alone[:2])
         with pytest.raises(NonFiniteResult) as info:
-            axioms_module._subset_reports(axiom, agg, subsets, 40, 3, FALSIFY_TOLERANCE)
+            _subsets_run(axiom, agg, subsets, 40, 3, FALSIFY_TOLERANCE)
         assert info.value.operation == parts.operation
-        reports = axioms_module._subset_reports(axiom, agg, subsets[:2], 40, 3, FALSIFY_TOLERANCE)
+        reports = _subsets_run(axiom, agg, subsets[:2], 40, 3, FALSIFY_TOLERANCE)
         assert [r.to_dict() for r in reports] == alone[:2]
 
     def test_a_suite_makes_one_runner_call_a_cell_and_replay(self, monkeypatch):
@@ -654,7 +661,7 @@ class TestBlockRunner:
         of every block drawn is appended to blocks."""
         blocks = [] if blocks is None else blocks
 
-        def draw(numbers, u, words):
+        def draw(n, numbers, u, words):
             blocks.append(len(numbers))
             return {"trial": numbers}
 
@@ -665,7 +672,7 @@ class TestBlockRunner:
         agg = Aggregator(family, n)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return axioms_module._run_checker("stub", agg, trials, 0, 1e-6, 0, draw, sides, **fixed)
+            return axioms_module._run_checker("stub", agg, trials, 0, 1e-6, 0, draw, sides, **fixed)[0]
 
     @pytest.mark.parametrize("trials, n, expected", [(7, 2, [7]), (40, 13, [16, 24])])
     def test_a_run_with_no_game_takes_the_word_chunks_whole(self, trials, n, expected):

@@ -35,6 +35,7 @@ from choquet.cli import main
 from choquet.errors import (
     ChoquetError,
     DimensionMismatch,
+    EmptyT,
     FileFormatError,
     GroundSetTooLarge,
     NonFiniteResult,
@@ -492,6 +493,12 @@ class TestLinearityBound:
             check_linearity_in_capacity(Aggregator("choquet", n), trials=1)
         assert (info.value.n, info.value.bound) == (n, 10)
 
+    def test_rejected_before_the_trial_count(self):
+        # The bound belongs to agg, which every checker checks first.
+        with pytest.raises(GroundSetTooLarge) as info:
+            check_linearity_in_capacity(Aggregator("choquet", 11), trials=0)
+        assert (info.value.n, info.value.bound) == (11, 10)
+
     def test_bound_itself_runs(self):
         assert not check_linearity_in_capacity(Aggregator("choquet", 10), trials=1).falsified
 
@@ -844,6 +851,32 @@ def test_bad_argument_raises_its_rule(entry, args, error, start):
         entry(*args)
     assert type(info.value) is error
     assert str(info.value).startswith(start), str(info.value)
+
+
+# A bad subject of each checker that takes one: a game that is not one, or
+# the empty subset, with its error.
+BAD_SUBJECTS = [
+    *(pytest.param(check, None, ValueError, "expected a SignedCapacity, got NoneType", id=check.__name__)
+      for check in (check_comonotonic_additivity, check_positive_homogeneity, check_comonotonic_affinity)),
+    *(pytest.param(check, 0, EmptyT, "unanimity games are defined for nonempty subsets only",
+                   id=check.__name__) for check in (check_interval_scale_covariance, check_zero_on_basis)),
+]
+
+
+@pytest.mark.parametrize("bad, first", [
+    pytest.param({"trials": 0}, "trials must be >= 1, got 0", id="trials"),
+    pytest.param({"tolerance": -1}, TOLERANCE + "-1", id="tolerance"),
+    pytest.param({"seed": -1}, None, id="seed"),
+])
+@pytest.mark.parametrize("check, subject, error, message", BAD_SUBJECTS)
+def test_every_checker_checks_trials_and_tolerance_then_its_subject_then_the_seed(
+        check, subject, error, message, bad, first):
+    # The one argument order of the checkers (README): a bad trial count or
+    # tolerance is reported before a bad subject, and a bad subject before
+    # a bad seed.
+    with pytest.raises((ValueError, ChoquetError)) as info:
+        check(AGG2, subject, **bad)
+    assert (type(info.value), str(info.value)) == ((error, message) if first is None else (ValueError, first))
 
 
 # Every parameter name of a public entry point, each with the words a row id
