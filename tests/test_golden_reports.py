@@ -31,7 +31,10 @@ It also maps each independence suite of SUITES, written
 `suite/seed/trials`, to the SHA-256 of `json.dumps(summary.to_dict())`,
 unsorted so that the order of a witness's inputs, which `choquet check`
 prints, is pinned too.  They were recorded while the suite still ran its
-subset checkers one subset at a time.
+subset checkers one subset at a time.  The suites of 5957, 5958 and 7000
+trials, recorded later, run past 5957 = 2**16 // 11 trials: the most rows
+of 11 words (the widest row a suite run reads, vstar-patch linearity) that
+fit in 2**16 values.
 """
 
 import hashlib
@@ -70,7 +73,7 @@ GROUPS = (
 
 
 # (seeds, trial counts) of the pinned independence suites.
-SUITES = ((*range(8), 2**32 + 1), (1, 16, 17, 1000, 1041))
+SUITES = ((*range(8), 2**32 + 1), (1, 16, 17, 1000, 1041, 5957, 5958, 7000))
 
 
 def subsets(n: int) -> list[int]:
