@@ -69,7 +69,8 @@ _MAX_N_LINEARITY = 10
 # The budget a chunk of trial words is made in, and the most values a block
 # of _trial_words holds in its (rows, 2**n) arrays (512 KiB of doubles),
 # unless it is one row: such blocks hold at most 4096 rows at n = 4, 256 at
-# n = 8, one from n = 16.  Only _trial_words and the suite store read it.
+# n = 8, one from n = 16.  Only _trial_words and independence_suite (the
+# rows of its word table) read it.
 _BLOCK_VALUES = 1 << 16
 
 # Widest rows whose raw words are computed as jump-ahead array arithmetic
@@ -367,26 +368,11 @@ def _setter_words(bits: np.random.PCG64, seed_words: np.ndarray, width: int) -> 
     return words
 
 
-# The trial words of one independence_suite call, whose checker calls draw
-# from one seed over the same trials: seed words by (seed, start, stop) and
-# words by (seed, start, stop, width), read-only, at most _BLOCK_VALUES
-# values in all.  None outside a suite, so other calls share nothing.
-_SUITE_WORDS: ContextVar[Optional[dict]] = ContextVar("_SUITE_WORDS", default=None)
-
-
-def _suite_shared(key: tuple, make: Callable[[], np.ndarray]) -> np.ndarray:
-    """make(), or the suite's stored array of that key.  Inside a suite a
-    new array is stored read-only while the store has room for it."""
-    store = _SUITE_WORDS.get()
-    if store is None:
-        return make()
-    words = store.get(key)
-    if words is None:
-        words = make()
-        if words.size + sum(stored.size for stored in store.values()) <= _BLOCK_VALUES:
-            words.setflags(write=False)
-            store[key] = words
-    return words
+# The trial words of one independence_suite call, whose runs all draw from
+# its seed: (seed, table), table holding the first trials' words at the
+# widest row any suite run reads (_SUITE_WIDTH), read-only, at most
+# _BLOCK_VALUES values.  None outside a suite, so other calls share nothing.
+_SUITE_WORDS: ContextVar[Optional[tuple[int, np.ndarray]]] = ContextVar("_SUITE_WORDS", default=None)
 
 
 def _trial_words(seed: int, trials: int, width: int, row_values: int = 0):
@@ -398,45 +384,43 @@ def _trial_words(seed: int, trials: int, width: int, row_values: int = 0):
     calls for its words (about 35-60 us at 16 rows of 5 to 48 words on a
     2-vCPU Xeon) and for its seed hash (about 50 us at 16 trials, 95 us at
     1040), so a satisfied run of 1000 trials takes two chunks and one seed
-    hash, the one-trial blocks of a Mobius family on a large ground set
-    share chunks, and the checker calls of one independence suite share the
-    chunks and seed words themselves (_suite_shared).
+    hash, and the one-trial blocks of a Mobius family on a large ground set
+    share chunks.  In an independence suite a chunk of its seed inside the
+    rows of its table, and no wider, is the view table[start:stop, :width]:
+    a stream's word j does not depend on the width.
 
-    The first chunk hashes the seed words of the first two chunks' trials,
-    [0, min(trials, 1040)), in one _seed_words call; a chunk that ends
-    inside them takes its rows from them, and every later chunk hashes its
-    own.  A seed outside [0, 2**32), which SeedSequence hashes one trial at
-    a time, hashes the first chunk alone, so that a run falsified there
-    pays for 16 seeds, not 1040.  Rows of up to _NARROW_WIDTH words are
-    computed by _jump_words and wider ones by _setter_words, in chunks
-    capped at _BLOCK_VALUES values for 8 values per narrow word or 1 per
-    wide one.  While a chunk is made, besides the chunk and its seed words,
-    _jump_words holds 4 values per word, 8 per row and numpy's ufunc
-    buffers (2 * 8192 values), and _setter_words each row's seed words as
-    Python ints; a later chunk's seed hash holds up to 26 values per row
-    while it runs.  So a capped chunk of 9 to 48 words a row is made within
-    _BLOCK_VALUES values, one of 2 to 8 words or of more than 48 within 1.6
-    times that, and one of 1 word within 2.3 times."""
+    The seed words of the first two chunks' trials, [0, min(trials, 1040)),
+    are hashed in one _seed_words call unless the table holds them all; a
+    chunk that ends inside them takes its rows from them, and every later
+    chunk hashes its own.  A seed outside [0, 2**32), which SeedSequence
+    hashes one trial at a time, hashes the first chunk alone, so that a run
+    falsified there pays for 16 seeds, not 1040.  Rows of up to
+    _NARROW_WIDTH words are computed by _jump_words and wider ones by
+    _setter_words, in chunks capped at _BLOCK_VALUES values for 8 values
+    per narrow word or 1 per wide one.  While a chunk is made, besides the
+    chunk and its seed words, _jump_words holds 4 values per word, 8 per
+    row and numpy's ufunc buffers (2 * 8192 values), and _setter_words each
+    row's seed words as Python ints; a later chunk's seed hash holds up to
+    26 values per row while it runs.  So a capped chunk of 9 to 48 words a
+    row is made within _BLOCK_VALUES values, one of 2 to 8 words or of more
+    than 48 within 1.6 times that, and one of 1 word within 2.3 times."""
     narrow = width <= _NARROW_WIDTH
     rows = max(1, _BLOCK_VALUES // (width * (8 if narrow else 1)))
     bits = None if narrow else np.random.PCG64(0)  # this call's alone
-
-    def seeded(start, stop):
-        return _suite_shared((seed, start, stop), lambda: _seed_words(seed, np.arange(start, stop)))
-
+    suite_seed, table = _SUITE_WORDS.get() or (None, None)
+    served = len(table) if suite_seed == seed and width <= table.shape[1] else 0
     # The trials of the first two chunks, or of the first where SeedSequence hashes the seed.
     head = min(trials, 16 * (1 + _CHUNK_GROWTH) if 0 <= seed <= _MASK32 else 16)
-    span = seeded(0, head)
-
-    def words(start, stop):
-        seed_words = span[:, start:stop] if stop <= head else seeded(start, stop)
-        return _jump_words(seed_words, width) if narrow else _setter_words(bits, seed_words, width)
-
+    span = _seed_words(seed, np.arange(head)) if served < head else None
     cap = max(1, _BLOCK_VALUES // row_values) if row_values else rows  # no chunk exceeds rows
     start, size = 0, 16
     while start < trials:
         stop = min(trials, start + min(size, rows))
-        chunk = _suite_shared((seed, start, stop, width), partial(words, start, stop))
+        if stop <= served:
+            chunk = table[start:stop, :width]
+        else:
+            seed_words = span[:, start:stop] if stop <= head else _seed_words(seed, np.arange(start, stop))
+            chunk = _jump_words(seed_words, width) if narrow else _setter_words(bits, seed_words, width)
         yield from (chunk[i:i + cap] for i in range(0, len(chunk), cap))
         start, size = stop, _CHUNK_GROWTH * size
 
@@ -918,6 +902,11 @@ EXPECTED_FALSIFIED = {family: parts.falsifies for family, parts in _FAMILY_PARTS
 INDEPENDENCE_FAMILIES = tuple(EXPECTED_FALSIFIED)
 INDEPENDENCE_CONDITIONS = tuple(EXPECTED_FALSIFIED.values())
 
+# The widest row a suite run reads: a suite_n plus the words a condition's
+# checker reads past it, from _SUBSET_RUNS or linearity's 2**n (11 at n = 3).
+_SUITE_WIDTH = max(n + (_SUBSET_RUNS[c][0] if c in _SUBSET_RUNS else 1 << n) for c in INDEPENDENCE_CONDITIONS
+                   for n in {_FAMILY_PARTS[family].suite_n for family in INDEPENDENCE_FAMILIES})
+
 
 @dataclass(frozen=True)
 class IndependenceCell:
@@ -1005,9 +994,12 @@ def independence_suite(
     if not isinstance(paper_witnesses_only, (bool, np.bool_)):
         raise ValueError(f"paper_witnesses_only must be a bool, got {paper_witnesses_only!r}")
     paper_witnesses_only = bool(paper_witnesses_only)
+    # One table of the words every run of the suite reads (_trial_words).
+    rows = min(1 if paper_witnesses_only else trials, _BLOCK_VALUES // _SUITE_WIDTH)
+    table = np.concatenate(list(_trial_words(seed, rows, _SUITE_WIDTH)))
+    table.setflags(write=False)
     cells = []
-    shared = {}  # the words its checker calls share
-    token = _SUITE_WORDS.set(shared)
+    token = _SUITE_WORDS.set((seed, table))
     try:
         for family in INDEPENDENCE_FAMILIES:
             parts = _FAMILY_PARTS[family]
@@ -1021,5 +1013,4 @@ def independence_suite(
                 cells.append(IndependenceCell(family, condition, witness is not None, samples, witness))
     finally:
         _SUITE_WORDS.reset(token)
-        shared.clear()
     return IndependenceSummary(tuple(cells), trials, seed, paper_witnesses_only)

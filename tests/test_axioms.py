@@ -815,9 +815,9 @@ def test_family_names_appear_only_in_the_family_table():
 
 def test_only_the_trial_word_stream_reads_the_block_budget():
     """_trial_words makes its chunks within _BLOCK_VALUES and hands them out
-    in blocks within it, and the suite store keeps its words within it; no
-    other function of axioms reads the budget."""
+    in blocks within it, and independence_suite sizes its word table within
+    it; no other function of axioms reads the budget."""
     tree = ast.parse(Path(axioms_module.__file__).read_text())
     readers = {function.name for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
                for node in ast.walk(function) if getattr(node, "id", None) == "_BLOCK_VALUES"}
-    assert readers == {"_trial_words", "_suite_shared"}
+    assert readers == {"_trial_words", "independence_suite"}

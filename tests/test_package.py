@@ -128,3 +128,21 @@ def test_each_checker_gives_its_trial_width_as_a_word_count():
     called = {call.func.id for call in ast.walk(runner)
               if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
     assert called & params == {"draw", "sides"}
+
+
+def test_the_suite_word_table_has_one_home():
+    # independence_suite alone sets and resets _SUITE_WORDS and _trial_words
+    # alone reads it, so no other call can see a suite's table, and no
+    # second store of suite words (_suite_shared) sits beside it.
+    tree = ast.parse((REPO_SRC / "choquet" / "axioms.py").read_text())
+    uses = {(function.name, node.attr) for function in tree.body if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "_SUITE_WORDS"}
+    assert uses == {("independence_suite", "set"), ("independence_suite", "reset"), ("_trial_words", "get")}
+    named = [node for node in ast.walk(tree) if getattr(node, "id", None) == "_SUITE_WORDS"]
+    bound = [node for node in tree.body if isinstance(node, ast.AnnAssign) and node.target.id == "_SUITE_WORDS"]
+    assert len(bound) == 1 and len(named) == len(uses) + 1
+    for path in (REPO_SRC / "choquet").glob("*.py"):
+        names = {getattr(node, "id", None) or getattr(node, "name", None) or getattr(node, "attr", None)
+                 for node in ast.walk(ast.parse(path.read_text()))}
+        assert "_suite_shared" not in names, path.name

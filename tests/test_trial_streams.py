@@ -292,20 +292,38 @@ def test_suite_cells_are_the_reports_of_its_checker_calls():
         assert (cell.witness and cell.witness.to_dict()) == (witness and witness.to_dict())
 
 
-def test_a_suite_hashes_each_trial_chunk_once(monkeypatch):
-    calls = []
-    seed_words = axioms_module._seed_words
+def counted_seed_words(monkeypatch):
+    """The (seed, first trial, stop) of every _seed_words call from now on."""
+    calls, seed_words = [], axioms_module._seed_words
 
     def counted(seed, trials):
         calls.append((seed, int(trials[0]), int(trials[-1]) + 1))
         return seed_words(seed, trials)
 
     monkeypatch.setattr(axioms_module, "_seed_words", counted)
+    return calls
+
+
+def test_a_suite_hashes_each_trial_chunk_once(monkeypatch):
+    calls = counted_seed_words(monkeypatch)
+    widths, jump_words = [], axioms_module._jump_words
+
+    def counted_words(seed_words, width):
+        widths.append(width)
+        return jump_words(seed_words, width)
+
+    monkeypatch.setattr(axioms_module, "_jump_words", counted_words)
     independence_suite(1000, 3)
-    # The seed words of a run's first 1040 trials are hashed at once, and
-    # every width of the suite (3 to 11 words) takes its chunks of 16 and
-    # 1024 trials from them; the paper replays draw one trial.
-    assert sorted(calls) == [(3, 0, 1), (3, 0, 1000)]
+    # The seed words of the table's 1000 trials are hashed at once, and its
+    # chunks of 16, 744 and 240 rows of 11 words are the only words made:
+    # every width of the suite (2 to 11 words) and the paper replays take
+    # theirs from the table.
+    assert calls == [(3, 0, 1000)] and widths == [11] * 3
+    calls.clear()
+    widths.clear()
+    # The replays alone read one trial: a table of one row.
+    independence_suite(10**6, 3, paper_witnesses_only=True)
+    assert calls == [(3, 0, 1)] and widths == [11]
     calls.clear()
     check_zero_on_basis(Aggregator("weighted-mean", 2), 1, 1000, 3)  # outside a suite nothing is kept
     check_zero_on_basis(Aggregator("weighted-mean", 2), 1, 1000, 3)
@@ -323,49 +341,76 @@ def test_a_suite_hashes_each_trial_chunk_once(monkeypatch):
 
 
 def test_the_suite_words_live_for_one_suite_call(monkeypatch):
-    stores = []
-    shared = axioms_module._suite_shared
+    tables = []
+    trial_words = axioms_module._trial_words
 
-    def watched(key, make):
-        words = shared(key, make)
-        store = axioms_module._SUITE_WORDS.get()
-        stores.append((store, len(store)))
-        return words
+    def watched(*args):
+        tables.append(axioms_module._SUITE_WORDS.get())
+        return trial_words(*args)
 
-    monkeypatch.setattr(axioms_module, "_suite_shared", watched)
-    independence_suite(100, 0)
-    assert all(store is stores[0][0] for store, _ in stores) and max(size for _, size in stores) > 1
-    assert stores[0][0] == {} and axioms_module._SUITE_WORDS.get() is None
+    monkeypatch.setattr(axioms_module, "_trial_words", watched)
+    independence_suite(100, 5)
+    # The table is made with no table set; every run of the suite reads it.
+    assert tables[0] is None and len(tables) == 13
+    seed, table = tables[1]
+    assert seed == 5 and all(shared is tables[1] for shared in tables[1:])
+    assert table.shape == (100, axioms_module._SUITE_WIDTH) and not table.flags.writeable
+    assert axioms_module._SUITE_WORDS.get() is None
 
     def fail(*args):
         raise RuntimeError("checker failed")
 
-    stores.clear()
+    tables.clear()
     monkeypatch.setitem(axioms_module.CHECKERS, axioms_module.AXIOM_LINEARITY_IN_CAPACITY, fail)
     with pytest.raises(RuntimeError, match="checker failed"):
         independence_suite(100, 0)
-    assert max(size for _, size in stores) > 1  # words were kept before the failure
-    assert stores[0][0] == {} and axioms_module._SUITE_WORDS.get() is None
+    assert tables[-1][0] == 0  # the table was set before the failure
+    assert axioms_module._SUITE_WORDS.get() is None
 
 
 def test_the_suite_words_stay_within_the_block_budget(monkeypatch):
-    # 10,000 trials need 40,000 seed words and 30,000 to 60,000 words per
-    # width, far past the budget: chunks past it are made and not kept.
-    totals, made = [], []
-    shared, seed_words = axioms_module._suite_shared, axioms_module._seed_words
+    # 10,000 trials of 11 words are far past the budget: the table holds the
+    # first 5957 trials, and each run makes the chunks that run past them.
+    budget, width = axioms_module._BLOCK_VALUES, axioms_module._SUITE_WIDTH
+    tables, trial_words = [], axioms_module._trial_words
 
-    def watched(key, make):
-        words = shared(key, make)
-        totals.append(sum(stored.size for stored in axioms_module._SUITE_WORDS.get().values()))
-        return words
+    def watched(*args):
+        tables.append((axioms_module._SUITE_WORDS.get(), len(calls)))
+        return trial_words(*args)
 
-    def counted(seed, trials):
-        made.append(int(trials[0]))
-        return seed_words(seed, trials)
-
-    monkeypatch.setattr(axioms_module, "_suite_shared", watched)
-    monkeypatch.setattr(axioms_module, "_seed_words", counted)
+    calls = counted_seed_words(monkeypatch)
+    monkeypatch.setattr(axioms_module, "_trial_words", watched)
     independence_suite(10000, 1)
-    assert axioms_module._BLOCK_VALUES // 2 < max(totals) <= axioms_module._BLOCK_VALUES
-    assert len(made) > len(set(made))  # some chunks were hashed again
+    (_, table), hashed = tables[1]
+    assert len(table) == budget // width and budget - width < table.size <= budget
+    made = calls[hashed:]  # the runs' seed hashes, after the table's
+    assert made and all(stop > len(table) for _, _, stop in made)
+    assert any(start < len(table) for _, start, _ in made)  # a chunk that straddles the table's end
+
+
+@pytest.mark.parametrize("rows", [1, 16, 20, 100, 1040, 1100])
+def test_chunks_the_table_misses_are_made_as_outside_a_suite(monkeypatch, rows):
+    # Another seed, a row wider than the table and chunks that run past its
+    # rows give the words made outside a suite, bit for bit, in the same
+    # blocks; a run inside the table hashes no seed, and one past it only
+    # seeds that reach past it.
+    width = axioms_module._SUITE_WIDTH
+    table = np.concatenate(list(axioms_module._trial_words(4, rows, width)))
+    cases = [(4, 1200, width, 0), (4, 1200, 3, 0), (4, 1200, 2, 8), (5, 1200, width, 0),
+             (4, rows, width + 1, 0), (4, 30, NARROW + 2, 0), (2**32, 40, 4, 0), (4, rows, 5, 1 << 13)]
+    outside = {case: list(axioms_module._trial_words(*case)) for case in cases}
+    calls = counted_seed_words(monkeypatch)
+    token = axioms_module._SUITE_WORDS.set((4, table))
+    try:
+        for case, expected in outside.items():
+            calls.clear()
+            blocks = list(axioms_module._trial_words(*case))
+            assert [len(block) for block in blocks] == [len(block) for block in expected], case
+            assert all(np.array_equal(got, want) for got, want in zip(blocks, expected)), case
+            seed, trials, width_of, _ = case
+            if seed == 4 and width_of <= width:
+                assert all(stop > rows for _, _, stop in calls), case
+                assert bool(calls) == (trials > rows), case
+    finally:
+        axioms_module._SUITE_WORDS.reset(token)
 
