@@ -3,12 +3,16 @@ counterexample families that witness their independence.
 
 Each checker samples inputs from a deterministic per-trial RNG stream
 (derived from the seed and the trial index, so reports are reproducible no
-matter how trials are scheduled) and returns an AxiomReport.  A sample
-falsifies only when the two sides differ by more than FALSIFY_TOLERANCE,
-well above floating noise; the counterexample discrepancies are O(1).
+matter how trials are scheduled) and returns an AxiomReport, the one that
+tests/reference_checkers.py gives one trial at a time with numpy's own
+draws.  A sample falsifies when the two sides differ by more than the
+tolerance (FALSIFY_TOLERANCE by default).  The rule is absolute: the
+counterexample discrepancies are O(1), but from a side of magnitude 2**33
+on one ulp exceeds 1e-6, so there rounding alone can falsify.
 
-Each family is one entry of _FAMILY_PARTS.  The three besides the
-integral itself, each with its suite row and paper witness there:
+Each family is one entry of _FAMILY_PARTS, and no other code here names a
+family.  The three besides the integral itself, each with its suite row
+and paper witness there:
 
 * weighted-mean: Mobius-weighted arithmetic means over subsets.  Linear in
   the capacity and covariant under interval scaling, but a basis evaluation
@@ -472,7 +476,8 @@ def _run_checker(axiom: str, agg: Aggregator, trials: int, seed: int, tolerance:
     _trial_words, told a row size of 2**n values at a Mobius family's game v,
     else 0: any other row holds no more values than words (a chain sum's or a
     fold's O(n), a drawn game's 2**n + n) and fits a chunk whole.  Each row's
-    sides depend on that row alone, so no block changes a report.
+    sides depend on that row alone, so no block changes a report, and a
+    subject's report is the one a run at that subject alone gives.
 
     Every checker checks its arguments in one order: agg first, then trials
     and tolerance, then the subjects, as f is computed once, and then the
@@ -752,8 +757,10 @@ def check_linearity_in_capacity(
     right over the nonempty masks in ascending order, by _row_sums (every
     game has Mobius coefficient 0 on the empty set), with f_{v_T} from the
     family's fold at every mask (_Fold.every); each block of games is
-    Mobius-transformed once for both sides.  On a ground set of size 3,
-    trial 0 evaluates the patched capacity of the vstar family at
+    Mobius-transformed once for both sides.  _Fold.every differs from
+    evaluating each unanimity game only in the sign of a zero, and a zero
+    term's sign changes no sum that _row_sums gives.  On a ground set of
+    size 3, trial 0 evaluates the patched capacity of the vstar family at
     x = (0, 2, 1), the sample that separates that family.  Bounded at
     n <= 10.
     """
@@ -994,7 +1001,8 @@ def independence_suite(
     if not isinstance(paper_witnesses_only, (bool, np.bool_)):
         raise ValueError(f"paper_witnesses_only must be a bool, got {paper_witnesses_only!r}")
     paper_witnesses_only = bool(paper_witnesses_only)
-    # One table of the words every run of the suite reads (_trial_words).
+    # One table of the words every run of the suite reads (_trial_words),
+    # dropped when the suite returns.
     rows = min(1 if paper_witnesses_only else trials, _BLOCK_VALUES // _SUITE_WIDTH)
     table = np.concatenate(list(_trial_words(seed, rows, _SUITE_WIDTH)))
     table.setflags(write=False)

@@ -28,8 +28,8 @@ AXIOMS = (
 )
 SUBSET_AXIOMS = (AXIOM_INTERVAL_SCALE, AXIOM_ZERO_ON_BASIS)
 
-# Falsification threshold for "the two sides genuinely differ", well above
-# rounding noise.
+# Falsification threshold for "the two sides genuinely differ": an absolute
+# difference, above rounding noise only while the sides stay below 2**33.
 FALSIFY_TOLERANCE = 1e-6
 
 DEFAULT_TRIALS = 1000

@@ -235,7 +235,8 @@ def _lattice_passes(arr: np.ndarray):
     the iteration order to give the ufunc that works on the pair: "C" below
     _C_ORDER_BITS and "K" from there on.  No lo entry is an hi entry, so
     updating every hi from its lo, in any order, reproduces the scalar
-    recursion bit for bit.
+    recursion bit for bit.  Both transforms (_lattice_cumulation) and the
+    monotonicity check (_first_covering_violation) run on these passes.
     """
     rows = arr.shape[:-1]
     axes = (len(rows) + 2, *range(len(rows) + 2))  # the 2**i axis first

@@ -871,9 +871,9 @@ BAD_SUBJECTS = [
 @pytest.mark.parametrize("check, subject, error, message", BAD_SUBJECTS)
 def test_every_checker_checks_trials_and_tolerance_then_its_subject_then_the_seed(
         check, subject, error, message, bad, first):
-    # The one argument order of the checkers (README): a bad trial count or
-    # tolerance is reported before a bad subject, and a bad subject before
-    # a bad seed.
+    # The one argument order of the checkers (_run_checker): a bad trial
+    # count or tolerance is reported before a bad subject, and a bad subject
+    # before a bad seed.
     with pytest.raises((ValueError, ChoquetError)) as info:
         check(AGG2, subject, **bad)
     assert (type(info.value), str(info.value)) == ((error, message) if first is None else (ValueError, first))
